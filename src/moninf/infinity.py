@@ -5,30 +5,36 @@ zero set of the top-degree part is a hypersurface in P^n whose isolated
 singularities are given as local models, and the equivariant defects
 beta_s are given, derived from node positions, or enumerated.
 
-The assembled Jordan structure is built in two independent layers:
+The counting rules use the local monodromies T_i only through sums over
+i, so they read only the direct sum T of all T_i, one summand per
+singularity.  :class:`ProblemSpec` builds T once, with one local
+monodromy per distinct germ.  The assembled Jordan structure is built in
+two independent layers:
 
 * eigenvalues alpha = e^(2*pi*i*s/d) (d-th roots of unity): with chi_s
-  the global Euler-type invariant and T_i the local monodromies, the
-  block counts at alpha are
-      size 1:    chi_s + 2*beta_s - sum_i #(T_i)_alpha
-      size 2:    -beta_s + sum_i #_1(T_i)_alpha
-      size l+1:  sum_i #_l(T_i)_alpha             (l >= 2)
+  the global Euler-type invariant, the block counts at alpha are
+      size 1:    chi_s + 2*beta_s - #(T)_alpha
+      size 2:    -beta_s + #_1(T)_alpha
+      size l+1:  #_l(T)_alpha             (l >= 2)
   Negative counts mean the beta vector is inadmissible and raise an
   error naming the violated bound.
-* eigenvalues with alpha^d != 1: the local blocks of T_i at alpha^(1-d)
-  are copied to alpha whenever alpha^(1-d) lies in the spectrum of T_i.
+* eigenvalues with alpha^d != 1: the blocks of T at alpha^(1-d) are
+  copied to alpha whenever alpha^(1-d) lies in the spectrum of T.
 
 Cross-checks accompany every assembly: the degree identity, the block
 size limits, the bound check on beta, the local product formula for the
 characteristic polynomial, and the two-forms identity for the zeta
-function of the top form.
+function of the top form.  The product formula is only claimed when
+every germ's spectrum is closed under conjugation; that is judged per
+germ, never on T, since asymmetric germs can sum to a symmetric T.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Union
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Iterable, Union
 
 from .cyclo import ONE, RootExponentVector, UnitRoot, mth_roots
 from .defect import ProjectivePointSet, nodal_beta
@@ -38,7 +44,7 @@ from .localsing import (
     SingularityModel,
     local_monodromy,
     milnor_number,
-    parse_singularities,
+    parse_singularity_counts,
 )
 
 DEFAULT_ENUMERATE_CAP = 1024
@@ -66,28 +72,44 @@ class EnumerateBeta:
 BetaSpec = Union[GivenBeta, FromNodes, EnumerateBeta]
 
 
+def _check_size(n: int, d: int,
+                counts: Iterable[tuple[SingularityModel, int]]) -> None:
+    """Reject n or d below 2, and (model, count) pairs whose total Milnor
+    number exceeds (d-1)^(n+1)."""
+    if not isinstance(n, int) or n < 2:
+        raise InstanceError("n must be >= 2")
+    if not isinstance(d, int) or d < 2:
+        raise InstanceError("d must be >= 2")
+    total_mu = sum(count * milnor_number(model) for model, count in counts)
+    space = (d - 1) ** (n + 1)
+    if total_mu > space:
+        raise InstanceError(
+            f"total local Milnor number {total_mu} exceeds "
+            f"(d-1)^(n+1) = {space}; no such hypersurface data")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     n: int
     d: int
     singularities: tuple[SingularityModel, ...]
     beta: BetaSpec
+    # T: the direct sum of the local monodromies, one per singularity
+    local_sum: JordanStructure = field(init=False, repr=False, compare=False)
+    # whether every distinct germ's spectrum is closed under conjugation
+    locally_symmetric: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2:
-            raise InstanceError("n must be >= 2")
-        if not isinstance(self.d, int) or self.d < 2:
-            raise InstanceError("d must be >= 2")
         object.__setattr__(self, "singularities", tuple(self.singularities))
-        # force early validation of each local model (exponent counts etc.)
-        for model in self.singularities:
-            local_monodromy(model, self.n)
-        total_mu = sum(milnor_number(m) for m in self.singularities)
-        space = (self.d - 1) ** (self.n + 1)
-        if total_mu > space:
-            raise InstanceError(
-                f"total local Milnor number {total_mu} exceeds "
-                f"(d-1)^(n+1) = {space}; no such hypersurface data")
+        counts = Counter(self.singularities)
+        _check_size(self.n, self.d, counts.items())
+        local = {model: local_monodromy(model, self.n) for model in counts}
+        object.__setattr__(self, "local_sum", JordanStructure(
+            (root, {size: count * number})
+            for model, count in counts.items()
+            for root, size, number in local[model].iter_blocks()))
+        object.__setattr__(self, "locally_symmetric", all(
+            t.is_conjugation_symmetric() for t in local.values()))
         beta = self.beta
         if isinstance(beta, GivenBeta):
             values = tuple(beta.values)
@@ -105,9 +127,7 @@ class ProblemSpec:
                         f"beta[{self.d - s}] = {values[self.d - s]} "
                         "(beta[s] must equal beta[d-s])")
         elif isinstance(beta, FromNodes):
-            non_nodes = [m for m in self.singularities
-                         if not isinstance(m, OrdinaryNode)]
-            if non_nodes:
+            if any(not isinstance(m, OrdinaryNode) for m in counts):
                 raise InstanceError("FromNodes with non-node singularity")
             if beta.points.dim != self.n:
                 raise InstanceError(
@@ -118,9 +138,6 @@ class ProblemSpec:
                     f"{len(self.singularities)} nodes but {len(beta.points)} points")
         elif not isinstance(beta, EnumerateBeta):
             raise InstanceError(f"unknown beta specification {beta!r}")
-
-    def local_monodromies(self) -> list[JordanStructure]:
-        return [local_monodromy(m, self.n) for m in self.singularities]
 
     def milnor_numbers(self) -> list[int]:
         return [milnor_number(m) for m in self.singularities]
@@ -233,6 +250,11 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
+def _top_form_exponent(n: int, d: int) -> int:
+    """((-1)^n + (d-1)^(n+1)) / d, exact: (d-1)^(n+1) = (-1)^(n+1) mod d."""
+    return ((-1) ** n + (d - 1) ** (n + 1)) // d
+
+
 def chi_vector(n: int, d: int, mu_list: list[int]) -> list[int]:
     """The d global invariants chi_s attached to the eigenvalues e^(2*pi*i*s/d)."""
     if n < 2:
@@ -240,46 +262,38 @@ def chi_vector(n: int, d: int, mu_list: list[int]) -> list[int]:
     if d < 1:
         raise InstanceError("d must be >= 1")
     sign = (-1) ** n
-    numerator = sign + (d - 1) ** (n + 1)
-    assert numerator % d == 0, "divisibility of (-1)^n + (d-1)^(n+1) by d"
-    chi_0 = -sum(mu_list) + numerator // d - sign
+    chi_0 = -sum(mu_list) + _top_form_exponent(n, d) - sign
     return [chi_0] + [chi_0 + sign] * (d - 1)
 
 
 def beta_bounds(spec: ProblemSpec, s: int) -> tuple[int, int]:
     """Admissible range for beta_s: block counts at e^(2*pi*i*s/d) stay >= 0.
 
-    lower = max(0, ceil((sum_i #(T_i)_alpha - chi_s) / 2)), from the size-1
-    count; upper = sum_i #_1(T_i)_alpha, from the size-2 count.
+    lower = max(0, ceil((#(T)_alpha - chi_s) / 2)), from the size-1 count;
+    upper = #_1(T)_alpha, from the size-2 count.
     """
     if not 0 <= s < spec.d:
         raise InstanceError(f"s must lie in 0..{spec.d - 1}, got {s}")
-    locals_ = spec.local_monodromies()
     chi = chi_vector(spec.n, spec.d, spec.milnor_numbers())
-    return _bounds_at(spec.d, chi, locals_, s)
+    return _bounds_at(spec, chi, s)
 
 
-def _bounds_at(d: int, chi: list[int], locals_: list[JordanStructure],
-               s: int) -> tuple[int, int]:
-    alpha = UnitRoot(s, d)
-    total_blocks = sum(t.block_count(alpha) for t in locals_)
-    size_one = sum(t.sharp(alpha, 1) for t in locals_)
-    lower = max(0, (total_blocks - chi[s] + 1) // 2)
-    return lower, size_one
+def _bounds_at(spec: ProblemSpec, chi: list[int], s: int) -> tuple[int, int]:
+    alpha = UnitRoot(s, spec.d)
+    lower = max(0, (spec.local_sum.block_count(alpha) - chi[s] + 1) // 2)
+    return lower, spec.local_sum.sharp(alpha, 1)
 
 
 def _assemble_structure(spec: ProblemSpec, chi: list[int],
-                        locals_: list[JordanStructure],
+                        bounds: list[tuple[int, int]],
                         beta: tuple[int, ...]) -> JordanStructure:
-    d = spec.d
+    d, t = spec.d, spec.local_sum
     blocks: dict[UnitRoot, dict[int, int]] = {}
     for s in range(d):
         alpha = UnitRoot(s, d)
-        total_blocks = sum(t.block_count(alpha) for t in locals_)
-        size_one = sum(t.sharp(alpha, 1) for t in locals_)
-        count_1 = chi[s] + 2 * beta[s] - total_blocks
-        count_2 = -beta[s] + size_one
-        lower, upper = _bounds_at(d, chi, locals_, s)
+        count_1 = chi[s] + 2 * beta[s] - t.block_count(alpha)
+        count_2 = -beta[s] + t.sharp(alpha, 1)
+        lower, upper = bounds[s]
         if count_1 < 0:
             raise InstanceError(
                 f"negative block count: {count_1} blocks of size 1 at "
@@ -290,53 +304,30 @@ def _assemble_structure(spec: ProblemSpec, chi: list[int],
                 f"negative block count: {count_2} blocks of size 2 at "
                 f"eigenvalue {alpha}; beta[{s}] = {beta[s]} is above the "
                 f"upper bound {upper} (admissible range {lower}..{upper})")
-        sizes: dict[int, int] = {}
-        if count_1:
-            sizes[1] = count_1
-        if count_2:
-            sizes[2] = count_2
-        for t in locals_:
-            for size, count in t.blocks_at(alpha).items():
-                if size >= 2:
-                    sizes[size + 1] = sizes.get(size + 1, 0) + count
-        if sizes:
-            blocks[alpha] = sizes
-    for t in locals_:
-        for xi in t.spectrum():
-            local_sizes = t.blocks_at(xi)
-            for alpha in mth_roots(xi.conjugate(), d - 1):
-                if alpha ** d == ONE:
-                    continue
-                sizes = blocks.setdefault(alpha, {})
-                for size, count in local_sizes.items():
-                    sizes[size] = sizes.get(size, 0) + count
+        sizes = {size + 1: count for size, count in t.blocks_at(alpha).items()
+                 if size >= 2}
+        blocks[alpha] = {1: count_1, 2: count_2, **sizes}
+    for xi in t.spectrum():
+        for alpha in mth_roots(xi.conjugate(), d - 1):
+            if alpha ** d != ONE:
+                blocks[alpha] = t.blocks_at(xi)
     return JordanStructure(blocks)
 
 
 def charpoly_local_formula(spec: ProblemSpec) -> RootExponentVector:
     """Characteristic polynomial of the assembled operator, from local data.
 
-    (x - 1)^((-1)^(n+1)) * (x^d - 1)^(((d-1)^(n+1) + (-1)^n)/d)
-    * prod_i [ det(x^(d-1) * Id - T_i) * (x^d - 1)^(-mu_i) ]
+    zeta_of_top_form(spec) * det(x^(d-1) * Id - T)
 
-    The determinant factor contributes, for each eigenvalue xi of T_i of
-    algebraic multiplicity m, the exponent m at every (d-1)-th root of xi.
+    The determinant contributes, for each eigenvalue xi of T of algebraic
+    multiplicity m, the exponent m at every (d-1)-th root of xi.
     Raises when the final exponent vector has a negative entry, which
     signals local data inconsistent with any actual hypersurface.
     """
-    n, d = spec.n, spec.d
-    sign = (-1) ** n
-    numerator = sign + (d - 1) ** (n + 1)
-    assert numerator % d == 0, "divisibility of (-1)^n + (d-1)^(n+1) by d"
-    out = RootExponentVector.linear(ONE, -sign)
-    out = out * RootExponentVector.power_minus_one(d, numerator // d)
-    for t in (local_monodromy(m, n) for m in spec.singularities):
-        pairs = []
-        for xi in t.spectrum():
-            mult = t.multiplicity(xi)
-            pairs.extend((alpha, mult) for alpha in mth_roots(xi, d - 1))
-        out = out * RootExponentVector(pairs)
-        out = out * RootExponentVector.power_minus_one(d, -t.total_dim)
+    t = spec.local_sum
+    out = zeta_of_top_form(spec) * RootExponentVector(
+        (alpha, t.multiplicity(xi))
+        for xi in t.spectrum() for alpha in mth_roots(xi, spec.d - 1))
     if not out.is_polynomial():
         bad = [str(r) for r, e in out.items() if e < 0]
         raise InstanceError(
@@ -347,24 +338,31 @@ def charpoly_local_formula(spec: ProblemSpec) -> RootExponentVector:
 
 
 def zeta_of_top_form(spec: ProblemSpec) -> RootExponentVector:
-    """Zeta function of the degree-d top form, as an exponent vector.
+    """Zeta function of the degree-d top form, as an exponent vector:
 
-    Computes both closed forms and asserts their equality:
-    (x - 1)^((-1)^(n+1)) * (x^d - 1)^(((d-1)^(n+1) + (-1)^n)/d - sum mu_i)
-    and prod_s (x - e^(2*pi*i*s/d))^(chi_s).
+    (x - 1)^((-1)^(n+1)) * (x^d - 1)^(((d-1)^(n+1) + (-1)^n)/d - sum mu_i).
+    :func:`check_zeta_two_forms` compares it with the product over chi.
     """
     n, d = spec.n, spec.d
-    mus = spec.milnor_numbers()
-    sign = (-1) ** n
-    numerator = sign + (d - 1) ** (n + 1)
-    assert numerator % d == 0, "divisibility of (-1)^n + (d-1)^(n+1) by d"
-    form_a = RootExponentVector.linear(ONE, -sign)
-    form_a = form_a * RootExponentVector.power_minus_one(
-        d, numerator // d - sum(mus))
-    chi = chi_vector(n, d, mus)
-    form_b = RootExponentVector((UnitRoot(s, d), chi[s]) for s in range(d))
-    assert form_a == form_b, "the two zeta forms disagree"
-    return form_a
+    exponent = _top_form_exponent(n, d) - spec.local_sum.total_dim
+    return RootExponentVector.linear(ONE, -(-1) ** n) * \
+        RootExponentVector.power_minus_one(d, exponent)
+
+
+def check_zeta_two_forms(zeta: RootExponentVector,
+                         chi: list[int]) -> CheckResult:
+    """Compare the (x^d - 1) form of the zeta function with
+    prod_s (x - e^(2*pi*i*s/d))^(chi_s)."""
+    d = len(chi)
+    product = RootExponentVector((UnitRoot(s, d), chi[s]) for s in range(d))
+    if product == zeta:
+        return CheckResult(
+            "zeta_two_forms", "pass",
+            "both closed forms of the zeta function agree: " + str(zeta))
+    return CheckResult(
+        "zeta_two_forms", "fail",
+        f"the (x^d - 1) form gives {zeta}, "
+        f"the product over chi gives {product}")
 
 
 def check_block_size_limits(structure: JordanStructure, n: int,
@@ -387,8 +385,7 @@ def check_block_size_limits(structure: JordanStructure, n: int,
         f"all blocks within the size limits for n = {n}, d = {d}")
 
 
-def _resolve_beta(spec: ProblemSpec, chi: list[int],
-                  locals_: list[JordanStructure],
+def _resolve_beta(spec: ProblemSpec, bounds: list[tuple[int, int]],
                   cap: int) -> tuple[str, list[tuple[int, ...]], bool]:
     beta = spec.beta
     if isinstance(beta, GivenBeta):
@@ -400,11 +397,8 @@ def _resolve_beta(spec: ProblemSpec, chi: list[int],
     free = list(range(d // 2 + 1))
     ranges = []
     for s in free:
-        lo, up = _bounds_at(d, chi, locals_, s)
-        mirror = (d - s) % d
-        if mirror != s:
-            lo2, up2 = _bounds_at(d, chi, locals_, mirror)
-            lo, up = max(lo, lo2), min(up, up2)
+        (lo, up), (lo2, up2) = bounds[s], bounds[(d - s) % d]
+        lo, up = max(lo, lo2), min(up, up2)
         if lo > up:
             return "enumerate", [], False
         ranges.append(range(lo, up + 1))
@@ -427,11 +421,10 @@ def assemble(spec: ProblemSpec, *,
     """Compute the Jordan structure(s) of the monodromy at infinity."""
     if enumerate_cap < 1:
         raise InstanceError(f"enumerate cap must be >= 1, got {enumerate_cap}")
-    locals_ = spec.local_monodromies()
     mus = spec.milnor_numbers()
     chi = chi_vector(spec.n, spec.d, mus)
-    mode, vectors, truncated = _resolve_beta(spec, chi, locals_, enumerate_cap)
-    symmetric = all(t.is_conjugation_symmetric() for t in locals_)
+    bounds = [_bounds_at(spec, chi, s) for s in range(spec.d)]
+    mode, vectors, truncated = _resolve_beta(spec, bounds, enumerate_cap)
     formula: RootExponentVector | None = None
     formula_error: str | None = None
     try:
@@ -439,13 +432,11 @@ def assemble(spec: ProblemSpec, *,
     except InstanceError as exc:
         formula_error = str(exc)
     zeta = zeta_of_top_form(spec)
-    global_checks = [CheckResult(
-        "zeta_two_forms", "pass",
-        "both closed forms of the zeta function agree: " + str(zeta))]
+    global_checks = [check_zeta_two_forms(zeta, chi)]
     expected_dim = (spec.d - 1) ** (spec.n + 1) - sum(mus)
     entries = []
     for beta in vectors:
-        structure = _assemble_structure(spec, chi, locals_, beta)
+        structure = _assemble_structure(spec, chi, bounds, beta)
         checks = []
         got_dim = structure.total_dim
         checks.append(CheckResult(
@@ -454,18 +445,14 @@ def assemble(spec: ProblemSpec, *,
             f"operator dimension {got_dim}, expected "
             f"(d-1)^(n+1) - total mu = {expected_dim}"))
         checks.append(check_block_size_limits(structure, spec.n, spec.d))
-        bound_text = []
-        in_bounds = True
-        for s in range(spec.d):
-            lo, up = _bounds_at(spec.d, chi, locals_, s)
-            if not lo <= beta[s] <= up:
-                in_bounds = False
-                bound_text.append(f"beta[{s}] = {beta[s]} outside {lo}..{up}")
+        bound_text = [f"beta[{s}] = {value} outside {lo}..{up}"
+                      for s, (value, (lo, up)) in enumerate(zip(beta, bounds))
+                      if not lo <= value <= up]
         checks.append(CheckResult(
             "beta_within_bounds",
-            "pass" if in_bounds else "fail",
+            "fail" if bound_text else "pass",
             "; ".join(bound_text) or "every beta[s] lies within its bounds"))
-        if not symmetric:
+        if not spec.locally_symmetric:
             checks.append(CheckResult(
                 "charpoly_local_formula", "not_applicable",
                 "local spectra are not conjugation-symmetric, so the local "
@@ -520,7 +507,7 @@ def parse_problem(data: object) -> ProblemSpec:
     if not isinstance(d, int) or isinstance(d, bool):
         raise InstanceError("d must be an integer")
     try:
-        models = parse_singularities(data["singularities"])
+        counts = parse_singularity_counts(data["singularities"])
     except ValueError as exc:
         raise InstanceError(str(exc)) from exc
     beta_data = data["beta"]
@@ -554,6 +541,10 @@ def parse_problem(data: object) -> ProblemSpec:
     else:
         raise InstanceError(
             f"beta mode must be 'given', 'from_nodes' or 'enumerate', got {mode!r}")
+    # an oversized count is rejected before the copies are listed
+    _check_size(n, d, counts)
+    models = itertools.chain.from_iterable(
+        itertools.repeat(model, count) for model, count in counts)
     try:
         return ProblemSpec(n, d, tuple(models), beta)
     except ValueError as exc:

@@ -123,13 +123,18 @@ def parse_singularity(data: object) -> tuple[SingularityModel, int]:
     raise ValueError(f"unknown singularity type {kind!r}")
 
 
-def parse_singularities(data: object) -> list[SingularityModel]:
-    """Parse the singularity list, expanding each entry's count."""
+def parse_singularity_counts(
+        data: object) -> list[tuple[SingularityModel, int]]:
+    """Parse the singularity list into (model, count) pairs."""
     if not isinstance(data, list):
         raise ValueError("'singularities' must be a list")
+    return [parse_singularity(entry) for entry in data]
+
+
+def parse_singularities(data: object) -> list[SingularityModel]:
+    """Parse the singularity list, expanding each entry's count."""
     models: list[SingularityModel] = []
-    for entry in data:
-        model, count = parse_singularity(entry)
+    for model, count in parse_singularity_counts(data):
         models.extend([model] * count)
     return models
 

@@ -233,67 +233,6 @@ class CycloElement:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def inverse(self) -> CycloElement:
-        """Multiplicative inverse via the extended Euclidean algorithm."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic element")
-        modulus = [Fraction(c) for c in cyclotomic_polynomial(self.level)]
-        r_prev, r_cur = modulus, _trim(list(self.coeffs))
-        s_prev, s_cur = [Fraction(0)], [Fraction(1)]
-        while len(r_cur) > 1:
-            q, rem = _poly_divmod(r_prev, r_cur)
-            s_next = _poly_sub(s_prev, _poly_mul(q, s_cur))
-            r_prev, r_cur = r_cur, _trim(rem)
-            s_prev, s_cur = s_cur, s_next
-        if not r_cur or r_cur[0] == 0:
-            raise ArithmeticError("element is a zero divisor; bad modulus?")
-        c = r_cur[0]
-        degree = _field(self.level).degree
-        inv = [s / c for s in s_cur]
-        inv = (inv + [Fraction(0)] * degree)[:degree]
-        return CycloElement(self.level, tuple(inv))
-
-
-def _trim(poly: list[Fraction]) -> list[Fraction]:
-    while poly and poly[-1] == 0:
-        poly.pop()
-    return poly
-
-
-def _poly_divmod(num: list[Fraction],
-                 den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    if len(num) - 1 < dn:
-        return [Fraction(0)], num
-    out = [Fraction(0)] * (len(num) - dn)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + dn] / lead
-        out[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    return out, num[:dn]
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    size = max(len(a), len(b))
-    a = a + [Fraction(0)] * (size - len(a))
-    b = b + [Fraction(0)] * (size - len(b))
-    return [x - y for x, y in zip(a, b)]
-
 
 class CycloMatrix:
     """Matrix over Q(zeta_level), stored dense row-major."""

@@ -1,0 +1,254 @@
+"""The assembler reads the local data only through their direct sum T.
+
+A per-copy statement of the counting rules, written out here with one
+local monodromy per singularity, is the reference that `assemble`,
+`beta_bounds` and `charpoly_local_formula` must match.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+import re
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import moninf.infinity
+from moninf.cli import main
+from moninf.cyclo import ONE, RootExponentVector, UnitRoot, mth_roots
+from moninf.infinity import (
+    EnumerateBeta,
+    GivenBeta,
+    InstanceError,
+    ProblemSpec,
+    assemble,
+    beta_bounds,
+    charpoly_local_formula,
+    chi_vector,
+)
+from moninf.jordan import JordanStructure
+from moninf.localsing import (
+    BrieskornPham,
+    ExplicitJordan,
+    OrdinaryNode,
+    local_monodromy,
+    milnor_number,
+)
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+
+
+def _reference(spec: ProblemSpec):
+    """Per-copy counting rules: (chi, bounds, structure-of-beta, charpoly)."""
+    n, d = spec.n, spec.d
+    copies = [local_monodromy(m, n) for m in spec.singularities]
+    chi = chi_vector(n, d, [milnor_number(m) for m in spec.singularities])
+    bounds = []
+    for s in range(d):
+        alpha = UnitRoot(s, d)
+        total = sum(t.block_count(alpha) for t in copies)
+        bounds.append((max(0, (total - chi[s] + 1) // 2),
+                       sum(t.sharp(alpha, 1) for t in copies)))
+
+    def structure(beta):
+        blocks: dict[UnitRoot, Counter] = {}
+        for s in range(d):
+            alpha = UnitRoot(s, d)
+            sizes = Counter({
+                1: chi[s] + 2 * beta[s]
+                - sum(t.block_count(alpha) for t in copies),
+                2: -beta[s] + sum(t.sharp(alpha, 1) for t in copies)})
+            if min(sizes.values()) < 0:
+                return None
+            for t in copies:
+                for size, count in t.blocks_at(alpha).items():
+                    if size >= 2:
+                        sizes[size + 1] += count
+            blocks[alpha] = sizes
+        for t in copies:
+            for xi in t.spectrum():
+                for alpha in mth_roots(xi.conjugate(), d - 1):
+                    if alpha ** d != ONE:
+                        blocks.setdefault(alpha, Counter()).update(
+                            t.blocks_at(xi))
+        return JordanStructure({a: dict(c) for a, c in blocks.items()})
+
+    sign = (-1) ** n
+    charpoly = RootExponentVector.linear(ONE, -sign) * \
+        RootExponentVector.power_minus_one(d, (sign + (d - 1) ** (n + 1)) // d)
+    for t in copies:
+        charpoly = charpoly * RootExponentVector(
+            (alpha, t.multiplicity(xi))
+            for xi in t.spectrum() for alpha in mth_roots(xi, d - 1))
+        charpoly = charpoly * RootExponentVector.power_minus_one(
+            d, -t.total_dim)
+    return chi, bounds, structure, charpoly
+
+
+def _random_germ(rng: random.Random, n: int):
+    kind = rng.random()
+    if kind < 0.3:
+        return OrdinaryNode()
+    if kind < 0.6:
+        return BrieskornPham(tuple(rng.randint(2, 4) for _ in range(n)))
+    # a local block of size n at eigenvalue 1 would break the block size
+    # limits of the assembled operator, so it stays below n there
+    blocks = []
+    for den in rng.choices((1, 2, 3, 4, 6, 12), k=rng.randint(1, 3)):
+        root = UnitRoot(rng.randrange(den), den)
+        blocks.append((root, rng.randint(1, n - 1 if root == ONE else n)))
+    return ExplicitJordan(JordanStructure.from_blocks(blocks))
+
+
+def _random_spec(rng: random.Random, given: bool) -> ProblemSpec:
+    n = rng.choice((2, 3))
+    germs = [(_random_germ(rng, n), rng.randint(1, 4))
+             for _ in range(rng.randint(1, 3))]
+    models = [m for m, count in germs for _ in range(count)]
+    rng.shuffle(models)
+    total_mu = sum(milnor_number(m) for m in models)
+    d = 2
+    while total_mu > (d - 1) ** (n + 1):
+        d += 1
+    d += rng.randint(0, 3)
+    spec = ProblemSpec(n, d, tuple(models), EnumerateBeta())
+    if not given:
+        return spec
+    # draw each beta[s] from its admissible range, widened by one for a
+    # third of the specs so that some vectors are inadmissible
+    bounds = _reference(spec)[1]
+    widen = int(rng.random() < 1 / 3)
+    values = [0] * d
+    for s in range(d // 2 + 1):
+        (lo, up), (lo2, up2) = bounds[s], bounds[(d - s) % d]
+        low = max(0, max(lo, lo2) - widen)
+        values[s] = values[(d - s) % d] = \
+            rng.randint(low, max(low, min(up, up2) + widen))
+    return ProblemSpec(n, d, tuple(models), GivenBeta(tuple(values)))
+
+
+@pytest.mark.parametrize("given", [True, False])
+def test_assemble_matches_per_copy_rules(given):
+    rng = random.Random(4151 if given else 9265)
+    admissible = 0
+    for _ in range(120):
+        spec = _random_spec(rng, given)
+        chi, bounds, structure, charpoly = _reference(spec)
+        assert [beta_bounds(spec, s) for s in range(spec.d)] == bounds
+        if charpoly.is_polynomial():
+            assert charpoly_local_formula(spec) == charpoly
+        else:
+            with pytest.raises(InstanceError, match="non-polynomial"):
+                charpoly_local_formula(spec)
+        if given and structure(spec.beta.values) is None:
+            with pytest.raises(InstanceError, match="negative block count"):
+                assemble(spec)
+            continue
+        report = assemble(spec, enumerate_cap=6)
+        assert report.chi == tuple(chi)
+        for entry in report.entries:
+            assert all(lo <= b <= up for b, (lo, up) in zip(entry.beta, bounds))
+            assert entry.jordan == structure(entry.beta)
+            admissible += 1
+        symmetric = all(local_monodromy(m, spec.n).is_conjugation_symmetric()
+                        for m in spec.singularities)
+        for _, check in report.all_checks():
+            applies = symmetric or check.name != "charpoly_local_formula"
+            assert check.status == ("pass" if applies else "not_applicable"), \
+                (spec, check)
+    assert admissible > 30
+
+
+def test_shuffled_singularities_give_the_same_report():
+    rng = random.Random(3589)
+    for given in (True, False) * 15:
+        spec = _random_spec(rng, given)
+        models = list(spec.singularities)
+        rng.shuffle(models)
+        shuffled = ProblemSpec(spec.n, spec.d, tuple(models), spec.beta)
+        try:
+            docs = [assemble(s).to_json() for s in (spec, shuffled)]
+        except InstanceError as exc:
+            with pytest.raises(InstanceError, match=re.escape(str(exc))):
+                assemble(shuffled)
+            continue
+        # mu lists one entry per singularity, in input order
+        assert sorted(docs[0].pop("mu")) == sorted(docs[1].pop("mu"))
+        assert docs[0] == docs[1]
+
+
+def test_local_monodromy_runs_once_per_distinct_germ(monkeypatch, tmp_path,
+                                                      capsys):
+    seen = []
+
+    def counting(model, n):
+        seen.append(model)
+        return local_monodromy(model, n)
+
+    monkeypatch.setattr(moninf.infinity, "local_monodromy", counting)
+    doc = {"n": 2, "d": 9,
+           "singularities": [
+               {"type": "node", "count": 5},
+               {"type": "brieskorn", "exponents": [2, 3], "count": 4},
+               {"type": "node", "count": 2},
+               {"type": "brieskorn", "exponents": [3, 2]},
+               {"type": "explicit", "count": 3,
+                "jordan": [{"eigenvalue": "1/4", "blocks": [2]},
+                           {"eigenvalue": "3/4", "blocks": [2]}]}],
+           "beta": {"mode": "enumerate"}}
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["compute", str(path), "--json", "--enumerate-cap", "4"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["mu"]) == 15
+    assert len(seen) == len(set(seen)) == 4
+
+
+def test_symmetric_sum_of_asymmetric_germs_is_not_applicable():
+    third, two_thirds = (
+        ExplicitJordan(JordanStructure({UnitRoot(k, 3): {1: 1}}))
+        for k in (1, 2))
+    spec = ProblemSpec(2, 4, (third, two_thirds), EnumerateBeta())
+    assert spec.local_sum.is_conjugation_symmetric()
+    assert not spec.locally_symmetric
+    report = assemble(spec)
+    assert report.entries
+    statuses = {check.status for _, check in report.all_checks()
+                if check.name == "charpoly_local_formula"}
+    assert statuses == {"not_applicable"}
+
+
+# sha256 of the --json reports as computed before the assembler read T
+GOLDEN = {
+    ("compute", "six_cusp_sextic.json"):
+        "b7b776c118f054b2609bcb27dd3a5a9633f18dae5807b771aad235eca3c92205",
+    ("compute", "six_cusp_sextic_enumerate.json"):
+        "d5da9d34079403330a2daa4bd3794bdd02b4e1880a693f3c72f7854c0c85644c",
+    ("compute", "lines_d4.json"):
+        "3550813a34209345291d2795c40a9738cd8ffa506942dfad6ed754cfcc37b34e",
+    ("bounds", "six_cusp_sextic.json"):
+        "a303a17b653d5a1a8437154bc0568c367d05cfc9fa5521283c34668224cdcdd8",
+    ("bounds", "six_cusp_sextic_enumerate.json"):
+        "a303a17b653d5a1a8437154bc0568c367d05cfc9fa5521283c34668224cdcdd8",
+    ("bounds", "lines_d4.json"):
+        "a38d94ba8cdeeb2f435ead013493b300c1ea93779241585ab20321ec2959196a",
+    ("zeta", "six_cusp_sextic.json"):
+        "b8ee650e7c94efacc8bbffe5a469f49650ea158057c90a961cd324f6f2ead331",
+    ("zeta", "six_cusp_sextic_enumerate.json"):
+        "b8ee650e7c94efacc8bbffe5a469f49650ea158057c90a961cd324f6f2ead331",
+    ("zeta", "lines_d4.json"):
+        "b0d63bb8e270f4ff4e72e807f4cfa2ed18468d355cebf74f44c2bc4be9669013",
+}
+
+
+@pytest.mark.parametrize("command,instance", sorted(GOLDEN))
+def test_bundled_reports_are_unchanged(command, instance):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([command, str(INSTANCES / instance), "--json"]) == 0
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == GOLDEN[command, instance]

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from moninf.cli import main
+from moninf.cyclo import RootExponentVector
 from moninf.infinity import CheckResult
 from moninf.jordan import JordanStructure
 
@@ -81,6 +82,16 @@ def test_compute_inadmissible_beta(tmp_path, capsys):
     assert "above the upper bound 6" in err
 
 
+def test_compute_rejects_oversized_count(tmp_path, capsys):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({
+        "n": 2, "d": 6,
+        "singularities": [{"type": "node", "count": 10 ** 19}],
+        "beta": {"mode": "enumerate"}}))
+    assert main(["compute", str(big)]) == 1
+    assert "exceeds (d-1)^(n+1)" in capsys.readouterr().err
+
+
 def test_compute_exit_2_on_check_failure(monkeypatch, capsys):
     monkeypatch.setattr(
         "moninf.infinity.check_block_size_limits",
@@ -88,6 +99,15 @@ def test_compute_exit_2_on_check_failure(monkeypatch, capsys):
                                             "injected failure"))
     assert main(["compute", SEXTIC]) == 2
     assert "[fail] block_size_limits: injected failure" in capsys.readouterr().out
+
+
+def test_compute_exit_2_when_zeta_forms_disagree(monkeypatch, capsys):
+    monkeypatch.setattr("moninf.infinity.zeta_of_top_form",
+                        lambda spec: RootExponentVector.one())
+    assert main(["compute", SEXTIC]) == 2
+    out = capsys.readouterr().out
+    assert "[fail] zeta_two_forms: the (x^d - 1) form gives 1, the product " \
+        "over chi gives (x - 1)^8 * (x + 1)^9 * Phi_3^9 * Phi_6^9" in out
 
 
 def test_json_output_is_byte_deterministic(tmp_path):

@@ -19,6 +19,7 @@ from moninf.infinity import (
     beta_bounds,
     charpoly_local_formula,
     check_block_size_limits,
+    check_zeta_two_forms,
     chi_vector,
     parse_problem,
     zeta_of_top_form,
@@ -323,6 +324,17 @@ def test_zeta_degree_matches_chi_sum():
         spec = ProblemSpec(n, d, (OrdinaryNode(),) * count, EnumerateBeta())
         zeta = zeta_of_top_form(spec)
         assert zeta.degree == (d - 1) ** (n + 1) - d * count
+
+
+def test_zeta_two_forms_check():
+    spec = _sextic_spec(GivenBeta((0, 1, 0, 0, 0, 1)))
+    zeta = zeta_of_top_form(spec)
+    chi = chi_vector(2, 6, spec.milnor_numbers())
+    assert check_zeta_two_forms(zeta, chi).status == "pass"
+    wrong = check_zeta_two_forms(zeta, [chi[0] + 1] + chi[1:])
+    assert wrong.status == "fail"
+    assert str(zeta) in wrong.detail
+    assert "(x - 1)^9 * (x + 1)^9 * Phi_3^9 * Phi_6^9" in wrong.detail
 
 
 def test_block_size_limit_check():
