@@ -66,18 +66,20 @@ def _emit(args: argparse.Namespace, text: str, doc: object) -> None:
 def cmd_compute(args: argparse.Namespace) -> int:
     spec = parse_problem(_load_json(args.instance))
     report = assemble(spec, enumerate_cap=args.enumerate_cap)
-    _emit(args, report.to_text(), report.to_json())
+    # render only the format asked for; on a large report the other is costly
+    if args.json:
+        _emit(args, "", report.to_json())
+    else:
+        _emit(args, report.to_text(), None)
     return 2 if report.has_failures() else 0
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     spec = parse_problem(_load_json(args.instance))
     chi = chi_vector(spec.n, spec.d, spec.milnor_numbers())
-    rows = []
-    for s in range(spec.d):
-        lower, upper = beta_bounds(spec, s)
-        rows.append({"s": s, "eigenvalue": str(UnitRoot(s, spec.d)),
-                     "lower": lower, "upper": upper})
+    rows = [{"s": s, "eigenvalue": str(UnitRoot(s, spec.d)),
+             "lower": lower, "upper": upper}
+            for s, (lower, upper) in enumerate(beta_bounds(spec, chi))]
     lines = [f"admissible beta ranges for n = {spec.n}, d = {spec.d}",
              f"chi = {chi}"]
     for row in rows:

@@ -68,9 +68,6 @@ class UnitRoot:
         """Complex conjugate, which is also the multiplicative inverse."""
         return UnitRoot(-self.num, self.den)
 
-    def inverse(self) -> UnitRoot:
-        return self.conjugate()
-
     def __lt__(self, other: UnitRoot) -> bool:
         return self.num * other.den < other.num * self.den
 

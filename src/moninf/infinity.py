@@ -266,22 +266,20 @@ def chi_vector(n: int, d: int, mu_list: list[int]) -> list[int]:
     return [chi_0] + [chi_0 + sign] * (d - 1)
 
 
-def beta_bounds(spec: ProblemSpec, s: int) -> tuple[int, int]:
-    """Admissible range for beta_s: block counts at e^(2*pi*i*s/d) stay >= 0.
+def beta_bounds(spec: ProblemSpec, chi: list[int]) -> list[tuple[int, int]]:
+    """Admissible range of every beta_s, s = 0..d-1: the block counts at
+    alpha = e^(2*pi*i*s/d) stay >= 0.
 
     lower = max(0, ceil((#(T)_alpha - chi_s) / 2)), from the size-1 count;
     upper = #_1(T)_alpha, from the size-2 count.
     """
-    if not 0 <= s < spec.d:
-        raise InstanceError(f"s must lie in 0..{spec.d - 1}, got {s}")
-    chi = chi_vector(spec.n, spec.d, spec.milnor_numbers())
-    return _bounds_at(spec, chi, s)
-
-
-def _bounds_at(spec: ProblemSpec, chi: list[int], s: int) -> tuple[int, int]:
-    alpha = UnitRoot(s, spec.d)
-    lower = max(0, (spec.local_sum.block_count(alpha) - chi[s] + 1) // 2)
-    return lower, spec.local_sum.sharp(alpha, 1)
+    t = spec.local_sum
+    bounds = []
+    for s in range(spec.d):
+        alpha = UnitRoot(s, spec.d)
+        bounds.append((max(0, (t.block_count(alpha) - chi[s] + 1) // 2),
+                       t.sharp(alpha, 1)))
+    return bounds
 
 
 def _assemble_structure(spec: ProblemSpec, chi: list[int],
@@ -423,7 +421,7 @@ def assemble(spec: ProblemSpec, *,
         raise InstanceError(f"enumerate cap must be >= 1, got {enumerate_cap}")
     mus = spec.milnor_numbers()
     chi = chi_vector(spec.n, spec.d, mus)
-    bounds = [_bounds_at(spec, chi, s) for s in range(spec.d)]
+    bounds = beta_bounds(spec, chi)
     mode, vectors, truncated = _resolve_beta(spec, bounds, enumerate_cap)
     formula: RootExponentVector | None = None
     formula_error: str | None = None

@@ -54,11 +54,6 @@ class JordanStructure:
             sizes[size] = sizes.get(size, 0) + 1
         return cls(acc)
 
-    @classmethod
-    def from_eigenvalues(cls, roots: Iterable[UnitRoot]) -> JordanStructure:
-        """Semisimple structure: one size-1 block per listed eigenvalue."""
-        return cls.from_blocks((root, 1) for root in roots)
-
     def direct_sum(self, other: JordanStructure) -> JordanStructure:
         merged: dict[UnitRoot, dict[int, int]] = {
             root: dict(sizes) for root, sizes in self._blocks.items()

@@ -129,21 +129,3 @@ def parse_singularity_counts(
     if not isinstance(data, list):
         raise ValueError("'singularities' must be a list")
     return [parse_singularity(entry) for entry in data]
-
-
-def parse_singularities(data: object) -> list[SingularityModel]:
-    """Parse the singularity list, expanding each entry's count."""
-    models: list[SingularityModel] = []
-    for model, count in parse_singularity_counts(data):
-        models.extend([model] * count)
-    return models
-
-
-def singularity_to_json(model: SingularityModel) -> dict[str, object]:
-    if isinstance(model, BrieskornPham):
-        return {"type": "brieskorn", "exponents": list(model.exponents)}
-    if isinstance(model, OrdinaryNode):
-        return {"type": "node"}
-    if isinstance(model, ExplicitJordan):
-        return {"type": "explicit", "jordan": model.structure.to_json()}
-    raise TypeError(f"unknown singularity model {model!r}")

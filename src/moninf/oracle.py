@@ -1,15 +1,16 @@
-"""Brute-force verifier: exact dense linear algebra over cyclotomic fields.
+"""Brute-force verifier: exact sparse linear algebra over cyclotomic fields.
 
 This module rebuilds operators as honest matrices over Q(zeta_N) and reads
 their Jordan structure off rank sequences, providing an independent check
 on the combinatorial constructions elsewhere in the package.
 
-Representation.  An element of Q(zeta_N) is a coefficient vector of length
-phi(N) in the power basis 1, x, ..., x^(phi(N)-1) modulo the N-th
-cyclotomic polynomial.  Public entries carry Fraction coefficients; the
-rank engine clears denominators and works on integer vectors only, using
+Representation.  Every entry the oracle builds is 0, 1 or a root of
+unity, so matrices live over Z[zeta_N]: an element is an integer
+coefficient vector of length phi(N) in the power basis 1, x, ...,
+x^(phi(N)-1) modulo the N-th cyclotomic polynomial, and a matrix is a
+list of sparse rows mapping a column to such a vector.  Ranks come from
 fraction-free row elimination (cross-multiplication with content
-stripping), so no rational division ever happens in the hot path.
+stripping), so no rational number ever appears.
 
 The Jordan structure of a matrix M at an eigenvalue alpha comes from the
 ranks r_k of (M - alpha*I)^k: with r_0 = dim, the number of blocks of
@@ -19,10 +20,8 @@ size exactly l at alpha is r_(l-1) - 2*r_l + r_(l+1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .cyclic import cyclic_power
 from .cyclo import UnitRoot
@@ -162,105 +161,35 @@ def _field(level: int) -> _Field:
     return _Field(level)
 
 
-@dataclass(frozen=True)
-class CycloElement:
-    """Element of Q(zeta_level) with rational coefficients in the power basis."""
-
-    level: int
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        degree = _field(self.level).degree
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
-        if len(coeffs) != degree:
-            raise ValueError(
-                f"level {self.level} needs {degree} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def zero(cls, level: int) -> CycloElement:
-        return cls(level, (Fraction(0),) * _field(level).degree)
-
-    @classmethod
-    def from_rational(cls, value: Fraction | int, level: int) -> CycloElement:
-        degree = _field(level).degree
-        coeffs = [Fraction(value)] + [Fraction(0)] * (degree - 1)
-        return cls(level, tuple(coeffs))
-
-    @classmethod
-    def from_root(cls, root: UnitRoot, level: int) -> CycloElement:
-        vec = _field(level).embed_root(root)
-        return cls(level, tuple(Fraction(c) for c in vec))
-
-    def _check_level(self, other: CycloElement) -> None:
-        if self.level != other.level:
-            raise ValueError(
-                f"mixed field levels {self.level} and {other.level}")
-
-    def __add__(self, other: CycloElement) -> CycloElement:
-        self._check_level(other)
-        return CycloElement(self.level, tuple(
-            a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: CycloElement) -> CycloElement:
-        self._check_level(other)
-        return CycloElement(self.level, tuple(
-            a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> CycloElement:
-        return CycloElement(self.level, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other: CycloElement) -> CycloElement:
-        self._check_level(other)
-        field = _field(self.level)
-        degree = field.degree
-        conv = [Fraction(0)] * (2 * degree - 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                for j, bj in enumerate(other.coeffs):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = conv[:degree]
-        for t in range(degree, 2 * degree - 1):
-            ct = conv[t]
-            if ct:
-                red = field._reduction[t - degree]
-                for idx in range(degree):
-                    if red[idx]:
-                        out[idx] += ct * red[idx]
-        return CycloElement(self.level, tuple(out))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-
 class CycloMatrix:
-    """Matrix over Q(zeta_level), stored dense row-major."""
+    """Sparse matrix over Z[zeta_level].
+
+    Row i maps a column j to the integer coefficient vector of entry
+    (i, j) in the power basis; zero entries are absent.
+    """
 
     __slots__ = ("level", "nrows", "ncols", "rows")
 
-    def __init__(self, level: int, rows: Sequence[Sequence[CycloElement]],
-                 ncols: int | None = None) -> None:
-        rows = tuple(tuple(row) for row in rows)
-        if ncols is None:
-            ncols = len(rows[0]) if rows else 0
+    def __init__(self, level: int, rows: Iterable[Mapping[int, Sequence[int]]],
+                 ncols: int) -> None:
+        degree = _field(level).degree
+        sparse_rows: list[dict[int, tuple[int, ...]]] = []
         for row in rows:
-            if len(row) != ncols:
-                raise ValueError("ragged matrix rows")
-            for entry in row:
-                if entry.level != level:
+            sparse: dict[int, tuple[int, ...]] = {}
+            for j, vec in row.items():
+                if not 0 <= j < ncols:
+                    raise ValueError(f"column {j} outside 0..{ncols - 1}")
+                vec = tuple(vec)
+                if len(vec) != degree:
                     raise ValueError(
-                        f"entry level {entry.level} differs from matrix level {level}")
+                        f"level {level} needs {degree} coefficients, got {len(vec)}")
+                if any(vec):
+                    sparse[j] = vec
+            sparse_rows.append(sparse)
         self.level = level
-        self.nrows = len(rows)
+        self.nrows = len(sparse_rows)
         self.ncols = ncols
-        self.rows = rows
-
-    def entry(self, i: int, j: int) -> CycloElement:
-        return self.rows[i][j]
-
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
+        self.rows = sparse_rows
 
 
 def build_jordan_matrix(structure: JordanStructure, level: int) -> CycloMatrix:
@@ -269,20 +198,17 @@ def build_jordan_matrix(structure: JordanStructure, level: int) -> CycloMatrix:
     Each block is upper triangular: eigenvalue on the diagonal, ones on
     the superdiagonal.
     """
-    dim = structure.total_dim
-    zero = CycloElement.zero(level)
-    one = CycloElement.from_rational(1, level)
-    grid = [[zero] * dim for _ in range(dim)]
-    pos = 0
+    field = _field(level)
+    one = field.monomial(0)
+    rows: list[dict[int, tuple[int, ...]]] = []
     for root in structure.spectrum():
-        value = CycloElement.from_root(root, level)
+        value = field.embed_root(root)
         for size in structure.sizes_at(root):
             for k in range(size):
-                grid[pos + k][pos + k] = value
-                if k + 1 < size:
-                    grid[pos + k][pos + k + 1] = one
-            pos += size
-    return CycloMatrix(level, grid, ncols=dim)
+                pos = len(rows)
+                rows.append({pos: value, pos + 1: one} if k + 1 < size
+                            else {pos: value})
+    return CycloMatrix(level, rows, len(rows))
 
 
 def build_cyclic_matrix(m: CycloMatrix, order: int) -> CycloMatrix:
@@ -294,24 +220,16 @@ def build_cyclic_matrix(m: CycloMatrix, order: int) -> CycloMatrix:
     """
     if order < 1:
         raise ValueError(f"cyclic order must be >= 1, got {order}")
-    if not m.is_square():
+    if m.nrows != m.ncols:
         raise ValueError("cyclic construction needs a square matrix")
     if order == 1:
         return m
     dim = m.nrows
-    total = order * dim
-    zero = CycloElement.zero(m.level)
-    one = CycloElement.from_rational(1, m.level)
-    grid = [[zero] * total for _ in range(total)]
-    for i in range(dim):
-        for j in range(dim):
-            entry = m.rows[i][j]
-            if not entry.is_zero():
-                grid[i][(order - 1) * dim + j] = entry
-    for block in range(1, order):
-        for i in range(dim):
-            grid[block * dim + i][(block - 1) * dim + i] = one
-    return CycloMatrix(m.level, grid, ncols=total)
+    shift = (order - 1) * dim
+    one = _field(m.level).monomial(0)
+    rows = [{shift + j: vec for j, vec in row.items()} for row in m.rows]
+    rows.extend({i - dim: one} for i in range(dim, order * dim))
+    return CycloMatrix(m.level, rows, order * dim)
 
 
 def _strip_content(row: dict[int, tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
@@ -325,23 +243,6 @@ def _strip_content(row: dict[int, tuple[int, ...]]) -> dict[int, tuple[int, ...]
     if g > 1:
         return {col: tuple(c // g for c in vec) for col, vec in row.items()}
     return row
-
-
-def _int_rows(m: CycloMatrix) -> tuple[list[dict[int, tuple[int, ...]]], int]:
-    """Sparse integer rows plus the global denominator that was cleared."""
-    denom = 1
-    for row in m.rows:
-        for entry in row:
-            for c in entry.coeffs:
-                denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    rows: list[dict[int, tuple[int, ...]]] = []
-    for row in m.rows:
-        sparse: dict[int, tuple[int, ...]] = {}
-        for j, entry in enumerate(row):
-            if not entry.is_zero():
-                sparse[j] = tuple(int(c * denom) for c in entry.coeffs)
-        rows.append(sparse)
-    return rows, denom
 
 
 def _int_rank(rows: list[dict[int, tuple[int, ...]]], ncols: int,
@@ -395,8 +296,7 @@ def _int_rank(rows: list[dict[int, tuple[int, ...]]], ncols: int,
 
 def rank(m: CycloMatrix) -> int:
     """Exact rank over Q(zeta_level)."""
-    rows, _ = _int_rows(m)
-    return _int_rank(rows, m.ncols, _field(m.level))
+    return _int_rank(m.rows, m.ncols, _field(m.level))
 
 
 def _sparse_matmul(a: list[dict[int, tuple[int, ...]]],
@@ -429,7 +329,7 @@ def jordan_type(m: CycloMatrix, candidates: Iterable[UnitRoot], *,
     the cyclotomic level needed (the lcm of the matrix level and all
     candidate orders) exceeds `level_cap`.
     """
-    if not m.is_square():
+    if m.nrows != m.ncols:
         raise ValueError("jordan_type needs a square matrix")
     roots = sorted(set(candidates))
     level_needed = m.level
@@ -439,7 +339,6 @@ def jordan_type(m: CycloMatrix, candidates: Iterable[UnitRoot], *,
         raise LevelCapExceeded(
             f"required field level {level_needed} exceeds the cap {level_cap}")
     dim = m.nrows
-    base_rows, _ = _int_rows(m)
     base_field = _field(m.level)
     lifted_cache: dict[int, list[dict[int, tuple[int, ...]]]] = {}
     blocks: dict[UnitRoot, dict[int, int]] = {}
@@ -450,11 +349,11 @@ def jordan_type(m: CycloMatrix, candidates: Iterable[UnitRoot], *,
         field = _field(level)
         if rows is None:
             if level == m.level:
-                rows = base_rows
+                rows = m.rows
             else:
                 rows = [
                     {j: base_field.lift(vec, field) for j, vec in row.items()}
-                    for row in base_rows
+                    for row in m.rows
                 ]
             lifted_cache[level] = rows
         alpha_vec = field.embed_root(alpha)

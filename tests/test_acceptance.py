@@ -192,7 +192,7 @@ def test_criterion_5_line_arrangements():
                            FromNodes(points))
         report = assemble(spec)
         assert report.entries[0].beta == tuple(beta)
-        lower, _ = beta_bounds(spec, 0)
+        lower, _ = beta_bounds(spec, list(report.chi))[0]
         assert lower == d - 1, d
         _collect(report)
     print("PASS criterion 5: generic line arrangements give beta_0 = d-1 "

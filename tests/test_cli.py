@@ -9,7 +9,7 @@ import pytest
 
 from moninf.cli import main
 from moninf.cyclo import RootExponentVector
-from moninf.infinity import CheckResult
+from moninf.infinity import CheckResult, ProblemSpec, Report
 from moninf.jordan import JordanStructure
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -136,6 +136,36 @@ def test_bounds_table(capsys):
     by_s = {row["s"]: (row["lower"], row["upper"]) for row in doc["bounds"]}
     assert by_s == {0: (0, 0), 1: (0, 6), 2: (0, 0),
                     3: (0, 0), 4: (0, 0), 5: (0, 6)}
+
+
+def test_bounds_lists_the_copies_once(monkeypatch, capsys):
+    # the table costs O(d + copies): one pass over the copies, not one per s
+    calls = []
+    milnor_numbers = ProblemSpec.milnor_numbers
+
+    def counted(spec):
+        calls.append(spec)
+        return milnor_numbers(spec)
+
+    monkeypatch.setattr(ProblemSpec, "milnor_numbers", counted)
+    for path in (SEXTIC_ENUM, LINES_D4):
+        calls.clear()
+        assert main(["bounds", path, "--json"]) == 0
+        assert len(calls) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags, unused", [([], "to_json"),
+                                           (["--json"], "to_text")])
+def test_compute_renders_only_the_requested_format(monkeypatch, capsys,
+                                                   flags, unused):
+    expected = main(["compute", SEXTIC, *flags]), capsys.readouterr()
+
+    def fail(self):
+        raise AssertionError(f"Report.{unused} called")
+
+    monkeypatch.setattr(Report, unused, fail)
+    assert (main(["compute", SEXTIC, *flags]), capsys.readouterr()) == expected
 
 
 def test_zeta_command(capsys):

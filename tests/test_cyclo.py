@@ -47,7 +47,7 @@ def test_unitroot_group_operations():
     assert a ** -1 == UnitRoot(5, 6)
     assert a ** 0 == ONE
     assert a.conjugate() == UnitRoot(5, 6)
-    assert a * a.inverse() == ONE
+    assert a * a.conjugate() == ONE
     assert a.order == 6
     assert ONE.order == 1
     assert a.angle.numerator == 1 and a.angle.denominator == 6

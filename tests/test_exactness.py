@@ -1,0 +1,86 @@
+"""Exactness guard: no floating-point arithmetic anywhere in the package.
+
+Every answer is exact, so the source may hold no float or complex
+literal, no float() or complex() call, no cmath and none of the
+floating-point functions of math.  The oracle keeps one number type,
+integer vectors over Z[zeta_N], so it imports nothing from fractions.
+Two oracle reports are pinned by digest, so a change of representation
+must leave their bytes alone.
+"""
+
+from __future__ import annotations
+
+import ast
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from moninf.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "moninf"
+FLOAT_MATH = {"sqrt", "exp", "log", "pi", "sin", "cos"}
+
+
+def _modules() -> list[tuple[str, ast.Module]]:
+    paths = sorted(SRC.glob("*.py"))
+    assert paths, f"no modules under {SRC}"
+    return [(path.name, ast.parse(path.read_text(), str(path))) for path in paths]
+
+
+def _float_uses(tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        where = f"line {getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Constant) and \
+                isinstance(node.value, (float, complex)):
+            found.append(f"{where}: literal {node.value!r}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("float", "complex"):
+            found.append(f"{where}: {node.func.id}() call")
+        elif isinstance(node, ast.Import):
+            found += [f"{where}: import {alias.name}" for alias in node.names
+                      if alias.name == "cmath"]
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "cmath":
+                found.append(f"{where}: from cmath import")
+            elif node.module == "math":
+                found += [f"{where}: from math import {alias.name}"
+                          for alias in node.names if alias.name in FLOAT_MATH]
+        elif isinstance(node, ast.Attribute) and node.attr in FLOAT_MATH \
+                and isinstance(node.value, ast.Name) and node.value.id == "math":
+            found.append(f"{where}: math.{node.attr}")
+    return found
+
+
+def test_no_floating_point_in_the_package():
+    found = [f"{name} {use}" for name, tree in _modules()
+             for use in _float_uses(tree)]
+    assert found == []
+
+
+def test_scanner_sees_each_kind_of_float():
+    tree = ast.parse("import cmath\nfrom math import pi\n"
+                     "x = 0.5 + 2j + float(1) + complex(1) + math.sqrt(2)\n")
+    assert len(_float_uses(tree)) == 7
+
+
+def test_oracle_has_no_fractions():
+    tree = dict(_modules())["oracle.py"]
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+               or isinstance(node, ast.Import)
+               and any(alias.name == "fractions" for alias in node.names)]
+    assert imports == []
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["oracle", "--max-dim", "3", "--max-m", "3", "--json"],
+     "d4e4f6f4ca9ba5c1dd7ecdf5b8185bde8ed0ffc01b3d101d9e5d99bf96d276dd"),
+    (["oracle", "--seed", "7", "--trials", "20", "--json"],
+     "ff58f83d26df0eb0e252419c25abadb871ae1ff8868a2e8c99cdabc10ec71ea0"),
+])
+def test_oracle_reports_are_unchanged(argv, digest, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -66,15 +66,13 @@ def test_chi_vector_sum_identity():
         assert all(chi[s] == chi[1] for s in range(1, d))
 
 
+def _bounds(spec: ProblemSpec) -> list[tuple[int, int]]:
+    return beta_bounds(spec, chi_vector(spec.n, spec.d, spec.milnor_numbers()))
+
+
 def test_beta_bounds_sextic():
     spec = _sextic_spec(EnumerateBeta())
-    assert beta_bounds(spec, 0) == (0, 0)
-    assert beta_bounds(spec, 1) == (0, 6)
-    assert beta_bounds(spec, 2) == (0, 0)
-    assert beta_bounds(spec, 3) == (0, 0)
-    assert beta_bounds(spec, 5) == (0, 6)
-    with pytest.raises(InstanceError):
-        beta_bounds(spec, 6)
+    assert _bounds(spec) == [(0, 0), (0, 6), (0, 0), (0, 0), (0, 0), (0, 6)]
 
 
 def test_beta_bounds_line_arrangement():
@@ -82,7 +80,7 @@ def test_beta_bounds_line_arrangement():
     for d in (4, 5, 6):
         k = d * (d - 1) // 2
         spec = ProblemSpec(2, d, (OrdinaryNode(),) * k, EnumerateBeta())
-        lower, upper = beta_bounds(spec, 0)
+        lower, upper = _bounds(spec)[0]
         assert lower == d - 1
         assert upper == k
 
@@ -252,7 +250,7 @@ def test_no_admissible_beta():
     # chi_0 = -1 forces beta_0 >= 1 while the upper bound is 0
     local = ExplicitJordan(JordanStructure({UnitRoot(1, 5): {1: 1}}))
     spec = ProblemSpec(2, 2, (local,), EnumerateBeta())
-    assert beta_bounds(spec, 0) == (1, 0)
+    assert _bounds(spec) == [(1, 0), (0, 0)]
     report = assemble(spec)
     assert report.entries == ()
     assert report.charpoly is None

@@ -16,9 +16,8 @@ from moninf.localsing import (
     OrdinaryNode,
     local_monodromy,
     milnor_number,
-    parse_singularities,
     parse_singularity,
-    singularity_to_json,
+    parse_singularity_counts,
 )
 
 
@@ -108,12 +107,12 @@ def test_parse_singularity_entries():
         JordanStructure({MINUS_ONE: {2: 1}}))
 
 
-def test_parse_singularities_expands_counts():
-    models = parse_singularities([
+def test_parse_singularity_counts_keeps_counts():
+    counts = parse_singularity_counts([
         {"type": "brieskorn", "exponents": [2, 3], "count": 2},
         {"type": "node"},
     ])
-    assert models == [BrieskornPham((2, 3)), BrieskornPham((2, 3)), OrdinaryNode()]
+    assert counts == [(BrieskornPham((2, 3)), 2), (OrdinaryNode(), 1)]
 
 
 def test_parse_singularity_rejects_malformed():
@@ -132,15 +131,4 @@ def test_parse_singularity_rejects_malformed():
         with pytest.raises(ValueError):
             parse_singularity(entry)
     with pytest.raises(ValueError):
-        parse_singularities({"type": "node"})
-
-
-def test_singularity_json_round_trip():
-    entries = [
-        {"type": "brieskorn", "exponents": [2, 3]},
-        {"type": "node"},
-        {"type": "explicit", "jordan": [{"eigenvalue": "0/1", "blocks": [2, 1]}]},
-    ]
-    for entry in entries:
-        model, _ = parse_singularity(entry)
-        assert singularity_to_json(model) == entry
+        parse_singularity_counts({"type": "node"})

@@ -4,19 +4,18 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
 from moninf.cyclo import ONE, MINUS_ONE, UnitRoot
 from moninf.jordan import JordanStructure
 from moninf.oracle import (
-    CycloElement,
     CycloMatrix,
     LevelCapExceeded,
     SpectrumNotCovered,
     build_cyclic_matrix,
     build_jordan_matrix,
+    _field,
     cyclotomic_polynomial,
     jordan_type,
     rank,
@@ -53,88 +52,99 @@ def test_cyclotomic_polynomials_multiply_to_power_minus_one():
         assert prod == expected
 
 
+def _add(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def _dense(m: CycloMatrix) -> list[list[tuple[int, ...]]]:
+    zero = (0,) * _field(m.level).degree
+    return [[row.get(j, zero) for j in range(m.ncols)] for row in m.rows]
+
+
+def _sparse(level: int, grid: list[list[tuple[int, ...]]]) -> CycloMatrix:
+    return CycloMatrix(level, [dict(enumerate(row)) for row in grid],
+                       len(grid[0]) if grid else 0)
+
+
 def test_element_roots_multiply_like_roots():
-    a = CycloElement.from_root(UnitRoot(1, 12), 12)
-    b = CycloElement.from_root(UnitRoot(1, 12), 12)
-    assert a * b == CycloElement.from_root(UnitRoot(1, 6), 12)
-    c = CycloElement.from_root(UnitRoot(7, 12), 12)
-    assert a * c == CycloElement.from_root(UnitRoot(2, 3), 12)
+    field = _field(12)
+    a = field.embed_root(UnitRoot(1, 12))
+    assert field.vmul(a, a) == field.embed_root(UnitRoot(1, 6))
+    c = field.embed_root(UnitRoot(7, 12))
+    assert field.vmul(a, c) == field.embed_root(UnitRoot(2, 3))
+    assert field.monomial(0) == field.embed_root(ONE)
     # full sum of p-th roots vanishes
-    total = CycloElement.zero(5)
+    five = _field(5)
+    total = (0,) * five.degree
     for k in range(5):
-        total = total + CycloElement.from_root(UnitRoot(k, 5), 5)
-    assert total.is_zero()
+        total = _add(total, five.embed_root(UnitRoot(k, 5)))
+    assert not any(total)
 
 
 def test_element_level_checks():
     with pytest.raises(ValueError):
-        CycloElement(6, (Fraction(1),))
+        _field(6).embed_root(UnitRoot(1, 5))
     with pytest.raises(ValueError):
-        CycloElement.from_root(UnitRoot(1, 5), 6)
-    a = CycloElement.from_rational(1, 6)
-    b = CycloElement.from_rational(1, 3)
+        CycloMatrix(6, [{0: (1,)}], 1)  # level 6 needs 2 coefficients
     with pytest.raises(ValueError):
-        _ = a + b
+        CycloMatrix(6, [{1: (1, 0)}], 1)  # column out of range
+    with pytest.raises(ValueError):
+        CycloMatrix(6, [{-1: (1, 0)}], 1)
+    m = CycloMatrix(6, [{0: (0, 0), 1: [0, 1]}], 2)
+    assert m.rows == [{1: (0, 1)}]  # zero vectors dropped, tuples stored
+    assert (m.nrows, m.ncols) == (1, 2)
 
 
 def test_build_jordan_matrix_layout():
     j = JordanStructure({ONE: {2: 1}, MINUS_ONE: {1: 1}})
     m = build_jordan_matrix(j, 2)
-    one = CycloElement.from_rational(1, 2)
-    minus = CycloElement.from_root(MINUS_ONE, 2)
-    zero = CycloElement.zero(2)
+    field = _field(2)
+    one = field.monomial(0)
+    minus = field.embed_root(MINUS_ONE)
     assert m.nrows == m.ncols == 3
-    assert m.entry(0, 0) == one and m.entry(0, 1) == one
-    assert m.entry(1, 1) == one and m.entry(1, 0) == zero
-    assert m.entry(1, 2) == zero  # no coupling across blocks
-    assert m.entry(2, 2) == minus
+    # no coupling across blocks
+    assert m.rows == [{0: one, 1: one}, {1: one}, {2: minus}]
     with pytest.raises(ValueError):
         build_jordan_matrix(j, 3)  # -1 does not live at level 3
 
 
 def test_build_cyclic_matrix_layout():
-    a = CycloElement.from_rational(Fraction(3), 1)
-    m = CycloMatrix(1, [[a]])
+    m = CycloMatrix(1, [{0: (3,)}], 1)
     c = build_cyclic_matrix(m, 2)
-    zero = CycloElement.zero(1)
-    one = CycloElement.from_rational(1, 1)
-    assert c.nrows == 2
-    assert c.entry(0, 0) == zero and c.entry(0, 1) == a
-    assert c.entry(1, 0) == one and c.entry(1, 1) == zero
+    assert c.nrows == c.ncols == 2
+    assert c.rows == [{1: (3,)}, {0: (1,)}]
     assert build_cyclic_matrix(m, 1) is m
+    j = JordanStructure({UnitRoot(1, 3): {2: 1}})
+    base = build_jordan_matrix(j, 3)
+    w, one = _field(3).embed_root(UnitRoot(1, 3)), _field(3).monomial(0)
+    assert build_cyclic_matrix(base, 3).rows == [
+        {4: w, 5: one}, {5: w}, {0: one}, {1: one}, {2: one}, {3: one}]
+    with pytest.raises(ValueError):
+        build_cyclic_matrix(CycloMatrix(1, [{0: (1,)}], 2), 2)
 
 
 def test_rank_basic_cases():
-    one = CycloElement.from_rational(1, 4)
-    zero = CycloElement.zero(4)
-    i2 = CycloMatrix(4, [[one, zero], [zero, one]])
-    assert rank(i2) == 2
-    assert rank(CycloMatrix(4, [[zero, zero], [zero, zero]])) == 0
-    assert rank(CycloMatrix(4, [], ncols=0)) == 0
+    field = _field(4)
+    one = field.monomial(0)
+    zero = (0,) * field.degree
+    assert rank(_sparse(4, [[one, zero], [zero, one]])) == 2
+    assert rank(_sparse(4, [[zero, zero], [zero, zero]])) == 0
+    assert rank(CycloMatrix(4, [], 0)) == 0
     # rank drops only through genuine cyclotomic cancellation
-    z = CycloElement.from_root(UnitRoot(1, 4), 4)
-    zbar = CycloElement.from_root(UnitRoot(3, 4), 4)
-    singular = CycloMatrix(4, [[one, z], [zbar, one]])
-    assert rank(singular) == 1
-    generic = CycloMatrix(4, [[one, z], [z, one]])
-    assert rank(generic) == 2
-
-
-def test_rank_clears_denominators():
-    half = CycloElement.from_rational(Fraction(1, 2), 1)
-    third = CycloElement.from_rational(Fraction(1, 3), 1)
-    quarter = CycloElement.from_rational(Fraction(1, 4), 1)
-    sixth = CycloElement.from_rational(Fraction(1, 6), 1)
-    assert rank(CycloMatrix(1, [[half, third], [quarter, sixth]])) == 1
-    assert rank(CycloMatrix(1, [[half, third], [quarter, third]])) == 2
+    z = field.embed_root(UnitRoot(1, 4))
+    zbar = field.embed_root(UnitRoot(3, 4))
+    assert rank(_sparse(4, [[one, z], [zbar, one]])) == 1
+    assert rank(_sparse(4, [[one, z], [z, one]])) == 2
+    assert rank(CycloMatrix(1, [{0: (2,), 1: (4,)}, {0: (3,), 1: (6,)}], 2)) == 1
 
 
 def test_rank_invariant_under_elementary_operations():
     rng = random.Random(5150)
     level = 6
-    one = CycloElement.from_rational(1, level)
-    zero = CycloElement.zero(level)
-    roots = [CycloElement.from_root(UnitRoot(k, 6), level) for k in range(6)]
+    field = _field(level)
+    one = field.monomial(0)
+    zero = (0,) * field.degree
+    roots = [field.embed_root(UnitRoot(k, 6)) for k in range(6)]
     for _ in range(20):
         n = rng.randrange(2, 6)
         r = rng.randrange(0, n + 1)
@@ -146,11 +156,12 @@ def test_rank_invariant_under_elementary_operations():
                 continue
             c = roots[rng.randrange(6)]
             if rng.random() < 0.5:
-                grid[i] = [x + c * y for x, y in zip(grid[i], grid[j])]
+                grid[i] = [_add(x, field.vmul(c, y))
+                           for x, y in zip(grid[i], grid[j])]
             else:
                 for row in grid:
-                    row[i] = row[i] + c * row[j]
-        assert rank(CycloMatrix(level, grid)) == r
+                    row[i] = _add(row[i], field.vmul(c, row[j]))
+        assert rank(_sparse(level, grid)) == r
 
 
 def _random_structure(rng: random.Random, max_dim: int = 5) -> JordanStructure:
@@ -184,9 +195,10 @@ def test_jordan_type_is_conjugation_invariant():
         if level % spectrum_level:
             continue
         m = build_jordan_matrix(j, level)
-        grid = [list(row) for row in m.rows]
+        grid = _dense(m)
         n = len(grid)
-        roots = [CycloElement.from_root(UnitRoot(k, 6), level) for k in range(6)]
+        field = _field(level)
+        roots = [field.embed_root(UnitRoot(k, 6)) for k in range(6)]
         # conjugate by elementary matrices: row op plus the inverse column op
         for _ in range(10):
             if n < 2:
@@ -195,10 +207,12 @@ def test_jordan_type_is_conjugation_invariant():
             if i == k:
                 continue
             c = roots[rng.randrange(6)]
-            grid[i] = [x + c * y for x, y in zip(grid[i], grid[k])]
+            minus_c = tuple(-x for x in c)
+            grid[i] = [_add(x, field.vmul(c, y))
+                       for x, y in zip(grid[i], grid[k])]
             for row in grid:
-                row[k] = row[k] - c * row[i]
-        conj = CycloMatrix(level, grid)
+                row[k] = _add(row[k], field.vmul(minus_c, row[i]))
+        conj = _sparse(level, grid)
         assert jordan_type(conj, j.spectrum()) == j
 
 
