@@ -50,6 +50,8 @@ def _load_json(path: str) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise InstanceError(f"invalid JSON in {path}: nested too deeply") from exc
 
 
 def _emit(args: argparse.Namespace, text: str, doc: object) -> None:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -51,11 +50,6 @@ class UnitRoot:
     def order(self) -> int:
         """Multiplicative order: the smallest m >= 1 with self**m == ONE."""
         return self.den
-
-    @property
-    def angle(self) -> Fraction:
-        """The exponent num/den as an exact fraction in [0, 1)."""
-        return Fraction(self.num, self.den)
 
     def __mul__(self, other: UnitRoot) -> UnitRoot:
         return UnitRoot(self.num * other.den + other.num * self.den,

@@ -5,6 +5,13 @@ per point and one column per degree-q monomial in n+1 variables.  The
 defect of the system is k - rank(E): the number of conditions the points
 fail to impose independently on degree-q hypersurfaces.
 
+Every point is stored as its primitive integer representative, so E is
+an integer matrix and its rank is computed over Z; scaling a row does
+not change the rank.  When q >= k - 1 the defect is 0 without building
+E: for each point, k - 1 linear forms that miss it, one through each
+other point, times a power of one more form that misses it, give a
+degree-q form vanishing at every point but that one.
+
 For a hypersurface at infinity whose only singularities are k ordinary
 nodes at the given points, the single possibly nonzero equivariant defect
 is such a linear-system defect with q = d*n/2 - n - 1 (at s = 0 when n is
@@ -22,21 +29,20 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from typing import Sequence
 
 
 @dataclass(frozen=True)
 class ProjectivePointSet:
-    """Distinct points of P^dim with exact rational coordinates.
+    """Distinct points of P^dim, given with exact rational coordinates.
 
-    Coordinates are normalized on construction so the first nonzero
-    coordinate of each point equals 1; equality of normalized tuples is
-    then exactly projective equality.
+    Each point is stored as its primitive integer representative: the
+    denominators cleared, the gcd divided out and the first nonzero
+    coordinate positive.  Equality of these tuples is then exactly
+    projective equality.
     """
 
     dim: int
-    points: tuple[tuple[Fraction, ...], ...]
+    points: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -47,15 +53,17 @@ class ProjectivePointSet:
             if len(coords) != self.dim + 1:
                 raise ValueError(
                     f"point {point!r} needs {self.dim + 1} coordinates")
-            scale = next((c for c in coords if c), None)
+            denom = math.lcm(*(c.denominator for c in coords))
+            ints = [c.numerator * (denom // c.denominator) for c in coords]
+            scale = next((c for c in ints if c), None)
             if scale is None:
                 raise ValueError("projective point must have a nonzero coordinate")
-            normalized.append(tuple(c / scale for c in coords))
+            g = math.gcd(*ints) if scale > 0 else -math.gcd(*ints)
+            normalized.append(tuple(c // g for c in ints))
         seen = set()
         for coords in normalized:
             if coords in seen:
-                raise ValueError(
-                    f"duplicate projective points: {tuple(map(str, coords))}")
+                raise ValueError(f"duplicate projective points: {coords}")
             seen.add(coords)
         object.__setattr__(self, "points", tuple(normalized))
 
@@ -85,20 +93,17 @@ class ProjectivePointSet:
             dim = len(rows[0]) - 1
         return cls(dim, tuple(rows))
 
-    def to_json(self) -> list[list[str]]:
-        return [[str(c) for c in point] for point in self.points]
-
 
 def monomial_exponents(n: int, q: int) -> list[tuple[int, ...]]:
-    """Exponent tuples of degree-q monomials in n+1 variables, lex decreasing."""
+    """Exponent tuples of degree-q monomials in n+1 variables, lex decreasing.
+
+    Stars and bars: n bars among q + n slots cut q into n + 1 parts.
+    """
     if n < 1 or q < 0:
         raise ValueError("need n >= 1 and q >= 0")
-    out = [
-        exps
-        for exps in itertools.product(range(q + 1), repeat=n + 1)
-        if sum(exps) == q
-    ]
-    out.sort(reverse=True)
+    out = [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (q + n,)))
+           for bars in itertools.combinations(range(q + n), n)]
+    out.reverse()
     return out
 
 
@@ -122,7 +127,7 @@ def _integer_rank(rows: list[list[int]]) -> int:
             if not c:
                 continue
             new = [piv_val * x - c * y for x, y in zip(row, piv_row)]
-            g = reduce(math.gcd, new)
+            g = math.gcd(*new)
             rows[i] = [x // g for x in new] if g > 1 else new
         rank += 1
         if rank == len(rows):
@@ -134,18 +139,11 @@ def defect_of_system(pts: ProjectivePointSet, q: int) -> int:
     """k - rank of the k x C(n+q, n) degree-q monomial evaluation matrix."""
     if q < 0:
         raise ValueError(f"system degree must be >= 0, got {q}")
+    if q >= len(pts) - 1:
+        return 0
     exps = monomial_exponents(pts.dim, q)
-    rows = []
-    for point in pts.points:
-        values = []
-        for exp in exps:
-            value = Fraction(1)
-            for coord, e in zip(point, exp):
-                if e:
-                    value *= coord ** e
-            values.append(value)
-        denom = reduce(math.lcm, (v.denominator for v in values), 1)
-        rows.append([int(v * denom) for v in values])
+    rows = [[math.prod(c ** e for c, e in zip(point, exp)) for exp in exps]
+            for point in pts.points]
     return len(pts) - _integer_rank(rows)
 
 

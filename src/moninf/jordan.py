@@ -54,21 +54,6 @@ class JordanStructure:
             sizes[size] = sizes.get(size, 0) + 1
         return cls(acc)
 
-    def direct_sum(self, other: JordanStructure) -> JordanStructure:
-        merged: dict[UnitRoot, dict[int, int]] = {
-            root: dict(sizes) for root, sizes in self._blocks.items()
-        }
-        for root, sizes in other._blocks.items():
-            dst = merged.setdefault(root, {})
-            for size, count in sizes.items():
-                dst[size] = dst.get(size, 0) + count
-        return JordanStructure(merged)
-
-    def __add__(self, other: JordanStructure) -> JordanStructure:
-        if not isinstance(other, JordanStructure):
-            return NotImplemented
-        return self.direct_sum(other)
-
     def sharp(self, alpha: UnitRoot, size: int) -> int:
         """Number of Jordan blocks of exactly the given size at alpha."""
         return self._blocks.get(alpha, {}).get(size, 0)

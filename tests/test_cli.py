@@ -82,6 +82,13 @@ def test_compute_inadmissible_beta(tmp_path, capsys):
     assert "above the upper bound 6" in err
 
 
+
+def test_compute_rejects_deeply_nested_json(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert main(["compute", str(deep)]) == 1
+    assert "nested too deeply" in capsys.readouterr().err
+
 def test_compute_rejects_oversized_count(tmp_path, capsys):
     big = tmp_path / "big.json"
     big.write_text(json.dumps({
@@ -199,6 +206,29 @@ def test_defect_rejects_bad_points(tmp_path, capsys):
     assert "duplicate projective points" in capsys.readouterr().err
     assert main(["defect", str(path)]) == 1  # missing --degree/--nodal
 
+
+
+def test_defect_in_high_degree_builds_no_matrix(monkeypatch, tmp_path, capsys):
+    # k distinct points impose independent conditions in degree q >= k - 1,
+    # so the defect is 0 there without a single monomial
+    def refuse(n, q):
+        raise AssertionError(f"monomials of degree {q} in {n + 1} variables")
+
+    monkeypatch.setattr("moninf.defect.monomial_exponents", refuse)
+    two = tmp_path / "two.json"
+    two.write_text(json.dumps([["1", "0", "0", "0"], ["1", "2", "-3", "1/2"]]))
+    assert main(["defect", str(two), "--degree", "300", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == \
+        {"q": 300, "points": 2, "defect": 0}
+    # n = 3, d = 400: the nodal defect has degree q = 596; the text report
+    # keeps the 2.5e10-dimensional operator to one line per eigenvalue
+    instance = tmp_path / "nodes.json"
+    instance.write_text(json.dumps({
+        "n": 3, "d": 400, "singularities": [{"type": "node", "count": 2}],
+        "beta": {"mode": "from_nodes",
+                 "points": [["1", "0", "0", "0"], ["0", "1", "0", "0"]]}}))
+    assert main(["compute", str(instance)]) == 0
+    assert f"beta = {[0] * 400}" in capsys.readouterr().out
 
 def test_empty_point_list_defect(tmp_path, capsys):
     path = tmp_path / "empty.json"

@@ -50,7 +50,6 @@ def test_unitroot_group_operations():
     assert a * a.conjugate() == ONE
     assert a.order == 6
     assert ONE.order == 1
-    assert a.angle.numerator == 1 and a.angle.denominator == 6
 
 
 def test_unitroot_sort_order_is_by_angle():

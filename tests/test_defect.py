@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -37,15 +38,21 @@ def _fraction_rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
-def _defect_by_fraction_elimination(pts: ProjectivePointSet, q: int) -> int:
-    exps = monomial_exponents(pts.dim, q)
-    rows = []
-    for point in pts.points:
-        rows.append([
-            math.prod((c ** e for c, e in zip(point, exp)), start=Fraction(1))
-            for exp in exps
-        ])
-    return len(pts) - _fraction_rank(rows)
+def _defect_by_fraction_elimination(n: int, points, q: int) -> int:
+    # evaluates the raw rational input points on monomials enumerated by
+    # brute force, so it shares no code with the package's normalization
+    exps = [exp for exp in itertools.product(range(q + 1), repeat=n + 1)
+            if sum(exp) == q]
+    rows = [[math.prod((Fraction(c) ** e for c, e in zip(point, exp)),
+                       start=Fraction(1))
+             for exp in exps]
+            for point in points]
+    return len(points) - _fraction_rank(rows)
+
+
+def _projectively_equal(p, r) -> bool:
+    return all(a * d == b * c for (a, b), (c, d) in
+               itertools.combinations(zip(p, r), 2))
 
 
 def _generic_line_nodes(d: int) -> ProjectivePointSet:
@@ -60,7 +67,10 @@ def _generic_line_nodes(d: int) -> ProjectivePointSet:
 
 def test_point_set_normalization_and_equality():
     pts = ProjectivePointSet(2, ((Fraction(2), Fraction(4), Fraction(0)),))
-    assert pts.points == ((Fraction(1), Fraction(2), Fraction(0)),)
+    assert pts.points == ((1, 2, 0),)
+    pts = ProjectivePointSet(2, ((Fraction(0), Fraction(-2, 3), Fraction(1, 2)),
+                                 (Fraction(-6), Fraction(3), Fraction(9))))
+    assert pts.points == ((0, 4, -3), (2, -1, -3))
     with pytest.raises(ValueError):
         ProjectivePointSet(2, ((Fraction(0), Fraction(0), Fraction(0)),))
     with pytest.raises(ValueError):
@@ -74,7 +84,7 @@ def test_point_set_json():
     pts = ProjectivePointSet.from_json([["1", "0", "1"], ["0", "1", "-1/2"]])
     assert pts.dim == 2
     assert len(pts) == 2
-    assert pts.to_json() == [["1", "0", "1"], ["0", "1", "-1/2"]]
+    assert pts.points == ((1, 0, 1), (0, 2, -1))
     assert ProjectivePointSet.from_json([], dim=3).points == ()
     with pytest.raises(ValueError):
         ProjectivePointSet.from_json([], dim=None)
@@ -123,22 +133,17 @@ def test_defect_matches_fraction_elimination():
         n = rng.randrange(1, 4)
         k = rng.randrange(1, 8)
         points = []
-        seen = set()
         while len(points) < k:
             candidate = tuple(
                 Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
                 for _ in range(n + 1))
-            if not any(candidate):
-                continue
-            scale = next(c for c in candidate if c)
-            normalized = tuple(c / scale for c in candidate)
-            if normalized in seen:
-                continue
-            seen.add(normalized)
-            points.append(candidate)
+            if any(candidate) and not any(
+                    _projectively_equal(candidate, p) for p in points):
+                points.append(candidate)
         pts = ProjectivePointSet(n, tuple(points))
         q = rng.randrange(0, 4)
-        assert defect_of_system(pts, q) == _defect_by_fraction_elimination(pts, q)
+        assert defect_of_system(pts, q) == \
+            _defect_by_fraction_elimination(n, points, q)
 
 
 def test_defect_invariances():

@@ -1,0 +1,58 @@
+"""Property tests for the defect layer: primitive integer points and rank."""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from moninf.defect import ProjectivePointSet, defect_of_system  # noqa: E402
+from test_defect import (  # noqa: E402
+    _defect_by_fraction_elimination,
+    _projectively_equal,
+)
+
+# small numerators and denominators, so collinear and coplanar subsets
+# (nonzero defects) come up often
+RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+NONZERO = st.builds(Fraction, st.integers(1, 50), st.integers(1, 50)) | \
+    st.builds(Fraction, st.integers(-50, -1), st.integers(1, 50))
+
+
+@given(point=st.lists(RATIONALS, min_size=2, max_size=5).filter(any),
+       scale=NONZERO)
+def test_scaled_points_store_one_primitive_tuple(point, scale):
+    n = len(point) - 1
+    stored = ProjectivePointSet(n, (tuple(point),)).points[0]
+    scaled = ProjectivePointSet(n, (tuple(c * scale for c in point),))
+    assert scaled.points[0] == stored
+    assert all(type(c) is int for c in stored)
+    assert math.gcd(*stored) == 1
+    assert next(c for c in stored if c) > 0
+    assert _projectively_equal(stored, point)
+
+
+@st.composite
+def _point_sets(draw):
+    n = draw(st.integers(1, 3))
+    raw = draw(st.lists(st.tuples(*[RATIONALS] * (n + 1)).filter(any),
+                        max_size=7))
+    points = []
+    for point in raw:
+        if not any(_projectively_equal(point, p) for p in points):
+            points.append(point)
+    # q runs past k - 1, where the defect is 0 without a matrix
+    return n, points, draw(st.integers(0, 5))
+
+
+@settings(deadline=None)
+@given(_point_sets())
+def test_defect_matches_fraction_elimination_on_random_sets(case):
+    n, points, q = case
+    pts = ProjectivePointSet(n, tuple(points))
+    assert defect_of_system(pts, q) == \
+        _defect_by_fraction_elimination(n, points, q)

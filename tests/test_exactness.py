@@ -2,10 +2,11 @@
 
 Every answer is exact, so the source may hold no float or complex
 literal, no float() or complex() call, no cmath and none of the
-floating-point functions of math.  The oracle keeps one number type,
-integer vectors over Z[zeta_N], so it imports nothing from fractions.
-Two oracle reports are pinned by digest, so a change of representation
-must leave their bytes alone.
+floating-point functions of math.  Rational numbers enter only as point
+coordinates, so defect.py is the one module that imports fractions: the
+oracle works over Z[zeta_N] and the defect over Z.  Two oracle reports
+and two defect reports are pinned by digest, so a change of
+representation must leave their bytes alone.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ import pytest
 
 from moninf.cli import main
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "moninf"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "moninf"
+CONIC_POINTS = ROOT / "instances" / "conic_points.json"
 FLOAT_MATH = {"sqrt", "exp", "log", "pi", "sin", "cos"}
 
 
@@ -65,13 +68,12 @@ def test_scanner_sees_each_kind_of_float():
     assert len(_float_uses(tree)) == 7
 
 
-def test_oracle_has_no_fractions():
-    tree = dict(_modules())["oracle.py"]
-    imports = [node for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom) and node.module == "fractions"
-               or isinstance(node, ast.Import)
-               and any(alias.name == "fractions" for alias in node.names)]
-    assert imports == []
+def test_only_defect_imports_fractions():
+    importers = [name for name, tree in _modules() for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+                 or isinstance(node, ast.Import)
+                 and any(alias.name == "fractions" for alias in node.names)]
+    assert importers == ["defect.py"]
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -82,5 +84,17 @@ def test_oracle_has_no_fractions():
 ])
 def test_oracle_reports_are_unchanged(argv, digest, capsys):
     assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("flags, digest", [
+    (["--degree", "2"],
+     "4caf9fe8fdd57a0ca64890865d02cf4f512dc2ad587d7d1a912375f6c82c13b7"),
+    (["--nodal", "2", "6"],
+     "4f05394875b66dc8fb4fb20e5d5085ba10e1e84765fc25b84d55fdb2ce9bcfd4"),
+])
+def test_defect_reports_are_unchanged(flags, digest, capsys):
+    assert main(["defect", str(CONIC_POINTS), *flags, "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -44,15 +44,19 @@ def test_construction_rejects_bad_blocks():
     assert JordanStructure({ONE: {1: 0}}) == JordanStructure()
 
 
-def test_direct_sum_merges_block_multisets():
+def test_constructor_merges_repeated_roots():
+    # ProblemSpec.local_sum builds the direct sum of the local monodromies
+    # this way: one (root, {size: count}) pair per block, roots repeated
     a = JordanStructure.from_blocks([(ONE, 2), (MINUS_ONE, 1)])
     b = JordanStructure.from_blocks([(ONE, 2), (ONE, 5)])
-    s = a.direct_sum(b)
+    s = JordanStructure(
+        (root, {size: count}) for t in (a, b)
+        for root, size, count in t.iter_blocks())
     assert s.sizes_at(ONE) == [5, 2, 2]
     assert s.sizes_at(MINUS_ONE) == [1]
     assert s.total_dim == a.total_dim + b.total_dim
-    assert a + b == s
-    assert sum([a, b], JordanStructure()) == s
+    assert JordanStructure([(ONE, {2: 1}), (MINUS_ONE, {1: 1}),
+                            (ONE, {2: 1, 5: 1})]) == s
 
 
 def test_sharp_and_multiplicity():
