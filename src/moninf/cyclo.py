@@ -46,11 +46,6 @@ class UnitRoot:
         object.__setattr__(self, "num", num // g)
         object.__setattr__(self, "den", den // g)
 
-    @property
-    def order(self) -> int:
-        """Multiplicative order: the smallest m >= 1 with self**m == ONE."""
-        return self.den
-
     def __mul__(self, other: UnitRoot) -> UnitRoot:
         return UnitRoot(self.num * other.den + other.num * self.den,
                         self.den * other.den)
@@ -141,11 +136,6 @@ class RootExponentVector:
         raise AttributeError("RootExponentVector is immutable")
 
     @classmethod
-    def one(cls) -> RootExponentVector:
-        """The empty product, i.e. the constant 1."""
-        return cls()
-
-    @classmethod
     def linear(cls, root: UnitRoot, exponent: int = 1) -> RootExponentVector:
         """(x - root)^exponent."""
         return cls([(root, exponent)])
@@ -156,12 +146,6 @@ class RootExponentVector:
         if d < 1:
             raise ValueError(f"degree must be >= 1, got {d}")
         return cls((UnitRoot(j, d), exponent) for j in range(d))
-
-    def exponent(self, root: UnitRoot) -> int:
-        return self._factors.get(root, 0)
-
-    def roots(self) -> list[UnitRoot]:
-        return list(self._factors)
 
     def items(self) -> Iterator[tuple[UnitRoot, int]]:
         """(root, exponent) pairs in increasing angle order."""
@@ -180,11 +164,6 @@ class RootExponentVector:
         for root, exp in other._factors.items():
             merged[root] = merged.get(root, 0) + exp
         return RootExponentVector(merged)
-
-    def __pow__(self, k: int) -> RootExponentVector:
-        if not isinstance(k, int):
-            raise TypeError("exponent must be an integer")
-        return RootExponentVector((r, e * k) for r, e in self._factors.items())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RootExponentVector):
@@ -208,17 +187,6 @@ class RootExponentVector:
         """JSON form: {"num/den": exponent} with roots in increasing order."""
         return {str(r): e for r, e in self._factors.items()}
 
-    @classmethod
-    def from_json(cls, data: Mapping[str, int]) -> RootExponentVector:
-        if not isinstance(data, Mapping):
-            raise ValueError("root exponent data must be an object")
-        pairs = []
-        for key, exp in data.items():
-            if not isinstance(exp, int) or isinstance(exp, bool):
-                raise ValueError(f"exponent for {key!r} must be an integer")
-            pairs.append((UnitRoot.parse(key), exp))
-        return cls(pairs)
-
 
 @dataclass(frozen=True)
 class PhiFactor:
@@ -226,13 +194,6 @@ class PhiFactor:
 
     q: int
     exponent: int
-
-    def expand(self) -> RootExponentVector:
-        return RootExponentVector(
-            (UnitRoot(p, self.q), self.exponent)
-            for p in range(self.q)
-            if math.gcd(p, self.q) == 1
-        )
 
     def __str__(self) -> str:
         if self.q == 1:
@@ -250,9 +211,6 @@ class RootFactor:
 
     root: UnitRoot
     exponent: int
-
-    def expand(self) -> RootExponentVector:
-        return RootExponentVector.linear(self.root, self.exponent)
 
     def __str__(self) -> str:
         if self.root == ONE:

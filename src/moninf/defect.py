@@ -6,11 +6,31 @@ defect of the system is k - rank(E): the number of conditions the points
 fail to impose independently on degree-q hypersurfaces.
 
 Every point is stored as its primitive integer representative, so E is
-an integer matrix and its rank is computed over Z; scaling a row does
-not change the rank.  When q >= k - 1 the defect is 0 without building
-E: for each point, k - 1 linear forms that miss it, one through each
-other point, times a power of one more form that misses it, give a
-degree-q form vanishing at every point but that one.
+an integer matrix; scaling a row does not change the rank.  When
+q >= k - 1 the defect is 0 without building E: for each point, k - 1
+linear forms that miss it, one through each other point, times a power
+of one more form that misses it, give a degree-q form vanishing at every
+point but that one.  Otherwise E may have at most MAX_MATRIX_CELLS
+entries, so the work is bounded before any of it starts.
+
+The rank over Q is certified from one elimination modulo the prime
+p = 2^31 - 1, with exact integer arithmetic only where the mod-p answer
+needs it:
+
+- lower bound: E mod p is the reduction of the integer E, so the r pivot
+  rows found mod p have a nonzero r x r minor mod p, hence over Z; they
+  are independent over Q and rank(E) >= r.  When r = k or r is the
+  number of columns, rank(E) = r with no exact arithmetic at all;
+- upper bound: otherwise every row that reduced to zero has a support,
+  itself and the pivot rows of its relation mod p.  Let U be the union
+  of the supports.  If the exact rank of the rows of U equals the number
+  of pivot rows in U, every dependent row lies in the Q-span of the
+  pivot rows, so rank(E) = r;
+- fallback: if that check fails (p divides a minor that is nonzero over
+  Z), the exact rank of the whole of E is computed instead.
+
+Every answer is therefore exact; p only decides how much exact work is
+done.
 
 For a hypersurface at infinity whose only singularities are k ordinary
 nodes at the given points, the single possibly nonzero equivariant defect
@@ -29,6 +49,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+PRIME = 2**31 - 1
+"""The Mersenne prime modulo which the evaluation matrix is first reduced."""
+
+MAX_MATRIX_CELLS = 500_000
+"""Largest evaluation matrix, in entries, that defect_of_system builds."""
 
 
 @dataclass(frozen=True)
@@ -135,16 +161,90 @@ def _integer_rank(rows: list[list[int]]) -> int:
     return rank
 
 
+def _row_mod_p(point: tuple[int, ...], exps: list[tuple[int, ...]],
+               q: int) -> list[int]:
+    """The monomials of `exps` evaluated at `point`, modulo PRIME."""
+    tables = [[pow(c, e, PRIME) for e in range(q + 1)] for c in point]
+    return [math.prod(map(list.__getitem__, tables, exp)) % PRIME
+            for exp in exps]
+
+
+def _eliminate_mod_p(rows: list[list[int]]) -> tuple[list[int], list[set[int]]]:
+    """Row-reduce `rows` (entries in [0, PRIME)) modulo PRIME, in order.
+
+    Returns the indices of the pivot rows and, for each row that reduces
+    to zero, its support: the row itself and the pivot rows with a
+    nonzero coefficient in its relation mod PRIME.  Each stored row is
+    scaled to 1 at its pivot column and keeps the multipliers that
+    express it through earlier stored rows, so a relation found against
+    the stored rows is rewritten in the original pivot rows by one
+    backward pass.  A row is reduced modulo PRIME once, after all of its
+    updates.
+    """
+    ncols = len(rows[0])
+    basis: list[tuple[int, list[int], dict[int, int]]] = []
+    pivots: list[int] = []
+    supports: list[set[int]] = []
+    for index, row in enumerate(rows):
+        used = {}
+        for j, (col, stored, _) in enumerate(basis):
+            f = row[col] % PRIME
+            if f:
+                used[j] = f
+                row = [x - f * y for x, y in zip(row, stored)]
+        row = [x % PRIME for x in row]
+        col = next((c for c, x in enumerate(row) if x), None)
+        if col is None:
+            support = {index}
+            for j in range(len(basis) - 1, -1, -1):
+                c = used.get(j, 0) % PRIME
+                if c:
+                    support.add(pivots[j])
+                    for j2, m in basis[j][2].items():
+                        used[j2] = used.get(j2, 0) - c * m
+            supports.append(support)
+            continue
+        inv = pow(row[col], -1, PRIME)
+        basis.append((col, [x * inv % PRIME for x in row],
+                      {j: f * inv % PRIME for j, f in used.items()}))
+        pivots.append(index)
+        if len(pivots) == ncols:
+            break
+    return pivots, supports
+
+
+def _exact_row(point: tuple[int, ...], exps: list[tuple[int, ...]]) -> list[int]:
+    return [math.prod(c ** e for c, e in zip(point, exp)) for exp in exps]
+
+
 def defect_of_system(pts: ProjectivePointSet, q: int) -> int:
-    """k - rank of the k x C(n+q, n) degree-q monomial evaluation matrix."""
+    """k - rank of the k x C(n+q, n) degree-q monomial evaluation matrix.
+
+    Raises ValueError for q < 0 and for a matrix of more than
+    MAX_MATRIX_CELLS entries.
+    """
     if q < 0:
         raise ValueError(f"system degree must be >= 0, got {q}")
-    if q >= len(pts) - 1:
+    k = len(pts)
+    if q >= k - 1:
         return 0
+    ncols = math.comb(pts.dim + q, pts.dim)
+    if k * ncols > MAX_MATRIX_CELLS:
+        raise ValueError(
+            f"the evaluation matrix of k = {k} points and the {ncols} "
+            f"monomials of degree q = {q} has {k * ncols} entries, above "
+            f"the limit of {MAX_MATRIX_CELLS}")
     exps = monomial_exponents(pts.dim, q)
-    rows = [[math.prod(c ** e for c, e in zip(point, exp)) for exp in exps]
-            for point in pts.points]
-    return len(pts) - _integer_rank(rows)
+    pivots, supports = _eliminate_mod_p(
+        [_row_mod_p(point, exps, q) for point in pts.points])
+    rank = len(pivots)
+    if rank == k or rank == ncols:
+        return k - rank
+    checked = set().union(*supports)
+    exact = [_exact_row(pts.points[i], exps) for i in sorted(checked)]
+    if _integer_rank(exact) == len(checked.intersection(pivots)):
+        return k - rank
+    return k - _integer_rank([_exact_row(point, exps) for point in pts.points])
 
 
 def nodal_beta(pts: ProjectivePointSet, n: int, d: int) -> list[int]:

@@ -92,13 +92,6 @@ class JordanStructure:
         return sum(size * count for _, sizes in self._blocks.items()
                    for size, count in sizes.items())
 
-    def max_block_size(self) -> int:
-        return max((size for _, sizes in self._blocks.items() for size in sizes),
-                   default=0)
-
-    def is_semisimple(self) -> bool:
-        return self.max_block_size() <= 1
-
     def char_poly(self) -> RootExponentVector:
         """Characteristic polynomial prod (x - alpha)^multiplicity."""
         return RootExponentVector(

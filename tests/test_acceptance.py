@@ -205,7 +205,8 @@ def test_criterion_6_nodal_parity():
             spec = ProblemSpec(3, d, (OrdinaryNode(),) * k, EnumerateBeta())
             report = assemble(spec)
             assert len(report.entries) == 1
-            assert report.entries[0].jordan.is_semisimple(), (d, k)
+            jordan = report.entries[0].jordan
+            assert all(size == 1 for _, size, _ in jordan.iter_blocks()), (d, k)
             _collect(report)
     # past k = 5 the d = 3 size-1 count goes negative; no operator exists
     for k in (6, 10, 16):
@@ -245,8 +246,8 @@ def test_criterion_7_zeta_identity():
         assert zeta.degree == space - d * sum(mus)
     sextic = ProblemSpec(2, 6, (BrieskornPham((2, 3)),) * 6, EnumerateBeta())
     zeta = zeta_of_top_form(sextic)
-    assert [zeta.exponent(UnitRoot(s, 6)) for s in range(6)] == \
-        [8, 9, 9, 9, 9, 9]
+    assert dict(zeta.items()) == \
+        {UnitRoot(s, 6): e for s, e in enumerate((8, 9, 9, 9, 9, 9))}
     assert zeta.degree == sum((8, 9, 9, 9, 9, 9))
     print("PASS criterion 7: zeta two-forms identity on 200 random "
           "(n, d, mu) draws; sextic exponents (8,9,9,9,9,9)")
@@ -257,7 +258,7 @@ def test_criterion_8_block_size_limits_everywhere():
     for structure, n, d in COLLECTED:
         result = check_block_size_limits(structure, n, d)
         assert result.status == "pass", (n, d, result.detail)
-        assert structure.max_block_size() <= n + 1
+        assert all(size <= n + 1 for _, size, _ in structure.iter_blocks())
     print(f"PASS criterion 8: no block exceeds size n+1, and size-(n+1) "
           f"blocks sit only at nontrivial d-th roots of unity, across "
           f"{len(COLLECTED)} assembled structures")

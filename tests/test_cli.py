@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -110,7 +111,7 @@ def test_compute_exit_2_on_check_failure(monkeypatch, capsys):
 
 def test_compute_exit_2_when_zeta_forms_disagree(monkeypatch, capsys):
     monkeypatch.setattr("moninf.infinity.zeta_of_top_form",
-                        lambda spec: RootExponentVector.one())
+                        lambda spec: RootExponentVector())
     assert main(["compute", SEXTIC]) == 2
     out = capsys.readouterr().out
     assert "[fail] zeta_two_forms: the (x^d - 1) form gives 1, the product " \
@@ -229,6 +230,27 @@ def test_defect_in_high_degree_builds_no_matrix(monkeypatch, tmp_path, capsys):
                  "points": [["1", "0", "0", "0"], ["0", "1", "0", "0"]]}}))
     assert main(["compute", str(instance)]) == 0
     assert f"beta = {[0] * 400}" in capsys.readouterr().out
+
+def test_oversized_evaluation_matrix_exits_1(tmp_path, capsys):
+    # 300 points in P^3 at q = 200 would need a 300 x 1373701 matrix;
+    # the size is checked before any of it is built
+    points = [["1", str(i), str(i * i), "0"] for i in range(300)]
+    plain = tmp_path / "points.json"
+    plain.write_text(json.dumps(points))
+    instance = tmp_path / "nodes.json"
+    instance.write_text(json.dumps({
+        "n": 3, "d": 136, "singularities": [{"type": "node", "count": 300}],
+        "beta": {"mode": "from_nodes", "points": points}}))
+    for argv in (["defect", str(plain), "--degree", "200"],
+                 ["compute", str(instance), "--json"]):
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "k = 300 points" in captured.err
+        assert "1373701 monomials of degree q = 200" in captured.err
+
 
 def test_empty_point_list_defect(tmp_path, capsys):
     path = tmp_path / "empty.json"

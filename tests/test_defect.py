@@ -9,7 +9,9 @@ from fractions import Fraction
 
 import pytest
 
+from moninf import defect
 from moninf.defect import (
+    PRIME,
     ProjectivePointSet,
     defect_of_system,
     monomial_exponents,
@@ -144,6 +146,69 @@ def test_defect_matches_fraction_elimination():
         q = rng.randrange(0, 4)
         assert defect_of_system(pts, q) == \
             _defect_by_fraction_elimination(n, points, q)
+
+
+def _spy_on_integer_rank(monkeypatch) -> list[int]:
+    # records the number of rows of every exact rank computation
+    sizes = []
+    exact = defect._integer_rank
+
+    def spy(rows):
+        sizes.append(len(rows))
+        return exact(rows)
+
+    monkeypatch.setattr(defect, "_integer_rank", spy)
+    return sizes
+
+
+def test_modulus_is_prime():
+    assert PRIME == 2**31 - 1
+    assert all(PRIME % f for f in range(2, math.isqrt(PRIME) + 1))
+
+
+def test_unlucky_prime_falls_back_to_the_full_matrix(monkeypatch):
+    # distinct over Q, equal modulo PRIME: the mod-p rank 2 is too low,
+    # the check on the support rows fails and the whole matrix is redone
+    points = [(1, 0, 0), (1, PRIME, 0), (0, 0, 1)]
+    sizes = _spy_on_integer_rank(monkeypatch)
+    pts = ProjectivePointSet(2, tuple(points))
+    assert defect_of_system(pts, 1) == \
+        _defect_by_fraction_elimination(2, points, 1) == 0
+    assert sizes == [2, 3]
+
+
+def test_full_rank_mod_p_needs_no_exact_arithmetic(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("exact rank computed")
+
+    monkeypatch.setattr(defect, "_integer_rank", refuse)
+    rng = random.Random(5)
+    # k <= #columns: rank k; k > #columns: rank #columns
+    for n, q, k in ((2, 3, 8), (3, 2, 10), (2, 2, 9), (3, 1, 7)):
+        points = set()
+        while len(points) < k:
+            points.add((1,) + tuple(rng.randrange(-40, 41) for _ in range(n)))
+        points = sorted(points)
+        assert defect_of_system(ProjectivePointSet(n, tuple(points)), q) == \
+            _defect_by_fraction_elimination(n, points, q) == \
+            max(0, k - math.comb(n + q, n))
+
+
+def test_collinear_points_check_only_their_own_rows(monkeypatch):
+    # j points on a line impose q + 1 conditions in degree q; the relations
+    # among them mod p involve only them, wherever they sit in the order
+    rng = random.Random(11)
+    n, q, j = 3, 3, 8
+    points = [(1, t, 2 * t - 1, 3 - t) for t in range(j)]
+    while len(points) < 16:
+        point = (1,) + tuple(rng.randrange(-20, 21) for _ in range(n))
+        if point not in points:
+            points.append(point)
+    rng.shuffle(points)
+    sizes = _spy_on_integer_rank(monkeypatch)
+    assert defect_of_system(ProjectivePointSet(n, tuple(points)), q) == \
+        _defect_by_fraction_elimination(n, points, q) == j - (q + 1)
+    assert len(sizes) == 1 and sizes[0] <= j
 
 
 def test_defect_invariances():

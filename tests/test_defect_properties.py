@@ -10,7 +10,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from moninf.defect import ProjectivePointSet, defect_of_system  # noqa: E402
+from moninf.defect import PRIME, ProjectivePointSet, defect_of_system  # noqa: E402
 from test_defect import (  # noqa: E402
     _defect_by_fraction_elimination,
     _projectively_equal,
@@ -41,6 +41,15 @@ def _point_sets(draw):
     n = draw(st.integers(1, 3))
     raw = draw(st.lists(st.tuples(*[RATIONALS] * (n + 1)).filter(any),
                         max_size=7))
+    # a copy of a point with one coordinate moved by +-PRIME is a new point
+    # over Q but (up to scaling) the same point mod PRIME: the unlucky case
+    for index, coord, shift in draw(st.lists(st.tuples(
+            st.integers(0, 6), st.integers(0, n),
+            st.sampled_from([-PRIME, PRIME])), max_size=2)):
+        if index < len(raw):
+            moved = list(raw[index])
+            moved[coord] += shift
+            raw.append(tuple(moved))
     points = []
     for point in raw:
         if not any(_projectively_equal(point, p) for p in points):

@@ -4,15 +4,19 @@ Every answer is exact, so the source may hold no float or complex
 literal, no float() or complex() call, no cmath and none of the
 floating-point functions of math.  Rational numbers enter only as point
 coordinates, so defect.py is the one module that imports fractions: the
-oracle works over Z[zeta_N] and the defect over Z.  Two oracle reports
-and two defect reports are pinned by digest, so a change of
-representation must leave their bytes alone.
+oracle works over Z[zeta_N] and the defect over Z.  Two oracle reports,
+two defect reports and four from_nodes compute reports are pinned by
+digest, so a change of representation or of rank engine must leave
+their bytes alone.
 """
 
 from __future__ import annotations
 
 import ast
 import hashlib
+import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -96,5 +100,50 @@ def test_oracle_reports_are_unchanged(argv, digest, capsys):
 ])
 def test_defect_reports_are_unchanged(flags, digest, capsys):
     assert main(["defect", str(CONIC_POINTS), *flags, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _node_points(seed: int, k: int, collinear: int) -> list[list[str]]:
+    # k distinct points of P^3 with small rational coordinates, the first
+    # `collinear` of them on one line
+    rng = random.Random(seed)
+
+    def coordinate() -> Fraction:
+        return Fraction(rng.randint(-12, 12), rng.randint(1, 2))
+
+    points: list[tuple[Fraction, ...]] = []
+    if collinear:
+        base = (Fraction(1), coordinate(), coordinate(), coordinate())
+        direction = (0, 1, rng.randint(-1, 1), rng.randint(-1, 1))
+        points = [tuple(b + t * v for b, v in zip(base, direction))
+                  for t in rng.sample(range(-8, 9), collinear)]
+    while len(points) < k:
+        point = (Fraction(1), coordinate(), coordinate(), coordinate())
+        if point not in points:
+            points.append(point)
+    return [[str(c) for c in point] for point in points]
+
+
+# n = 3 and d even: the defect has degree q = 3d/2 - 4 and sits at
+# s = d/2; a line through j > q + 1 nodes forces a defect >= j - (q + 1)
+@pytest.mark.parametrize("d, k, collinear, digest", [
+    (8, 14, 0,
+     "93bb51280f10c11144b81c5db01f04dda7cfcf88f0ef5fc511e10f665f773da2"),
+    (8, 14, 11,
+     "b52bafdf7e1bef5d2eaff6c5cefc39c356450d457e6867aeb538c18c345ffa39"),
+    (10, 16, 0,
+     "a742bdc919df6fcabd7f56197dbe2806603575d34a1e7c1eb092a2295b50ec57"),
+    (10, 16, 14,
+     "ecd6b1b9da9dacae38e8490cdbcd1bbda0c7c54c1ccfcfeadbf7a62d8cbfac0f"),
+])
+def test_from_nodes_reports_are_unchanged(d, k, collinear, digest, tmp_path,
+                                          capsys):
+    instance = tmp_path / "nodes.json"
+    instance.write_text(json.dumps({
+        "n": 3, "d": d, "singularities": [{"type": "node", "count": k}],
+        "beta": {"mode": "from_nodes",
+                 "points": _node_points(1000 * d + collinear, k, collinear)}}))
+    assert main(["compute", str(instance), "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
