@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
+from collections.abc import Iterator
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 from .cyclic import cyclic_power
@@ -54,15 +57,60 @@ def _load_json(path: str) -> object:
         raise InstanceError(f"invalid JSON in {path}: nested too deeply") from exc
 
 
+_JOIN_SLICE = 4096  # ints per str.join call: bounds the longest piece
+
+
+def _json_chunks(value: object, indent: str = "\n") -> Iterator[str]:
+    """The text of json.dumps(value, indent=2, sort_keys=True), in pieces.
+
+    Unlike json.dumps with an indent, which runs in pure Python and builds
+    the whole text, escaping stays in C and int lists are joined in C.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        lead = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            yield lead + json.dumps(key) + ": "
+            yield from _json_chunks(value[key], inner)
+            lead = "," + inner
+        yield indent + "}"
+    elif isinstance(value, (list, tuple)) and value:
+        lead, sep = "[" + inner, "," + inner
+        if set(map(type, value)) == {int}:
+            for start in range(0, len(value), _JOIN_SLICE):
+                yield lead + sep.join(map(str, value[start:start + _JOIN_SLICE]))
+                lead = sep
+        else:
+            for item in value:
+                yield lead
+                yield from _json_chunks(item, inner)
+                lead = sep
+        yield indent + "]"
+    elif value is None or isinstance(value, (str, int, dict, list, tuple)):
+        yield json.dumps(value)  # a scalar, or an empty container
+    else:
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _emit(args: argparse.Namespace, text: str, doc: object) -> None:
-    if args.json:
-        out = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    else:
-        out = text if text.endswith("\n") else text + "\n"
+    """Write the report to --output or stdout; a closed stdout is not an error."""
+    chunks = (chain(_json_chunks(doc), ["\n"]) if args.json
+              else [text if text.endswith("\n") else text + "\n"])
     if args.output:
-        Path(args.output).write_text(out)
-    else:
-        sys.stdout.write(out)
+        with open(args.output, "w") as out:
+            out.writelines(chunks)
+        return
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`moninf ... | head`): send what is still
+        # buffered to /dev/null, so the interpreter's final flush is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def cmd_compute(args: argparse.Namespace) -> int:

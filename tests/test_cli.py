@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -12,8 +15,10 @@ from moninf.cli import main
 from moninf.cyclo import RootExponentVector
 from moninf.infinity import CheckResult, ProblemSpec, Report
 from moninf.jordan import JordanStructure
+from test_exactness import LARGE_REPORT_INSTANCE
 
-INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+ROOT = Path(__file__).resolve().parent.parent
+INSTANCES = ROOT / "instances"
 SEXTIC = str(INSTANCES / "six_cusp_sextic.json")
 SEXTIC_ENUM = str(INSTANCES / "six_cusp_sextic_enumerate.json")
 LINES_D4 = str(INSTANCES / "lines_d4.json")
@@ -135,6 +140,40 @@ def test_output_flag_leaves_stdout_empty(tmp_path, capsys):
     assert main(["compute", SEXTIC, "--output", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert "char poly" in target.read_text()
+
+
+def test_closed_stdout_is_not_an_error(tmp_path):
+    # `moninf compute ... --json | head -c 100`: the reader leaves early
+    instance = tmp_path / "large.json"
+    instance.write_text(json.dumps(LARGE_REPORT_INSTANCE))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "moninf.cli", "compute", str(instance), "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert head.startswith(b'{\n  "beta_used": [')
+    assert (code, err) == (0, b"")
+
+
+def test_closed_stdout_keeps_the_reports_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(
+        "moninf.infinity.check_block_size_limits",
+        lambda structure, n, d: CheckResult("block_size_limits", "fail",
+                                            "injected failure"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main(["compute", SEXTIC, "--json"]) == 2
+    assert capsys.readouterr().err == ""
 
 
 def test_bounds_table(capsys):

@@ -5,9 +5,10 @@ literal, no float() or complex() call, no cmath and none of the
 floating-point functions of math.  Rational numbers enter only as point
 coordinates, so defect.py is the one module that imports fractions: the
 oracle works over Z[zeta_N] and the defect over Z.  Two oracle reports,
-two defect reports and four from_nodes compute reports are pinned by
-digest, so a change of representation or of rank engine must leave
-their bytes alone.
+two defect reports, four from_nodes compute reports and one large
+Brieskorn compute report are pinned by digest, so a change of
+representation, of rank engine or of JSON writer must leave their bytes
+alone.
 """
 
 from __future__ import annotations
@@ -147,3 +148,26 @@ def test_from_nodes_reports_are_unchanged(d, k, collinear, digest, tmp_path,
     assert main(["compute", str(instance), "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# n = 2, d = 60, beta = 0: about (d-1)^3 Jordan blocks, a 2.3 MB --json report
+LARGE_REPORT_INSTANCE = {
+    "n": 2, "d": 60,
+    "singularities": [{"type": "brieskorn", "exponents": [2, 3], "count": 3},
+                      {"type": "brieskorn", "exponents": [3, 5], "count": 2}],
+    "beta": {"mode": "given", "values": [0] * 60}}
+
+
+def test_large_report_is_unchanged_on_both_routes(tmp_path, capsys):
+    instance = tmp_path / "large.json"
+    instance.write_text(json.dumps(LARGE_REPORT_INSTANCE))
+    assert main(["compute", str(instance), "--json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) > 2_000_000
+    assert hashlib.sha256(out).hexdigest() == \
+        "ea37488b07167c474e9b3c336377ca0ff1893472a9644f2c72cb22599f8ff58f"
+    target = tmp_path / "report.json"
+    assert main(["compute", str(instance), "--json",
+                 "--output", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == out

@@ -1,0 +1,62 @@
+"""The streaming --json writer against json.dumps(indent=2, sort_keys=True)."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st  # noqa: E402
+
+from moninf.cli import _JOIN_SLICE, _json_chunks  # noqa: E402
+
+# keys and strings that exercise every escape json.dumps makes
+KEYS = st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\té \U0001f600')
+               | st.characters(), max_size=6)
+INTS = st.integers() | st.integers(-2**100, 2**100) | \
+    st.sampled_from([-2**63 - 1, -2**63, 2**63 - 1, 2**63, 2**64])
+SCALARS = st.none() | st.booleans() | INTS | KEYS
+# int lists around and past the join slice, built by repeating a short list
+LONG_INT_LISTS = st.builds(
+    lambda pattern, length: (pattern * length)[:length],
+    st.lists(INTS, min_size=1, max_size=4),
+    st.sampled_from([_JOIN_SLICE - 1, _JOIN_SLICE, _JOIN_SLICE + 1,
+                     2 * _JOIN_SLICE + 1]))
+LEAF_LISTS = st.lists(INTS) | st.lists(INTS | st.booleans()) | LONG_INT_LISTS
+
+
+def _documents(children):
+    return (st.lists(children, max_size=4)
+            | st.lists(children, max_size=4).map(tuple)
+            | st.dictionaries(KEYS, children, max_size=4))
+
+
+DOCUMENTS = st.recursive(SCALARS | LEAF_LISTS, _documents, max_leaves=12)
+
+
+@given(DOCUMENTS)
+def test_chunks_join_to_json_dumps(doc):
+    # a bare flag: pytest's diff of two long texts would make each failing
+    # call, and so hypothesis's shrinking, take seconds
+    same = "".join(_json_chunks(doc)) == json.dumps(doc, indent=2,
+                                                    sort_keys=True)
+    assert same
+
+
+def test_long_int_lists_are_written_in_bounded_chunks():
+    doc = {"blocks": [1] * (10 * _JOIN_SLICE), "empty": [[], {}, [{}]]}
+    chunks = list(_json_chunks(doc))
+    assert "".join(chunks) == json.dumps(doc, indent=2, sort_keys=True)
+    assert max(map(len, chunks)) <= _JOIN_SLICE * len(",\n    1")
+
+
+@pytest.mark.parametrize("doc", [
+    {1: "int key"},
+    {"nested": [{None: 0}]},
+    {"points": {1, 2}},
+    [0, 1.5],
+])
+def test_unsupported_values_raise_type_error(doc):
+    with pytest.raises(TypeError):
+        "".join(_json_chunks(doc))
