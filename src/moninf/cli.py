@@ -354,11 +354,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory: the instance is too large", file=sys.stderr)
         return 1
 
 

@@ -8,7 +8,9 @@ order m built from phi acts on m stacked copies of the underlying space by
 Its Jordan structure is determined by T alone: a block of size l at the
 eigenvalue xi of phi contributes one block of size l at every m-th root
 of xi.  Equivalently, the number of size-l blocks of the cyclic operator
-at alpha equals the number of size-l blocks of phi at alpha**m.
+at alpha equals the number of size-l blocks of phi at alpha**m.  The
+assembler builds its off-torsion layer from cyclic_power(T^-1, d-1) and the
+charpoly formula's det(x^(d-1) - T) from cyclic_power(T, d-1).
 """
 
 from __future__ import annotations
@@ -21,9 +23,5 @@ def cyclic_power(t: JordanStructure, m: int) -> JordanStructure:
     """Jordan structure of the order-m cyclic operator built from t."""
     if m < 1:
         raise ValueError(f"cyclic order must be >= 1, got {m}")
-    spread: dict = {}
-    for xi, size, count in t.iter_blocks():
-        for alpha in mth_roots(xi, m):
-            sizes = spread.setdefault(alpha, {})
-            sizes[size] = sizes.get(size, 0) + count
-    return JordanStructure(spread)
+    return JordanStructure((alpha, t.blocks_at(xi))
+                           for xi in t.spectrum() for alpha in mth_roots(xi, m))

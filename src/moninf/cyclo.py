@@ -88,7 +88,7 @@ def mth_roots(xi: UnitRoot, m: int) -> list[UnitRoot]:
     """
     if m < 1:
         raise ValueError(f"root index must be >= 1, got {m}")
-    return sorted(UnitRoot(xi.num + j * xi.den, m * xi.den) for j in range(m))
+    return [UnitRoot(xi.num + j * xi.den, m * xi.den) for j in range(m)]
 
 
 def totient(q: int) -> int:

@@ -19,7 +19,8 @@ two independent layers:
   Negative counts mean the beta vector is inadmissible and raise an
   error naming the violated bound.
 * eigenvalues with alpha^d != 1: the blocks of T at alpha^(1-d) are
-  copied to alpha whenever alpha^(1-d) lies in the spectrum of T.
+  copied to alpha, which is ``cyclic_power(T^-1, d-1)`` at alpha^d != 1;
+  the charpoly formula's det(x^(d-1) - T) comes from ``cyclic_power(T, d-1)``.
 
 Cross-checks accompany every assembly: the degree identity, the block
 size limits, the bound check on beta, the local product formula for the
@@ -34,8 +35,9 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
+from .cyclic import cyclic_power
 from .cyclo import ONE, RootExponentVector, UnitRoot, mth_roots
 from .defect import ProjectivePointSet, nodal_beta
 from .jordan import JordanStructure
@@ -274,42 +276,43 @@ def beta_bounds(spec: ProblemSpec, chi: list[int]) -> list[tuple[int, int]]:
     upper = #_1(T)_alpha, from the size-2 count.
     """
     t = spec.local_sum
-    bounds = []
-    for s in range(spec.d):
-        alpha = UnitRoot(s, spec.d)
-        bounds.append((max(0, (t.block_count(alpha) - chi[s] + 1) // 2),
-                       t.sharp(alpha, 1)))
-    return bounds
+    return [(max(0, (t.block_count(alpha) - chi[s] + 1) // 2), t.sharp(alpha, 1))
+            for s, alpha in enumerate(mth_roots(ONE, spec.d))]
 
 
-def _assemble_structure(spec: ProblemSpec, chi: list[int],
-                        bounds: list[tuple[int, int]],
-                        beta: tuple[int, ...]) -> JordanStructure:
+def _assembler(spec: ProblemSpec, chi: list[int],
+               bounds: list[tuple[int, int]]
+               ) -> Callable[[tuple[int, ...]], JordanStructure]:
+    """The assembled structure as a function of beta.  The blocks no beta
+    changes, shifted (size l+1 >= 3) and off-torsion, are built once."""
     d, t = spec.d, spec.local_sum
-    blocks: dict[UnitRoot, dict[int, int]] = {}
-    for s in range(d):
-        alpha = UnitRoot(s, d)
-        count_1 = chi[s] + 2 * beta[s] - t.block_count(alpha)
-        count_2 = -beta[s] + t.sharp(alpha, 1)
-        lower, upper = bounds[s]
-        if count_1 < 0:
-            raise InstanceError(
-                f"negative block count: {count_1} blocks of size 1 at "
-                f"eigenvalue {alpha}; beta[{s}] = {beta[s]} is below the "
-                f"lower bound {lower} (admissible range {lower}..{upper})")
-        if count_2 < 0:
-            raise InstanceError(
-                f"negative block count: {count_2} blocks of size 2 at "
-                f"eigenvalue {alpha}; beta[{s}] = {beta[s]} is above the "
-                f"upper bound {upper} (admissible range {lower}..{upper})")
-        sizes = {size + 1: count for size, count in t.blocks_at(alpha).items()
-                 if size >= 2}
-        blocks[alpha] = {1: count_1, 2: count_2, **sizes}
-    for xi in t.spectrum():
-        for alpha in mth_roots(xi.conjugate(), d - 1):
-            if alpha ** d != ONE:
-                blocks[alpha] = t.blocks_at(xi)
-    return JordanStructure(blocks)
+    torsion = [(alpha, {size + 1: count
+                        for size, count in t.blocks_at(alpha).items() if size >= 2})
+               for alpha in mth_roots(ONE, d)]
+    spread = cyclic_power(JordanStructure(
+        (xi.conjugate(), t.blocks_at(xi)) for xi in t.spectrum()), d - 1)
+    off_torsion = {alpha: spread.blocks_at(alpha)
+                   for alpha in spread.spectrum() if alpha ** d != ONE}
+
+    def structure(beta: tuple[int, ...]) -> JordanStructure:
+        blocks = dict(off_torsion)
+        for s, (alpha, shifted) in enumerate(torsion):
+            count_1 = chi[s] + 2 * beta[s] - t.block_count(alpha)
+            count_2 = -beta[s] + t.sharp(alpha, 1)
+            lower, upper = bounds[s]
+            if count_1 < 0:
+                raise InstanceError(
+                    f"negative block count: {count_1} blocks of size 1 at "
+                    f"eigenvalue {alpha}; beta[{s}] = {beta[s]} is below the "
+                    f"lower bound {lower} (admissible range {lower}..{upper})")
+            if count_2 < 0:
+                raise InstanceError(
+                    f"negative block count: {count_2} blocks of size 2 at "
+                    f"eigenvalue {alpha}; beta[{s}] = {beta[s]} is above the "
+                    f"upper bound {upper} (admissible range {lower}..{upper})")
+            blocks[alpha] = {1: count_1, 2: count_2, **shifted}
+        return JordanStructure(blocks)
+    return structure
 
 
 def charpoly_local_formula(spec: ProblemSpec) -> RootExponentVector:
@@ -317,15 +320,12 @@ def charpoly_local_formula(spec: ProblemSpec) -> RootExponentVector:
 
     zeta_of_top_form(spec) * det(x^(d-1) * Id - T)
 
-    The determinant contributes, for each eigenvalue xi of T of algebraic
-    multiplicity m, the exponent m at every (d-1)-th root of xi.
+    The determinant is the characteristic polynomial of cyclic_power(T, d-1).
     Raises when the final exponent vector has a negative entry, which
     signals local data inconsistent with any actual hypersurface.
     """
-    t = spec.local_sum
-    out = zeta_of_top_form(spec) * RootExponentVector(
-        (alpha, t.multiplicity(xi))
-        for xi in t.spectrum() for alpha in mth_roots(xi, spec.d - 1))
+    out = zeta_of_top_form(spec) * \
+        cyclic_power(spec.local_sum, spec.d - 1).char_poly()
     if not out.is_polynomial():
         bad = [str(r) for r, e in out.items() if e < 0]
         raise InstanceError(
@@ -432,9 +432,14 @@ def assemble(spec: ProblemSpec, *,
     zeta = zeta_of_top_form(spec)
     global_checks = [check_zeta_two_forms(zeta, chi)]
     expected_dim = (spec.d - 1) ** (spec.n + 1) - sum(mus)
+    structure_of = _assembler(spec, chi, bounds)
     entries = []
+    charpoly = formula
     for beta in vectors:
-        structure = _assemble_structure(spec, chi, bounds, beta)
+        structure = structure_of(beta)
+        poly = structure.char_poly()
+        if not entries:
+            charpoly = poly
         checks = []
         got_dim = structure.total_dim
         checks.append(CheckResult(
@@ -461,19 +466,15 @@ def assemble(spec: ProblemSpec, *,
                 "charpoly_local_formula", "fail",
                 formula_error or "formula unavailable"))
         else:
-            agrees = structure.char_poly() == formula
+            agrees = poly == formula
             checks.append(CheckResult(
                 "charpoly_local_formula",
                 "pass" if agrees else "fail",
                 "product formula matches the assembled characteristic "
                 "polynomial" if agrees else
                 f"product formula gives {formula}, assembled operator has "
-                f"{structure.char_poly()}"))
+                f"{poly}"))
         entries.append(BetaEntry(beta, structure, tuple(checks)))
-    if entries:
-        charpoly: RootExponentVector | None = entries[0].jordan.char_poly()
-    else:
-        charpoly = formula
     return Report(
         n=spec.n,
         d=spec.d,

@@ -20,6 +20,7 @@ import pytest
 
 import moninf.infinity
 from moninf.cli import main
+from moninf.cyclic import cyclic_power
 from moninf.cyclo import ONE, RootExponentVector, UnitRoot, mth_roots
 from moninf.infinity import (
     EnumerateBeta,
@@ -39,6 +40,7 @@ from moninf.localsing import (
     local_monodromy,
     milnor_number,
 )
+from test_exactness import NON_SEMISIMPLE_ENUMERATE_INSTANCE
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -206,6 +208,25 @@ def test_local_monodromy_runs_once_per_distinct_germ(monkeypatch, tmp_path,
     assert main(["compute", str(path), "--json", "--enumerate-cap", "4"]) == 0
     assert len(json.loads(capsys.readouterr().out)["mu"]) == 15
     assert len(seen) == len(set(seen)) == 4
+
+
+@pytest.mark.parametrize("cap", [1, 2, 4])
+def test_cyclic_power_runs_twice_whatever_the_beta_count(cap, monkeypatch,
+                                                         tmp_path, capsys):
+    # once for the off-torsion layer, once for the charpoly formula
+    calls = []
+
+    def counting(structure, m):
+        calls.append(m)
+        return cyclic_power(structure, m)
+
+    monkeypatch.setattr(moninf.infinity, "cyclic_power", counting)
+    path = tmp_path / "enumerate.json"
+    path.write_text(json.dumps(NON_SEMISIMPLE_ENUMERATE_INSTANCE))
+    assert main(["compute", str(path), "--json",
+                 "--enumerate-cap", str(cap)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["beta_used"]) == cap
+    assert calls == [5, 5]
 
 
 def test_symmetric_sum_of_asymmetric_germs_is_not_applicable():

@@ -329,3 +329,15 @@ def test_usage_errors_exit_1(capsys):
     assert main(["compute"]) == 1
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
+
+
+def test_out_of_memory_exits_1_without_a_traceback(monkeypatch, capsys):
+    def exhausted(self):
+        raise MemoryError
+
+    monkeypatch.setattr(Report, "to_json", exhausted)
+    assert main(["compute", SEXTIC, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory")
+    assert "Traceback" not in captured.err

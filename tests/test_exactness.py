@@ -5,10 +5,11 @@ literal, no float() or complex() call, no cmath and none of the
 floating-point functions of math.  Rational numbers enter only as point
 coordinates, so defect.py is the one module that imports fractions: the
 oracle works over Z[zeta_N] and the defect over Z.  Two oracle reports,
-two defect reports, four from_nodes compute reports and one large
-Brieskorn compute report are pinned by digest, so a change of
-representation, of rank engine or of JSON writer must leave their bytes
-alone.
+two defect reports, four from_nodes compute reports, one large Brieskorn
+compute report and one enumerate-mode report with a non-semisimple germ
+are pinned by digest, so a change of representation, of rank engine, of
+JSON writer or of what the assembler shares between beta vectors must
+leave their bytes alone.
 """
 
 from __future__ import annotations
@@ -171,3 +172,28 @@ def test_large_report_is_unchanged_on_both_routes(tmp_path, capsys):
                  "--output", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert target.read_bytes() == out
+
+
+# n = 2, d = 6: three cusps and two copies of a germ with size-2 blocks at
+# the 6th roots 1/3 and 2/3 and simple eigenvalues 1/5, 4/5 off them; the
+# enumeration gives four beta vectors
+NON_SEMISIMPLE_ENUMERATE_INSTANCE = {
+    "n": 2, "d": 6,
+    "singularities": [
+        {"type": "brieskorn", "exponents": [2, 3], "count": 3},
+        {"type": "explicit", "count": 2,
+         "jordan": [{"eigenvalue": "1/5", "blocks": [1]},
+                    {"eigenvalue": "1/3", "blocks": [2]},
+                    {"eigenvalue": "2/3", "blocks": [2]},
+                    {"eigenvalue": "4/5", "blocks": [1]}]}],
+    "beta": {"mode": "enumerate"}}
+
+
+def test_enumerated_non_semisimple_report_is_unchanged(tmp_path, capsys):
+    instance = tmp_path / "enumerate.json"
+    instance.write_text(json.dumps(NON_SEMISIMPLE_ENUMERATE_INSTANCE))
+    assert main(["compute", str(instance), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert len(json.loads(out)["beta_used"]) == 4
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "51b390cd4e1ecc56f7981891d7b2ce7282d61fd07400c9b379b724412c25d419"

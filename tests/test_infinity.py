@@ -232,7 +232,8 @@ def test_part_two_uses_inverse_spectrum():
     # one local size-1 block at e^(2*pi*i/5); its (d-1)-th layer sits at the
     # square roots of the conjugate 4/5, and both survive the alpha^d != 1 cut
     local = ExplicitJordan(JordanStructure({UnitRoot(1, 5): {1: 1}}))
-    report = assemble(ProblemSpec(2, 3, (local,), GivenBeta((0, 0, 0))))
+    spec = ProblemSpec(2, 3, (local,), GivenBeta((0, 0, 0)))
+    report = assemble(spec)
     expected = JordanStructure({
         UnitRoot(0, 1): {1: 1},
         UnitRoot(1, 3): {1: 2},
@@ -241,6 +242,8 @@ def test_part_two_uses_inverse_spectrum():
         UnitRoot(9, 10): {1: 1},
     })
     assert report.entries[0].jordan == expected
+    # the reported char poly is the assembled operator's, not the formula's
+    assert report.charpoly == expected.char_poly() != charpoly_local_formula(spec)
     statuses = {check.name: check.status for _, check in report.all_checks()}
     assert statuses["charpoly_local_formula"] == "not_applicable"
     assert statuses["degree_identity"] == "pass"

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
 import pytest
 
-from moninf.cyclo import ONE, MINUS_ONE, UnitRoot
+from moninf.cli import main
+from moninf.cyclo import ONE, MINUS_ONE, UnitRoot, mth_roots
 from moninf.jordan import JordanStructure
 from moninf.oracle import (
     CycloMatrix,
@@ -255,3 +257,38 @@ def test_verify_cyclic_agreement_random_smoke():
         m = rng.randrange(1, 4)
         expected, actual = verify_cyclic_agreement(j, m)
         assert expected == actual
+
+
+def test_matrix_ranks_confirm_the_off_torsion_layer_of_compute(tmp_path,
+                                                               capsys):
+    # n = 2, d = 4, one germ: a size-2 block at the 4th root of unity 1/4,
+    # a simple 3/4, and 1/8 off the 4th roots; the spectrum is not closed
+    # under conjugation, so a spread of T instead of T^-1 would show
+    d = 4
+    germ = [{"eigenvalue": "1/8", "blocks": [1]},
+            {"eigenvalue": "1/4", "blocks": [2]},
+            {"eigenvalue": "3/4", "blocks": [1]}]
+    instance = tmp_path / "germ.json"
+    instance.write_text(json.dumps({
+        "n": 2, "d": d, "singularities": [{"type": "explicit", "jordan": germ}],
+        "beta": {"mode": "given", "values": [0] * d}}))
+    assert main(["compute", str(instance), "--json"]) == 0
+    reported = JordanStructure.from_json(
+        json.loads(capsys.readouterr().out)["jordan"])
+    t = JordanStructure.from_json(germ)
+    inverse = JordanStructure((xi.conjugate(), t.blocks_at(xi))
+                              for xi in t.spectrum())
+    level = math.lcm(*(xi.den for xi in inverse.spectrum()))
+    matrix = build_cyclic_matrix(build_jordan_matrix(inverse, level), d - 1)
+    assert matrix.nrows == 12
+    # the candidates come from cyclo, not from the rule under test
+    ranked = jordan_type(matrix, [alpha for xi in inverse.spectrum()
+                                  for alpha in mth_roots(xi, d - 1)])
+
+    def off_torsion(structure: JordanStructure) -> dict:
+        return {alpha: structure.blocks_at(alpha)
+                for alpha in structure.spectrum() if alpha ** d != ONE}
+
+    assert off_torsion(ranked) == off_torsion(reported)
+    assert off_torsion(reported)[UnitRoot(7, 12)] == {2: 1}
+    assert len(off_torsion(reported)) == 7
