@@ -25,14 +25,13 @@ from itertools import chain
 from pathlib import Path
 
 from .cyclic import cyclic_power
-from .cyclo import UnitRoot
+from .cyclo import ONE, UnitRoot, mth_roots
 from .defect import ProjectivePointSet, defect_of_system, nodal_beta
 from .infinity import (
     DEFAULT_ENUMERATE_CAP,
     InstanceError,
     assemble,
     beta_bounds,
-    chi_vector,
     parse_problem,
     zeta_of_top_form,
 )
@@ -126,10 +125,10 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     spec = parse_problem(_load_json(args.instance))
-    chi = chi_vector(spec.n, spec.d, spec.milnor_numbers())
+    chi = list(spec.chi)
     rows = [{"s": s, "eigenvalue": str(UnitRoot(s, spec.d)),
              "lower": lower, "upper": upper}
-            for s, (lower, upper) in enumerate(beta_bounds(spec, chi))]
+            for s, (lower, upper) in enumerate(beta_bounds(spec))]
     lines = [f"admissible beta ranges for n = {spec.n}, d = {spec.d}",
              f"chi = {chi}"]
     for row in rows:
@@ -143,7 +142,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_zeta(args: argparse.Namespace) -> int:
     spec = parse_problem(_load_json(args.instance))
     zeta = zeta_of_top_form(spec)
-    chi = chi_vector(spec.n, spec.d, spec.milnor_numbers())
+    chi = list(spec.chi)
     text = (f"zeta of the top form for n = {spec.n}, d = {spec.d}: {zeta}\n"
             f"chi = {chi}")
     doc = {"n": spec.n, "d": spec.d, "chi": chi,
@@ -183,12 +182,6 @@ def _partitions(total: int, max_part: int | None = None) -> tuple[tuple[int, ...
     return tuple(out)
 
 
-def _roots_with_order_dividing(order: int) -> list[UnitRoot]:
-    roots = {UnitRoot(num, den) for den in range(1, order + 1)
-             if order % den == 0 for num in range(den)}
-    return sorted(roots)
-
-
 def _exhaustive_structures(roots: list[UnitRoot], max_dim: int):
     """Every Jordan structure of dimension 1..max_dim over the given roots."""
     def rec(idx: int, budget: int):
@@ -225,8 +218,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise InstanceError("oracle needs --max-dim >= 1 and --max-m >= 2")
     cases = []
     if exhaustive:
-        for structure in _exhaustive_structures(_roots_with_order_dividing(6),
-                                                max_dim):
+        for structure in _exhaustive_structures(mth_roots(ONE, 6), max_dim):
             for m in range(2, max_m + 1):
                 cases.append((structure, m))
     else:

@@ -7,9 +7,11 @@ beta_s are given, derived from node positions, or enumerated.
 
 The counting rules use the local monodromies T_i only through sums over
 i, so they read only the direct sum T of all T_i, one summand per
-singularity.  :class:`ProblemSpec` builds T once, with one local
-monodromy per distinct germ.  The assembled Jordan structure is built in
-two independent layers:
+singularity, and the total Milnor number, which fixes chi.
+:class:`ProblemSpec` holds the singularities as (model, count) pairs in
+input order and derives T, the total and chi once, with one local
+monodromy per distinct germ; only a rendered report lists the copies.
+The assembled Jordan structure is built in two independent layers:
 
 * eigenvalues alpha = e^(2*pi*i*s/d) (d-th roots of unity): with chi_s
   the global Euler-type invariant, the block counts at alpha are
@@ -33,9 +35,8 @@ germ, never on T, since asymmetric germs can sum to a symmetric T.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .cyclic import cyclic_power
 from .cyclo import ONE, RootExponentVector, UnitRoot, mth_roots
@@ -75,9 +76,9 @@ BetaSpec = Union[GivenBeta, FromNodes, EnumerateBeta]
 
 
 def _check_size(n: int, d: int,
-                counts: Iterable[tuple[SingularityModel, int]]) -> None:
+                counts: Iterable[tuple[SingularityModel, int]]) -> int:
     """Reject n or d below 2, and (model, count) pairs whose total Milnor
-    number exceeds (d-1)^(n+1)."""
+    number exceeds (d-1)^(n+1); return that total."""
     if not isinstance(n, int) or n < 2:
         raise InstanceError("n must be >= 2")
     if not isinstance(d, int) or d < 2:
@@ -88,28 +89,37 @@ def _check_size(n: int, d: int,
         raise InstanceError(
             f"total local Milnor number {total_mu} exceeds "
             f"(d-1)^(n+1) = {space}; no such hypersurface data")
+    return total_mu
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
     n: int
     d: int
-    singularities: tuple[SingularityModel, ...]
+    # (model, count) pairs in input order; repeated models are not merged
+    singularities: tuple[tuple[SingularityModel, int], ...]
     beta: BetaSpec
     # T: the direct sum of the local monodromies, one per singularity
     local_sum: JordanStructure = field(init=False, repr=False, compare=False)
+    # the sum of count * mu over the pairs, and the d invariants chi_s
+    total_mu: int = field(init=False, repr=False, compare=False)
+    chi: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # whether every distinct germ's spectrum is closed under conjugation
     locally_symmetric: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "singularities", tuple(self.singularities))
-        counts = Counter(self.singularities)
-        _check_size(self.n, self.d, counts.items())
-        local = {model: local_monodromy(model, self.n) for model in counts}
+        pairs = tuple(self.singularities)
+        object.__setattr__(self, "singularities", pairs)
+        total_mu = _check_size(self.n, self.d, pairs)
+        local = {model: local_monodromy(model, self.n)
+                 for model in dict.fromkeys(model for model, _ in pairs)}
         object.__setattr__(self, "local_sum", JordanStructure(
             (root, {size: count * number})
-            for model, count in counts.items()
+            for model, count in pairs
             for root, size, number in local[model].iter_blocks()))
+        object.__setattr__(self, "total_mu", total_mu)
+        object.__setattr__(self, "chi",
+                           tuple(chi_vector(self.n, self.d, total_mu)))
         object.__setattr__(self, "locally_symmetric", all(
             t.is_conjugation_symmetric() for t in local.values()))
         beta = self.beta
@@ -129,20 +139,18 @@ class ProblemSpec:
                         f"beta[{self.d - s}] = {values[self.d - s]} "
                         "(beta[s] must equal beta[d-s])")
         elif isinstance(beta, FromNodes):
-            if any(not isinstance(m, OrdinaryNode) for m in counts):
+            if any(not isinstance(m, OrdinaryNode) for m in local):
                 raise InstanceError("FromNodes with non-node singularity")
             if beta.points.dim != self.n:
                 raise InstanceError(
                     f"node points live in P^{beta.points.dim}, expected P^{self.n}")
-            if len(beta.points) != len(self.singularities):
+            nodes = sum(count for _, count in pairs)
+            if len(beta.points) != nodes:
                 raise InstanceError(
                     f"from_nodes needs exactly one point per node: "
-                    f"{len(self.singularities)} nodes but {len(beta.points)} points")
+                    f"{nodes} nodes but {len(beta.points)} points")
         elif not isinstance(beta, EnumerateBeta):
             raise InstanceError(f"unknown beta specification {beta!r}")
-
-    def milnor_numbers(self) -> list[int]:
-        return [milnor_number(m) for m in self.singularities]
 
 
 @dataclass(frozen=True)
@@ -166,7 +174,7 @@ class BetaEntry:
 class Report:
     n: int
     d: int
-    mu: tuple[int, ...]
+    mu: tuple[tuple[int, int], ...]  # (Milnor number, count) per input entry
     chi: tuple[int, ...]
     mode: str
     entries: tuple[BetaEntry, ...]
@@ -176,8 +184,15 @@ class Report:
     checks: tuple[CheckResult, ...]
 
     @property
+    def total_mu(self) -> int:
+        return sum(mu * count for mu, count in self.mu)
+
+    @property
     def total_dim(self) -> int:
-        return (self.d - 1) ** (self.n + 1) - sum(self.mu)
+        return (self.d - 1) ** (self.n + 1) - self.total_mu
+
+    def _mu_per_copy(self) -> list[int]:
+        return [mu for mu, count in self.mu for _ in range(count)]
 
     def all_checks(self) -> list[tuple[tuple[int, ...] | None, CheckResult]]:
         out: list[tuple[tuple[int, ...] | None, CheckResult]] = [
@@ -206,7 +221,7 @@ class Report:
         return {
             "n": self.n,
             "d": self.d,
-            "mu": list(self.mu),
+            "mu": self._mu_per_copy(),
             "total_dim": self.total_dim,
             "chi": list(self.chi),
             "mode": self.mode,
@@ -223,7 +238,8 @@ class Report:
     def to_text(self) -> str:
         lines = [
             f"monodromy at infinity: n = {self.n}, d = {self.d}",
-            f"local Milnor numbers: {list(self.mu)} (total {sum(self.mu)}); "
+            f"local Milnor numbers: {self._mu_per_copy()} "
+            f"(total {self.total_mu}); "
             f"operator dimension {self.total_dim}",
             f"chi = {list(self.chi)}",
             f"beta mode: {self.mode}"
@@ -257,35 +273,30 @@ def _top_form_exponent(n: int, d: int) -> int:
     return ((-1) ** n + (d - 1) ** (n + 1)) // d
 
 
-def chi_vector(n: int, d: int, mu_list: list[int]) -> list[int]:
+def chi_vector(n: int, d: int, total_mu: int) -> list[int]:
     """The d global invariants chi_s attached to the eigenvalues e^(2*pi*i*s/d)."""
-    if n < 2:
-        raise InstanceError("n must be >= 2")
-    if d < 1:
-        raise InstanceError("d must be >= 1")
     sign = (-1) ** n
-    chi_0 = -sum(mu_list) + _top_form_exponent(n, d) - sign
+    chi_0 = -total_mu + _top_form_exponent(n, d) - sign
     return [chi_0] + [chi_0 + sign] * (d - 1)
 
 
-def beta_bounds(spec: ProblemSpec, chi: list[int]) -> list[tuple[int, int]]:
+def beta_bounds(spec: ProblemSpec) -> list[tuple[int, int]]:
     """Admissible range of every beta_s, s = 0..d-1: the block counts at
     alpha = e^(2*pi*i*s/d) stay >= 0.
 
     lower = max(0, ceil((#(T)_alpha - chi_s) / 2)), from the size-1 count;
     upper = #_1(T)_alpha, from the size-2 count.
     """
-    t = spec.local_sum
+    t, chi = spec.local_sum, spec.chi
     return [(max(0, (t.block_count(alpha) - chi[s] + 1) // 2), t.sharp(alpha, 1))
             for s, alpha in enumerate(mth_roots(ONE, spec.d))]
 
 
-def _assembler(spec: ProblemSpec, chi: list[int],
-               bounds: list[tuple[int, int]]
+def _assembler(spec: ProblemSpec, bounds: list[tuple[int, int]]
                ) -> Callable[[tuple[int, ...]], JordanStructure]:
     """The assembled structure as a function of beta.  The blocks no beta
     changes, shifted (size l+1 >= 3) and off-torsion, are built once."""
-    d, t = spec.d, spec.local_sum
+    d, t, chi = spec.d, spec.local_sum, spec.chi
     torsion = [(alpha, {size + 1: count
                         for size, count in t.blocks_at(alpha).items() if size >= 2})
                for alpha in mth_roots(ONE, d)]
@@ -348,7 +359,7 @@ def zeta_of_top_form(spec: ProblemSpec) -> RootExponentVector:
 
 
 def check_zeta_two_forms(zeta: RootExponentVector,
-                         chi: list[int]) -> CheckResult:
+                         chi: Sequence[int]) -> CheckResult:
     """Compare the (x^d - 1) form of the zeta function with
     prod_s (x - e^(2*pi*i*s/d))^(chi_s)."""
     d = len(chi)
@@ -419,9 +430,7 @@ def assemble(spec: ProblemSpec, *,
     """Compute the Jordan structure(s) of the monodromy at infinity."""
     if enumerate_cap < 1:
         raise InstanceError(f"enumerate cap must be >= 1, got {enumerate_cap}")
-    mus = spec.milnor_numbers()
-    chi = chi_vector(spec.n, spec.d, mus)
-    bounds = beta_bounds(spec, chi)
+    bounds = beta_bounds(spec)
     mode, vectors, truncated = _resolve_beta(spec, bounds, enumerate_cap)
     formula: RootExponentVector | None = None
     formula_error: str | None = None
@@ -430,9 +439,9 @@ def assemble(spec: ProblemSpec, *,
     except InstanceError as exc:
         formula_error = str(exc)
     zeta = zeta_of_top_form(spec)
-    global_checks = [check_zeta_two_forms(zeta, chi)]
-    expected_dim = (spec.d - 1) ** (spec.n + 1) - sum(mus)
-    structure_of = _assembler(spec, chi, bounds)
+    global_checks = [check_zeta_two_forms(zeta, spec.chi)]
+    expected_dim = (spec.d - 1) ** (spec.n + 1) - spec.total_mu
+    structure_of = _assembler(spec, bounds)
     entries = []
     charpoly = formula
     for beta in vectors:
@@ -478,8 +487,9 @@ def assemble(spec: ProblemSpec, *,
     return Report(
         n=spec.n,
         d=spec.d,
-        mu=tuple(mus),
-        chi=tuple(chi),
+        mu=tuple((milnor_number(model), count)
+                 for model, count in spec.singularities),
+        chi=spec.chi,
         mode=mode,
         entries=tuple(entries),
         truncated=truncated,
@@ -540,12 +550,8 @@ def parse_problem(data: object) -> ProblemSpec:
     else:
         raise InstanceError(
             f"beta mode must be 'given', 'from_nodes' or 'enumerate', got {mode!r}")
-    # an oversized count is rejected before the copies are listed
-    _check_size(n, d, counts)
-    models = itertools.chain.from_iterable(
-        itertools.repeat(model, count) for model, count in counts)
     try:
-        return ProblemSpec(n, d, tuple(models), beta)
+        return ProblemSpec(n, d, tuple(counts), beta)
     except ValueError as exc:
         if isinstance(exc, InstanceError):
             raise

@@ -8,6 +8,7 @@ by increasing angle, block sizes decreasing.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .cyclo import RootExponentVector, UnitRoot
@@ -25,22 +26,18 @@ class JordanStructure:
         for root, sizes in items:
             if not isinstance(root, UnitRoot):
                 raise TypeError(f"eigenvalue must be a UnitRoot, got {root!r}")
-            acc: dict[int, int] = {}
+            at = canon.setdefault(root, {})
             for size, count in sizes.items():
                 if not isinstance(size, int) or size < 1:
                     raise ValueError(f"block size must be a positive integer, got {size}")
                 if not isinstance(count, int) or count < 0:
                     raise ValueError(f"block count must be a nonnegative integer, got {count}")
                 if count:
-                    acc[size] = acc.get(size, 0) + count
-            if acc:
-                prev = canon.setdefault(root, {})
-                for size, count in acc.items():
-                    prev[size] = prev.get(size, 0) + count
+                    at[size] = at.get(size, 0) + count
+        # canonical order; a root whose counts were all zero is dropped
         object.__setattr__(self, "_blocks", {
-            root: {size: canon[root][size] for size in sorted(canon[root], reverse=True)}
-            for root in sorted(canon)
-        })
+            root: dict(sorted(at.items(), reverse=True))
+            for root, at in sorted(canon.items(), key=itemgetter(0)) if at})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("JordanStructure is immutable")

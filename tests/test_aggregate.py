@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import random
 import re
@@ -45,11 +46,21 @@ from test_exactness import NON_SEMISIMPLE_ENUMERATE_INSTANCE
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
+def _copies(spec: ProblemSpec) -> list:
+    """One model per singularity, in input order."""
+    return [m for m, count in spec.singularities for _ in range(count)]
+
+
+def _pairs(models) -> tuple:
+    """(model, count) pairs: one per run of equal adjacent models."""
+    return tuple((m, len(list(run))) for m, run in itertools.groupby(models))
+
+
 def _reference(spec: ProblemSpec):
     """Per-copy counting rules: (chi, bounds, structure-of-beta, charpoly)."""
     n, d = spec.n, spec.d
-    copies = [local_monodromy(m, n) for m in spec.singularities]
-    chi = chi_vector(n, d, [milnor_number(m) for m in spec.singularities])
+    copies = [local_monodromy(m, n) for m in _copies(spec)]
+    chi = chi_vector(n, d, sum(milnor_number(m) for m in _copies(spec)))
     bounds = []
     for s in range(d):
         alpha = UnitRoot(s, d)
@@ -118,7 +129,7 @@ def _random_spec(rng: random.Random, given: bool) -> ProblemSpec:
     while total_mu > (d - 1) ** (n + 1):
         d += 1
     d += rng.randint(0, 3)
-    spec = ProblemSpec(n, d, tuple(models), EnumerateBeta())
+    spec = ProblemSpec(n, d, _pairs(models), EnumerateBeta())
     if not given:
         return spec
     # draw each beta[s] from its admissible range, widened by one for a
@@ -131,7 +142,7 @@ def _random_spec(rng: random.Random, given: bool) -> ProblemSpec:
         low = max(0, max(lo, lo2) - widen)
         values[s] = values[(d - s) % d] = \
             rng.randint(low, max(low, min(up, up2) + widen))
-    return ProblemSpec(n, d, tuple(models), GivenBeta(tuple(values)))
+    return ProblemSpec(n, d, _pairs(models), GivenBeta(tuple(values)))
 
 
 @pytest.mark.parametrize("given", [True, False])
@@ -141,7 +152,7 @@ def test_assemble_matches_per_copy_rules(given):
     for _ in range(120):
         spec = _random_spec(rng, given)
         chi, bounds, structure, charpoly = _reference(spec)
-        assert beta_bounds(spec, chi) == bounds
+        assert beta_bounds(spec) == bounds
         if charpoly.is_polynomial():
             assert charpoly_local_formula(spec) == charpoly
         else:
@@ -158,7 +169,7 @@ def test_assemble_matches_per_copy_rules(given):
             assert entry.jordan == structure(entry.beta)
             admissible += 1
         symmetric = all(local_monodromy(m, spec.n).is_conjugation_symmetric()
-                        for m in spec.singularities)
+                        for m, _ in spec.singularities)
         for _, check in report.all_checks():
             applies = symmetric or check.name != "charpoly_local_formula"
             assert check.status == ("pass" if applies else "not_applicable"), \
@@ -170,9 +181,9 @@ def test_shuffled_singularities_give_the_same_report():
     rng = random.Random(3589)
     for given in (True, False) * 15:
         spec = _random_spec(rng, given)
-        models = list(spec.singularities)
+        models = _copies(spec)
         rng.shuffle(models)
-        shuffled = ProblemSpec(spec.n, spec.d, tuple(models), spec.beta)
+        shuffled = ProblemSpec(spec.n, spec.d, _pairs(models), spec.beta)
         try:
             docs = [assemble(s).to_json() for s in (spec, shuffled)]
         except InstanceError as exc:
@@ -233,7 +244,7 @@ def test_symmetric_sum_of_asymmetric_germs_is_not_applicable():
     third, two_thirds = (
         ExplicitJordan(JordanStructure({UnitRoot(k, 3): {1: 1}}))
         for k in (1, 2))
-    spec = ProblemSpec(2, 4, (third, two_thirds), EnumerateBeta())
+    spec = ProblemSpec(2, 4, ((third, 1), (two_thirds, 1)), EnumerateBeta())
     assert spec.local_sum.is_conjugation_symmetric()
     assert not spec.locally_symmetric
     report = assemble(spec)

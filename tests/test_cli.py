@@ -11,10 +11,12 @@ from pathlib import Path
 
 import pytest
 
+import moninf.infinity
 from moninf.cli import main
 from moninf.cyclo import RootExponentVector
-from moninf.infinity import CheckResult, ProblemSpec, Report
+from moninf.infinity import CheckResult, Report
 from moninf.jordan import JordanStructure
+from moninf.localsing import milnor_number
 from test_exactness import LARGE_REPORT_INSTANCE
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -185,20 +187,29 @@ def test_bounds_table(capsys):
                     3: (0, 0), 4: (0, 0), 5: (0, 6)}
 
 
-def test_bounds_lists_the_copies_once(monkeypatch, capsys):
-    # the table costs O(d + copies): one pass over the copies, not one per s
+def test_bounds_and_zeta_read_the_count_not_the_copies(monkeypatch, tmp_path,
+                                                       capsys):
+    # a node entry of count 10**6 costs what one of count 1 does: the
+    # Milnor numbers are read once per entry, the copies are never listed
     calls = []
-    milnor_numbers = ProblemSpec.milnor_numbers
 
-    def counted(spec):
-        calls.append(spec)
-        return milnor_numbers(spec)
+    def counted(model):
+        calls.append(model)
+        return milnor_number(model)
 
-    monkeypatch.setattr(ProblemSpec, "milnor_numbers", counted)
-    for path in (SEXTIC_ENUM, LINES_D4):
-        calls.clear()
-        assert main(["bounds", path, "--json"]) == 0
-        assert len(calls) == 1
+    monkeypatch.setattr(moninf.infinity, "milnor_number", counted)
+    for command in ("bounds", "zeta"):
+        seen = []
+        for count in (10**6, 1):
+            path = tmp_path / f"nodes_{count}.json"
+            path.write_text(json.dumps({
+                "n": 2, "d": 101,
+                "singularities": [{"type": "node", "count": count}],
+                "beta": {"mode": "enumerate"}}))
+            calls.clear()
+            assert main([command, str(path), "--json"]) == 0
+            seen.append(len(calls))
+        assert seen[0] == seen[1] > 0, command
     capsys.readouterr()
 
 

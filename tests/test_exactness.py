@@ -1,8 +1,9 @@
 """Exactness guard: no floating-point arithmetic anywhere in the package.
 
 Every answer is exact, so the source may hold no float or complex
-literal, no float() or complex() call, no cmath and none of the
-floating-point functions of math.  Rational numbers enter only as point
+literal, no float() or complex() call, no true division (``/`` on two
+ints gives a float), no cmath and none of the floating-point functions
+of math.  Rational numbers enter only as point
 coordinates, so defect.py is the one module that imports fractions: the
 oracle works over Z[zeta_N] and the defect over Z.  Two oracle reports,
 two defect reports, four from_nodes compute reports, one large Brieskorn
@@ -59,6 +60,9 @@ def _float_uses(tree: ast.Module) -> list[str]:
         elif isinstance(node, ast.Attribute) and node.attr in FLOAT_MATH \
                 and isinstance(node.value, ast.Name) and node.value.id == "math":
             found.append(f"{where}: math.{node.attr}")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and \
+                isinstance(node.op, ast.Div):
+            found.append(f"{where}: true division")
     return found
 
 
@@ -70,8 +74,9 @@ def test_no_floating_point_in_the_package():
 
 def test_scanner_sees_each_kind_of_float():
     tree = ast.parse("import cmath\nfrom math import pi\n"
-                     "x = 0.5 + 2j + float(1) + complex(1) + math.sqrt(2)\n")
-    assert len(_float_uses(tree)) == 7
+                     "x = 0.5 + 2j + float(1) + complex(1) + math.sqrt(2)\n"
+                     "y = 1 / 2\ny /= 2\n")
+    assert len(_float_uses(tree)) == 9
 
 
 def test_only_defect_imports_fractions():

@@ -37,7 +37,11 @@ CUSP = BrieskornPham((2, 3))
 
 
 def _sextic_spec(beta) -> ProblemSpec:
-    return ProblemSpec(2, 6, (CUSP,) * 6, beta)
+    return ProblemSpec(2, 6, ((CUSP, 6),), beta)
+
+
+def _nodes(k: int) -> tuple[tuple[OrdinaryNode, int], ...]:
+    return ((OrdinaryNode(), k),) if k else ()
 
 
 def _line_arrangement_nodes(d: int) -> ProjectivePointSet:
@@ -48,10 +52,10 @@ def _line_arrangement_nodes(d: int) -> ProjectivePointSet:
 
 
 def test_chi_vector_known_values():
-    assert chi_vector(2, 6, [2] * 6) == [8, 9, 9, 9, 9, 9]
-    assert chi_vector(2, 6, []) == [20, 21, 21, 21, 21, 21]
-    assert chi_vector(2, 2, []) == [0, 1]
-    assert chi_vector(3, 3, []) == [6, 5, 5]
+    assert chi_vector(2, 6, 12) == [8, 9, 9, 9, 9, 9]
+    assert chi_vector(2, 6, 0) == [20, 21, 21, 21, 21, 21]
+    assert chi_vector(2, 2, 0) == [0, 1]
+    assert chi_vector(3, 3, 0) == [6, 5, 5]
 
 
 def test_chi_vector_sum_identity():
@@ -60,14 +64,14 @@ def test_chi_vector_sum_identity():
         n = rng.randint(2, 5)
         d = rng.randint(2, 9)
         mus = [rng.randint(1, 6) for _ in range(rng.randint(0, 5))]
-        chi = chi_vector(n, d, mus)
+        chi = chi_vector(n, d, sum(mus))
         assert len(chi) == d
         assert sum(chi) == (d - 1) ** (n + 1) - d * sum(mus)
         assert all(chi[s] == chi[1] for s in range(1, d))
 
 
 def _bounds(spec: ProblemSpec) -> list[tuple[int, int]]:
-    return beta_bounds(spec, chi_vector(spec.n, spec.d, spec.milnor_numbers()))
+    return beta_bounds(spec)
 
 
 def test_beta_bounds_sextic():
@@ -79,7 +83,7 @@ def test_beta_bounds_line_arrangement():
     # d lines in general position: C(d,2) nodes, all local eigenvalues 1
     for d in (4, 5, 6):
         k = d * (d - 1) // 2
-        spec = ProblemSpec(2, d, (OrdinaryNode(),) * k, EnumerateBeta())
+        spec = ProblemSpec(2, d, _nodes(k), EnumerateBeta())
         lower, upper = _bounds(spec)[0]
         assert lower == d - 1
         assert upper == k
@@ -203,8 +207,7 @@ def test_smooth_cubic_curve():
 
 
 def test_from_nodes_line_arrangement():
-    spec = ProblemSpec(2, 4, (OrdinaryNode(),) * 6,
-                       FromNodes(_line_arrangement_nodes(4)))
+    spec = ProblemSpec(2, 4, _nodes(6), FromNodes(_line_arrangement_nodes(4)))
     report = assemble(spec)
     assert report.mode == "from_nodes"
     assert report.entries[0].beta == (3, 0, 0, 0)
@@ -220,19 +223,33 @@ def test_from_nodes_line_arrangement():
     assert not report.has_failures()
 
 
+def test_mu_lists_the_copies_in_input_order():
+    # repeated models stay separate pairs: merging them would reorder mu
+    pairs = ((OrdinaryNode(), 2), (CUSP, 1), (OrdinaryNode(), 1))
+    spec = ProblemSpec(2, 6, pairs, EnumerateBeta())
+    assert spec.singularities == pairs
+    assert spec.total_mu == 5
+    report = assemble(spec)
+    assert report.mu == ((1, 2), (2, 1), (1, 1))
+    assert report.to_json()["mu"] == [1, 1, 2, 1]
+    assert report.total_dim == 120
+    assert "local Milnor numbers: [1, 1, 2, 1] (total 5); operator " \
+        "dimension 120" in report.to_text()
+
+
 def test_from_nodes_rejects_bad_input():
     points = _line_arrangement_nodes(4)
     with pytest.raises(InstanceError, match="non-node singularity"):
-        ProblemSpec(2, 4, (OrdinaryNode(),) * 5 + (CUSP,), FromNodes(points))
+        ProblemSpec(2, 4, _nodes(5) + ((CUSP, 1),), FromNodes(points))
     with pytest.raises(InstanceError, match="one point per node"):
-        ProblemSpec(2, 4, (OrdinaryNode(),) * 5, FromNodes(points))
+        ProblemSpec(2, 4, _nodes(5), FromNodes(points))
 
 
 def test_part_two_uses_inverse_spectrum():
     # one local size-1 block at e^(2*pi*i/5); its (d-1)-th layer sits at the
     # square roots of the conjugate 4/5, and both survive the alpha^d != 1 cut
     local = ExplicitJordan(JordanStructure({UnitRoot(1, 5): {1: 1}}))
-    spec = ProblemSpec(2, 3, (local,), GivenBeta((0, 0, 0)))
+    spec = ProblemSpec(2, 3, ((local, 1),), GivenBeta((0, 0, 0)))
     report = assemble(spec)
     expected = JordanStructure({
         UnitRoot(0, 1): {1: 1},
@@ -252,7 +269,7 @@ def test_part_two_uses_inverse_spectrum():
 def test_no_admissible_beta():
     # chi_0 = -1 forces beta_0 >= 1 while the upper bound is 0
     local = ExplicitJordan(JordanStructure({UnitRoot(1, 5): {1: 1}}))
-    spec = ProblemSpec(2, 2, (local,), EnumerateBeta())
+    spec = ProblemSpec(2, 2, ((local, 1),), EnumerateBeta())
     assert _bounds(spec) == [(1, 0), (0, 0)]
     report = assemble(spec)
     assert report.entries == ()
@@ -260,15 +277,14 @@ def test_no_admissible_beta():
     with pytest.raises(InstanceError, match="non-polynomial result"):
         charpoly_local_formula(spec)
     with pytest.raises(InstanceError, match="above the upper bound 0"):
-        assemble(ProblemSpec(2, 2, (local,), GivenBeta((1, 0))))
+        assemble(ProblemSpec(2, 2, ((local, 1),), GivenBeta((1, 0))))
 
 
 def test_negative_count_names_the_bound():
     with pytest.raises(InstanceError, match=r"above the upper bound 6"):
         assemble(_sextic_spec(GivenBeta((0, 7, 0, 0, 0, 7))))
-    nodes = (OrdinaryNode(),) * 6
     with pytest.raises(InstanceError, match=r"below the lower bound 3"):
-        assemble(ProblemSpec(2, 4, nodes, GivenBeta((0, 0, 0, 0))))
+        assemble(ProblemSpec(2, 4, _nodes(6), GivenBeta((0, 0, 0, 0))))
 
 
 def test_given_beta_validation():
@@ -287,9 +303,9 @@ def test_spec_validation():
         ProblemSpec(2, 1, (), EnumerateBeta())
     with pytest.raises(InstanceError, match="exceeds"):
         # 28 nodes need more room than (3-1)^3 = 8 offers
-        ProblemSpec(2, 3, (OrdinaryNode(),) * 28, EnumerateBeta())
+        ProblemSpec(2, 3, _nodes(28), EnumerateBeta())
     with pytest.raises(ValueError, match="exponents"):
-        ProblemSpec(2, 6, (BrieskornPham((2, 3, 4)),), EnumerateBeta())
+        ProblemSpec(2, 6, ((BrieskornPham((2, 3, 4)), 1),), EnumerateBeta())
 
 
 def test_charpoly_formula_on_random_symmetric_data():
@@ -308,8 +324,8 @@ def test_charpoly_formula_on_random_symmetric_data():
         while total_mu > (d - 1) ** (n + 1):
             d += 1
         d += rng.randint(0, 2)
-        report = assemble(ProblemSpec(n, d, tuple(models), EnumerateBeta()),
-                          enumerate_cap=8)
+        report = assemble(ProblemSpec(n, d, tuple((m, 1) for m in models),
+                                      EnumerateBeta()), enumerate_cap=8)
         for entry in report.entries:
             assert entry.jordan.char_poly() == report.charpoly
         for _, check in report.all_checks():
@@ -322,7 +338,7 @@ def test_zeta_degree_matches_chi_sum():
         n = rng.randint(2, 4)
         d = rng.randint(2, 8)
         count = rng.randint(0, min(4, (d - 1) ** (n + 1)))
-        spec = ProblemSpec(n, d, (OrdinaryNode(),) * count, EnumerateBeta())
+        spec = ProblemSpec(n, d, _nodes(count), EnumerateBeta())
         zeta = zeta_of_top_form(spec)
         assert zeta.degree == (d - 1) ** (n + 1) - d * count
 
@@ -330,7 +346,7 @@ def test_zeta_degree_matches_chi_sum():
 def test_zeta_two_forms_check():
     spec = _sextic_spec(GivenBeta((0, 1, 0, 0, 0, 1)))
     zeta = zeta_of_top_form(spec)
-    chi = chi_vector(2, 6, spec.milnor_numbers())
+    chi = chi_vector(2, 6, spec.total_mu)
     assert check_zeta_two_forms(zeta, chi).status == "pass"
     wrong = check_zeta_two_forms(zeta, [chi[0] + 1] + chi[1:])
     assert wrong.status == "fail"
