@@ -169,17 +169,18 @@ def _row_mod_p(point: tuple[int, ...], exps: list[tuple[int, ...]],
             for exp in exps]
 
 
-def _eliminate_mod_p(rows: list[list[int]]) -> tuple[list[int], list[set[int]]]:
-    """Row-reduce `rows` (entries in [0, PRIME)) modulo PRIME, in order.
+def _eliminate_mod_p(rows: list[list[int]], prime: int = PRIME,
+                     ) -> tuple[list[int], list[set[int]]]:
+    """Row-reduce `rows` (entries in [0, prime)) modulo a prime, in order.
 
     Returns the indices of the pivot rows and, for each row that reduces
     to zero, its support: the row itself and the pivot rows with a
-    nonzero coefficient in its relation mod PRIME.  Each stored row is
+    nonzero coefficient in its relation mod prime.  Each stored row is
     scaled to 1 at its pivot column and keeps the multipliers that
     express it through earlier stored rows, so a relation found against
     the stored rows is rewritten in the original pivot rows by one
-    backward pass.  A row is reduced modulo PRIME once, after all of its
-    updates.
+    backward pass.  A row is reduced modulo the prime once, after all of
+    its updates.
     """
     ncols = len(rows[0])
     basis: list[tuple[int, list[int], dict[int, int]]] = []
@@ -188,25 +189,25 @@ def _eliminate_mod_p(rows: list[list[int]]) -> tuple[list[int], list[set[int]]]:
     for index, row in enumerate(rows):
         used = {}
         for j, (col, stored, _) in enumerate(basis):
-            f = row[col] % PRIME
+            f = row[col] % prime
             if f:
                 used[j] = f
                 row = [x - f * y for x, y in zip(row, stored)]
-        row = [x % PRIME for x in row]
+        row = [x % prime for x in row]
         col = next((c for c, x in enumerate(row) if x), None)
         if col is None:
             support = {index}
             for j in range(len(basis) - 1, -1, -1):
-                c = used.get(j, 0) % PRIME
+                c = used.get(j, 0) % prime
                 if c:
                     support.add(pivots[j])
                     for j2, m in basis[j][2].items():
                         used[j2] = used.get(j2, 0) - c * m
             supports.append(support)
             continue
-        inv = pow(row[col], -1, PRIME)
-        basis.append((col, [x * inv % PRIME for x in row],
-                      {j: f * inv % PRIME for j, f in used.items()}))
+        inv = pow(row[col], -1, prime)
+        basis.append((col, [x * inv % prime for x in row],
+                      {j: f * inv % prime for j, f in used.items()}))
         pivots.append(index)
         if len(pivots) == ncols:
             break

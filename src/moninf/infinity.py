@@ -52,6 +52,10 @@ from .localsing import (
 
 DEFAULT_ENUMERATE_CAP = 1024
 
+MAX_CHI_BITS = 14285
+"""2^14285 > 10^4300, and by default Python prints no int of more than
+4300 digits."""
+
 
 class InstanceError(ValueError):
     """Invalid or inconsistent problem data (reported as input error)."""
@@ -77,13 +81,22 @@ BetaSpec = Union[GivenBeta, FromNodes, EnumerateBeta]
 
 def _check_size(n: int, d: int,
                 counts: Iterable[tuple[SingularityModel, int]]) -> int:
-    """Reject n or d below 2, and (model, count) pairs whose total Milnor
-    number exceeds (d-1)^(n+1); return that total."""
+    """Reject n or d below 2, n and d that make chi too large to print,
+    and (model, count) pairs whose total Milnor number exceeds
+    (d-1)^(n+1); return that total."""
     if not isinstance(n, int) or n < 2:
         raise InstanceError("n must be >= 2")
     if not isinstance(d, int) or d < 2:
         raise InstanceError("d must be >= 2")
     total_mu = sum(count * milnor_number(model) for model, count in counts)
+    # ((d-1)^(n+1) + (-1)^n)/d >= 2^((n+1)(bitlen(d-1) - 1) - bitlen(d))
+    # = 2^(bits+1), so total_mu < 2^(bits-1) makes every chi_s >= 2^bits;
+    # decided from bit lengths, before the power is formed
+    bits = (n + 1) * ((d - 1).bit_length() - 1) - d.bit_length() - 1
+    if bits >= MAX_CHI_BITS and total_mu.bit_length() < bits:
+        raise InstanceError(
+            f"n = {n} and d = {d} give |chi_s| >= 2^{bits}, a number of "
+            "more than 4300 digits; no report can print it")
     space = (d - 1) ** (n + 1)
     if total_mu > space:
         raise InstanceError(

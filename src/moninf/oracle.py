@@ -8,13 +8,29 @@ Representation.  Every entry the oracle builds is 0, 1 or a root of
 unity, so matrices live over Z[zeta_N]: an element is an integer
 coefficient vector of length phi(N) in the power basis 1, x, ...,
 x^(phi(N)-1) modulo the N-th cyclotomic polynomial, and a matrix is a
-list of sparse rows mapping a column to such a vector.  Ranks come from
-fraction-free row elimination (cross-multiplication with content
+list of sparse rows mapping a column to such a vector.  Exact ranks come
+from fraction-free row elimination (cross-multiplication with content
 stripping), so no rational number ever appears.
 
 The Jordan structure of a matrix M at an eigenvalue alpha comes from the
-ranks r_k of (M - alpha*I)^k: with r_0 = dim, the number of blocks of
-size exactly l at alpha is r_(l-1) - 2*r_l + r_(l+1).
+nullities n_k of (M - alpha*I)^k: with n_0 = 0, the number of blocks of
+size exactly l at alpha is 2*n_l - n_(l-1) - n_(l+1).
+
+Certificate.  Exact elimination runs only where arithmetic mod p cannot
+settle the answer.  (1) M is split into the connected components K of
+its symmetric sparsity pattern: a permutation similarity, so Jordan
+types add over components.  (2) With L the level the candidates need,
+p = 1 (mod L) is prime and omega has order L mod p, so zeta_L -> omega
+is a ring map Z[zeta_L] -> F_p; a minor nonzero mod p is nonzero, so the
+nullities n^p_k of (K - alpha)^k mod p are >= n_k, and their limit
+a^p(alpha) is >= the multiplicity a(alpha).  (3) a^p is taken as a only
+if sum a^p = dim K and tr(K^j) = sum a^p(alpha) alpha^j in Z[zeta_L]
+for j = 1 .. dim K, from exact powers: by Newton's identities
+prod (x - alpha)^a^p(alpha) is then the characteristic polynomial of K.
+(4) If n^p_1(alpha) = 1 then n_1 = 1: one block, of size a(alpha).
+Otherwise the exact nullities run until they reach a(alpha).  If (3)
+fails, exact nullities run for every candidate, which also decides
+SpectrumNotCovered exactly.
 """
 
 from __future__ import annotations
@@ -25,6 +41,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .cyclic import cyclic_power
 from .cyclo import UnitRoot
+from .defect import PRIME, _eliminate_mod_p
 from .jordan import JordanStructure
 
 DEFAULT_LEVEL_CAP = 360
@@ -315,9 +332,163 @@ def _sparse_matmul(a: list[dict[int, tuple[int, ...]]],
                 else:
                     for idx, value in enumerate(prod):
                         cur[idx] += value
-        cleaned = {j: tuple(vec) for j, vec in acc.items() if any(vec)}
-        out.append(_strip_content(cleaned))
+        out.append({j: tuple(vec) for j, vec in acc.items() if any(vec)})
     return out
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the bases 2, 7 and 61, which is deterministic
+    for n < 4759123141 (Jaeschke 1993), so for every n <= PRIME."""
+    if n < 3 or n % 2 == 0 or n in (7, 61):
+        return n in (2, 7, 61)
+    twos = ((n - 1) & (1 - n)).bit_length() - 1
+    for base in (2, 7, 61):
+        x = pow(base, (n - 1) >> twos, n)
+        if x != 1 and all(pow(x, 1 << k, n) != n - 1 for k in range(twos)):
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _prime_for_level(level: int) -> tuple[int, int]:
+    """The largest prime p <= PRIME with p = 1 (mod level), and an omega of
+    exact order level mod p: zeta_level -> omega is a ring map
+    Z[zeta_level] -> F_p, since Phi_level(omega) = 0 mod p."""
+    p = (PRIME - 1) // level * level + 1
+    while p > 1 and not _is_prime(p):
+        p -= level
+    if p < 2:
+        raise ValueError(f"no prime p = 1 (mod {level}) below {PRIME}")
+    factors = [q for q in range(2, level + 1) if level % q == 0 and _is_prime(q)]
+    omega = next(w for w in (pow(g, (p - 1) // level, p) for g in range(2, p))
+                 if all(pow(w, level // q, p) != 1 for q in factors))
+    return p, omega
+
+
+def _components(rows: list[dict[int, tuple[int, ...]]]) -> list[list[int]]:
+    """Index sets of the connected components of the symmetric sparsity
+    pattern, each ascending, in order of their smallest index."""
+    parent = list(range(len(rows)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, row in enumerate(rows):
+        for j in row:
+            parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(len(rows)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def _nullities_mod_p(rows: list[dict[int, int]], alpha: int,
+                     prime: int) -> list[int]:
+    """Nullities mod prime of (K - alpha)^k for k = 0, 1, ... until they
+    stop growing; K is given by sparse rows of residues."""
+    dim = len(rows)
+    shifted = [{**row, i: (row.get(i, 0) - alpha) % prime}
+               for i, row in enumerate(rows)]
+    power = [[row.get(j, 0) for j in range(dim)] for row in shifted]
+    nullities = [0]
+    while True:
+        nullity = dim - len(_eliminate_mod_p(power, prime)[0])
+        if nullity == nullities[-1]:
+            return nullities
+        nullities.append(nullity)
+        product = []
+        for row in power:
+            acc = [0] * dim
+            for k, x in enumerate(row):
+                if x:
+                    for j, y in shifted[k].items():
+                        acc[j] += x * y
+            product.append([v % prime for v in acc])
+        power = product
+
+
+def _certified(rows: list[dict[int, tuple[int, ...]]], level: int,
+               mults: dict[UnitRoot, int], top: int) -> bool:
+    """Whether prod (x - alpha)^mults[alpha] is the characteristic
+    polynomial of K: the degrees match and tr(K^j) = sum mults[alpha] *
+    alpha^j in Z[zeta_top] for j = 1 .. dim K (Newton's identities)."""
+    dim = len(rows)
+    if sum(mults.values()) != dim:
+        return False
+    field, target = _field(level), _field(top)
+    power = rows
+    for j in range(1, dim + 1):
+        if j > 1:
+            power = _sparse_matmul(power, rows, field)
+        trace = [sum(c) for c in zip(*(row[i] for i, row in enumerate(power)
+                                         if i in row))]
+        terms = [(mult, target.monomial(top // alpha.den * alpha.num * j))
+                 for alpha, mult in mults.items()]
+        if field.lift(trace, target) != tuple(
+                sum(mult * mono[idx] for mult, mono in terms)
+                for idx in range(target.degree)):
+            return False
+    return True
+
+
+def _exact_nullities(rows: list[dict[int, tuple[int, ...]]], level: int,
+                     alpha: UnitRoot, stop: int | None = None) -> list[int]:
+    """Exact nullities of (K - alpha)^k for k = 0, 1, ... until they stop
+    growing or reach `stop`."""
+    dim = len(rows)
+    field = _field(math.lcm(level, alpha.den))
+    if field.level != level:
+        base = _field(level)
+        rows = [{j: base.lift(vec, field) for j, vec in row.items()}
+                for row in rows]
+    alpha_vec, zero = field.embed_root(alpha), (0,) * field.degree
+    # the shift itself must keep exact entries: it is the right-hand
+    # factor of every power, so row scaling here would corrupt B^k
+    shifted: list[dict[int, tuple[int, ...]]] = []
+    for i, row in enumerate(rows):
+        new_row = dict(row)
+        new_row[i] = tuple(x - y for x, y in zip(row.get(i, zero), alpha_vec))
+        if not any(new_row[i]):
+            del new_row[i]
+        shifted.append(new_row)
+    nullities = [0, dim - _int_rank(shifted, dim, field)]
+    power = shifted
+    while nullities[-1] not in (nullities[-2], stop):
+        power = [_strip_content(row)
+                 for row in _sparse_matmul(power, shifted, field)]
+        nullities.append(dim - _int_rank(power, dim, field))
+    return nullities
+
+
+def _component_nullities(rows: list[dict[int, tuple[int, ...]]], level: int,
+                         roots: list[UnitRoot], top: int,
+                         ) -> list[tuple[UnitRoot, list[int]]]:
+    """(alpha, exact nullities of (K - alpha)^k) for the eigenvalues of K."""
+    prime, omega = _prime_for_level(top)
+    powers = [pow(omega, top // level * i, prime)
+              for i in range(_field(level).degree)]
+    rows_p = [{j: sum(map(int.__mul__, vec, powers)) % prime
+               for j, vec in row.items()} for row in rows]
+    guesses, found = {}, 0
+    for alpha in roots:
+        # generalized eigenspaces mod p are independent, so once they
+        # fill K every later candidate has a^p = 0
+        if found == len(rows):
+            break
+        image = pow(omega, top // alpha.den * alpha.num, prime)
+        nullities = _nullities_mod_p(rows_p, image, prime)
+        if nullities[-1]:
+            guesses[alpha] = nullities
+            found += nullities[-1]
+    if not _certified(rows, level, {alpha: nullities[-1] for alpha, nullities
+                                    in guesses.items()}, top):
+        return [(alpha, _exact_nullities(rows, level, alpha)) for alpha in roots]
+    return [(alpha, list(range(nullities[-1] + 1)) if nullities[1] == 1
+             else _exact_nullities(rows, level, alpha, nullities[-1]))
+            for alpha, nullities in guesses.items()]
 
 
 def jordan_type(m: CycloMatrix, candidates: Iterable[UnitRoot], *,
@@ -338,57 +509,21 @@ def jordan_type(m: CycloMatrix, candidates: Iterable[UnitRoot], *,
     if level_needed > level_cap:
         raise LevelCapExceeded(
             f"required field level {level_needed} exceeds the cap {level_cap}")
-    dim = m.nrows
-    base_field = _field(m.level)
-    lifted_cache: dict[int, list[dict[int, tuple[int, ...]]]] = {}
-    blocks: dict[UnitRoot, dict[int, int]] = {}
+    blocks: list[tuple[UnitRoot, dict[int, int]]] = []
     covered = 0
-    for alpha in roots:
-        level = math.lcm(m.level, alpha.den)
-        rows = lifted_cache.get(level)
-        field = _field(level)
-        if rows is None:
-            if level == m.level:
-                rows = m.rows
-            else:
-                rows = [
-                    {j: base_field.lift(vec, field) for j, vec in row.items()}
-                    for row in m.rows
-                ]
-            lifted_cache[level] = rows
-        alpha_vec = field.embed_root(alpha)
-        # the shift itself must keep exact entries: it is the right-hand
-        # factor of every power, so row scaling here would corrupt B^k
-        shifted: list[dict[int, tuple[int, ...]]] = []
-        for i, row in enumerate(rows):
-            new_row = dict(row)
-            diag = new_row.get(i)
-            if diag is None:
-                new_row[i] = tuple(-c for c in alpha_vec)
-            else:
-                merged = tuple(x - y for x, y in zip(diag, alpha_vec))
-                if any(merged):
-                    new_row[i] = merged
-                else:
-                    del new_row[i]
-            shifted.append(new_row)
-        ranks = [dim, _int_rank(shifted, dim, field)]
-        power = shifted
-        while ranks[-1] != ranks[-2]:
-            power = _sparse_matmul(power, shifted, field)
-            ranks.append(_int_rank(power, dim, field))
-        covered += dim - ranks[-1]
-        sizes: dict[int, int] = {}
-        for size in range(1, len(ranks) - 1):
-            r_next = ranks[size + 1] if size + 1 < len(ranks) else ranks[-1]
-            count = ranks[size - 1] - 2 * ranks[size] + r_next
-            if count:
-                sizes[size] = count
-        if sizes:
-            blocks[alpha] = sizes
-    if covered != dim:
+    for index in _components(m.rows):
+        local = {g: i for i, g in enumerate(index)}
+        rows = [{local[j]: vec for j, vec in m.rows[g].items()} for g in index]
+        for alpha, nullities in _component_nullities(rows, m.level, roots,
+                                                     level_needed):
+            covered += nullities[-1]
+            null = nullities + nullities[-1:]
+            blocks.append((alpha, {
+                size: 2 * null[size] - null[size - 1] - null[size + 1]
+                for size in range(1, len(nullities))}))
+    if covered != m.nrows:
         raise SpectrumNotCovered(
-            f"candidate eigenvalues cover {covered} of {dim} dimensions")
+            f"candidate eigenvalues cover {covered} of {m.nrows} dimensions")
     return JordanStructure(blocks)
 
 

@@ -14,7 +14,7 @@ import pytest
 import moninf.infinity
 from moninf.cli import main
 from moninf.cyclo import RootExponentVector
-from moninf.infinity import CheckResult, Report
+from moninf.infinity import CheckResult, Report, parse_problem
 from moninf.jordan import JordanStructure
 from moninf.localsing import milnor_number
 from test_exactness import LARGE_REPORT_INSTANCE
@@ -105,6 +105,23 @@ def test_compute_rejects_oversized_count(tmp_path, capsys):
         "beta": {"mode": "enumerate"}}))
     assert main(["compute", str(big)]) == 1
     assert "exceeds (d-1)^(n+1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [14286, 14287, 10 ** 9])
+def test_huge_n_is_rejected_before_the_power_is_formed(tmp_path, capsys, n):
+    # d = 3: chi_s = (2^(n+1) +- 1)/3 +- 1, which the bit-length bound
+    # puts at >= 2^14285 (more than 4300 digits) from n = 14287 on
+    data = {"n": n, "d": 3, "singularities": [],
+            "beta": {"mode": "given", "values": [0, 0, 0]}}
+    if n == 14286:
+        assert parse_problem(data).chi[1].bit_length() == 14286
+        return
+    doc = tmp_path / "huge.json"
+    doc.write_text(json.dumps(data))
+    start = time.process_time()
+    assert main(["bounds", str(doc)]) == 1
+    assert time.process_time() - start < 1
+    assert f"error: n = {n} and d = 3 give |chi_s| >= 2^" in capsys.readouterr().err
 
 
 def test_compute_exit_2_on_check_failure(monkeypatch, capsys):

@@ -7,7 +7,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from moninf import oracle
 from moninf.cli import main
 from moninf.cyclo import ONE, MINUS_ONE, UnitRoot, mth_roots
 from moninf.jordan import JordanStructure
@@ -18,6 +20,7 @@ from moninf.oracle import (
     build_cyclic_matrix,
     build_jordan_matrix,
     _field,
+    _prime_for_level,
     cyclotomic_polynomial,
     jordan_type,
     rank,
@@ -188,34 +191,34 @@ def test_jordan_type_recovers_block_matrices():
         assert jordan_type(m, j.spectrum()) == j
 
 
+def _conjugated(j: JordanStructure,
+                ops: list[tuple[int, int, int]]) -> CycloMatrix:
+    """A level-6 realization of j conjugated by elementary matrices: for
+    each (i, k, e), row i += zeta_6^e * row k, then the inverse column op."""
+    field = _field(6)
+    grid = _dense(build_jordan_matrix(j, 6))
+    n = len(grid)
+    for i, k, e in ops:
+        i, k = i % n, k % n
+        if i == k:
+            continue
+        c = field.embed_root(UnitRoot(e, 6))
+        minus_c = tuple(-x for x in c)
+        grid[i] = [_add(x, field.vmul(c, y)) for x, y in zip(grid[i], grid[k])]
+        for row in grid:
+            row[k] = _add(row[k], field.vmul(minus_c, row[i]))
+    return _sparse(6, grid)
+
+
 def test_jordan_type_is_conjugation_invariant():
     rng = random.Random(77)
-    level = 6
     for _ in range(10):
         j = _random_structure(rng, max_dim=4)
-        spectrum_level = math.lcm(1, *(root.den for root in j.spectrum())) if j else 1
-        if level % spectrum_level:
+        if any(6 % root.den for root in j.spectrum()):
             continue
-        m = build_jordan_matrix(j, level)
-        grid = _dense(m)
-        n = len(grid)
-        field = _field(level)
-        roots = [field.embed_root(UnitRoot(k, 6)) for k in range(6)]
-        # conjugate by elementary matrices: row op plus the inverse column op
-        for _ in range(10):
-            if n < 2:
-                break
-            i, k = rng.randrange(n), rng.randrange(n)
-            if i == k:
-                continue
-            c = roots[rng.randrange(6)]
-            minus_c = tuple(-x for x in c)
-            grid[i] = [_add(x, field.vmul(c, y))
-                       for x, y in zip(grid[i], grid[k])]
-            for row in grid:
-                row[k] = _add(row[k], field.vmul(minus_c, row[i]))
-        conj = _sparse(level, grid)
-        assert jordan_type(conj, j.spectrum()) == j
+        ops = [(rng.randrange(8), rng.randrange(8), rng.randrange(6))
+               for _ in range(10)]
+        assert jordan_type(_conjugated(j, ops), j.spectrum()) == j
 
 
 def test_jordan_type_missing_candidate_raises():
@@ -292,3 +295,103 @@ def test_matrix_ranks_confirm_the_off_torsion_layer_of_compute(tmp_path,
     assert off_torsion(ranked) == off_torsion(reported)
     assert off_torsion(reported)[UnitRoot(7, 12)] == {2: 1}
     assert len(off_torsion(reported)) == 7
+
+
+def _spy(monkeypatch, name: str) -> list:
+    """Record (args, kwargs, result) of every call to oracle.<name>."""
+    calls, original = [], getattr(oracle, name)
+
+    def spy(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+    monkeypatch.setattr(oracle, name, spy)
+    return calls
+
+
+def test_prime_for_level_gives_a_primitive_root_of_unity():
+    for level in (1, 2, 12, 60, 360):
+        p, omega = _prime_for_level(level)
+        assert (p - 1) % level == 0 and oracle._is_prime(p) and p < 2 ** 31
+        assert [e for e in range(1, level + 1) if pow(omega, e, p) == 1] == [level]
+
+
+def test_two_blocks_mod_p_are_one_block_over_q(monkeypatch):
+    # K - 1 = [[0, p], [0, 0]] is zero mod p, but not over Q
+    p = _prime_for_level(1)[0]
+    exact = _spy(monkeypatch, "_exact_nullities")
+    m = CycloMatrix(1, [{0: (1,), 1: (p,)}, {1: (1,)}], 2)
+    assert jordan_type(m, [ONE]) == JordanStructure({ONE: {2: 1}})
+    # the certificate held (a(1) = 2); n^p_1 = 2 sent it to the exact chain,
+    # which stopped as soon as the nullity reached 2
+    assert [(args[2:], kwargs, result) for args, kwargs, result in exact] \
+        == [((ONE, 2), {}, [0, 1, 2])]
+
+
+@pytest.mark.parametrize("entry", [
+    _prime_for_level(1)[0] + 1,  # 1 mod p, but tr(K) = 1 + p is not 1
+    0,  # the guess covers 0 of 1 dimensions
+])
+def test_failed_certificate_falls_back_to_exact_ranks(monkeypatch, entry):
+    certified = _spy(monkeypatch, "_certified")
+    exact = _spy(monkeypatch, "_exact_nullities")
+    with pytest.raises(SpectrumNotCovered, match="cover 0 of 1 dimensions"):
+        jordan_type(CycloMatrix(1, [{0: (entry,)}], 1), [ONE])
+    assert [result for _, _, result in certified] == [False]
+    assert [result for _, _, result in exact] == [[0, 0]]
+
+
+def test_shuffled_block_diagonal_matrix_keeps_its_type():
+    j = JordanStructure({ONE: {3: 1, 1: 1}, MINUS_ONE: {2: 2},
+                         UnitRoot(1, 3): {1: 1}})
+    m = build_jordan_matrix(j, 6)
+    order = list(range(m.nrows))
+    random.Random(31).shuffle(order)
+    where = {old: new for new, old in enumerate(order)}
+    shuffled = CycloMatrix(6, [{where[c]: vec for c, vec in m.rows[old].items()}
+                               for old in order], m.ncols)
+    assert shuffled.rows != m.rows
+    assert jordan_type(shuffled, j.spectrum()) == jordan_type(m, j.spectrum()) == j
+
+
+def _outcome(m: CycloMatrix, candidates: list[UnitRoot]) -> object:
+    try:
+        return jordan_type(m, candidates)
+    except SpectrumNotCovered as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocks=st.lists(st.tuples(st.sampled_from(mth_roots(ONE, 6)),
+                                 st.integers(1, 3)), min_size=1, max_size=4),
+       ops=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11),
+                              st.integers(0, 5)), max_size=10),
+       order=st.integers(1, 3),
+       drop=st.booleans(),
+       extra=st.lists(st.sampled_from(mth_roots(ONE, 12)), max_size=2),
+       bumps=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+                      max_size=2))
+def test_certified_route_matches_the_exact_route(blocks, ops, order, drop,
+                                                 extra, bumps):
+    j = JordanStructure.from_blocks(blocks)
+    candidates = sorted({alpha for xi in j.spectrum()
+                         for alpha in mth_roots(xi, order)})
+    candidates = candidates[drop:] + extra
+    # adding the prime p of the level to an entry is invisible mod p
+    p = _prime_for_level(math.lcm(6, *(root.den for root in candidates)))[0]
+    grid = _dense(_conjugated(j, ops))
+    for i, k in bumps:
+        row = grid[i % len(grid)]
+        row[k % len(grid)] = _add(row[k % len(grid)], (p, 0))
+    m = build_cyclic_matrix(_sparse(6, grid), order)
+    certified = _outcome(m, candidates)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_certified", lambda *args: False)
+        assert _outcome(m, candidates) == certified
+
+
+def test_random_oracle_needs_no_exact_rank(monkeypatch, capsys):
+    int_ranks = _spy(monkeypatch, "_int_rank")
+    assert main(["oracle", "--seed", "23", "--trials", "20", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["counterexamples"] == []
+    assert int_ranks == []
