@@ -35,7 +35,7 @@ from .infinity import (
     parse_problem,
     zeta_of_top_form,
 )
-from .jordan import JordanStructure
+from .jordan import JordanStructure, Runs
 from .oracle import (
     DEFAULT_LEVEL_CAP,
     SpectrumNotCovered,
@@ -56,14 +56,16 @@ def _load_json(path: str) -> object:
         raise InstanceError(f"invalid JSON in {path}: nested too deeply") from exc
 
 
-_JOIN_SLICE = 4096  # ints per str.join call: bounds the longest piece
+_JOIN_SLICE = 4096  # ints per piece of a list: bounds the longest piece
 
 
 def _json_chunks(value: object, indent: str = "\n") -> Iterator[str]:
-    """The text of json.dumps(value, indent=2, sort_keys=True), in pieces.
+    """The text of json.dumps(value, indent=2, sort_keys=True), in pieces,
+    with each Runs written as the list it expands to.
 
     Unlike json.dumps with an indent, which runs in pure Python and builds
-    the whole text, escaping stays in C and int lists are joined in C.
+    the whole text, escaping stays in C, int lists are joined in C and a
+    run of k equal ints is one string multiplication.
     """
     inner = indent + "  "
     if isinstance(value, dict) and value:
@@ -87,6 +89,15 @@ def _json_chunks(value: object, indent: str = "\n") -> Iterator[str]:
                 yield from _json_chunks(item, inner)
                 lead = sep
         yield indent + "]"
+    elif isinstance(value, Runs):
+        lead, sep = "[" + inner, "," + inner
+        for item, count in value.pairs:
+            text = str(item)
+            while count:
+                take = min(count, _JOIN_SLICE)
+                yield lead + text + (sep + text) * (take - 1)
+                lead, count = sep, count - take
+        yield indent + "]" if value else "[]"
     elif value is None or isinstance(value, (str, int, dict, list, tuple)):
         yield json.dumps(value)  # a scalar, or an empty container
     else:
@@ -210,6 +221,11 @@ def _random_structure(rng: random.Random, max_dim: int,
     return JordanStructure.from_blocks(blocks)
 
 
+def _one_line(structure: JordanStructure) -> str:
+    """The structure's JSON form on one line, as json.dumps writes it."""
+    return json.dumps(structure.to_json(), default=list)
+
+
 def cmd_oracle(args: argparse.Namespace) -> int:
     exhaustive = args.seed is None
     max_dim = args.max_dim if args.max_dim is not None else (4 if exhaustive else 6)
@@ -251,10 +267,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     rows = []
     for structure, m, expected, actual, error in counterexamples:
         lines.append(f"counterexample at m = {m}:")
-        lines.append(f"  structure: {json.dumps(structure.to_json())}")
-        lines.append(f"  combinatorial rule: {json.dumps(expected.to_json())}")
+        lines.append(f"  structure: {_one_line(structure)}")
+        lines.append(f"  combinatorial rule: {_one_line(expected)}")
         if actual is not None:
-            lines.append(f"  matrix ranks:       {json.dumps(actual.to_json())}")
+            lines.append(f"  matrix ranks:       {_one_line(actual)}")
         if error is not None:
             lines.append(f"  matrix route failed: {error}")
         rows.append({

@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Sequence, Union
 from .cyclic import cyclic_power
 from .cyclo import ONE, RootExponentVector, UnitRoot, mth_roots
 from .defect import ProjectivePointSet, nodal_beta
-from .jordan import JordanStructure
+from .jordan import JordanStructure, Runs
 from .localsing import (
     OrdinaryNode,
     SingularityModel,
@@ -51,6 +51,9 @@ from .localsing import (
 )
 
 DEFAULT_ENUMERATE_CAP = 1024
+
+MAX_REPORT_ENTRIES = 10**8
+"""Largest number of Jordan blocks and Milnor numbers a --json report lists."""
 
 MAX_CHI_BITS = 14285
 """2^14285 > 10^4300, and by default Python prints no int of more than
@@ -204,9 +207,6 @@ class Report:
     def total_dim(self) -> int:
         return (self.d - 1) ** (self.n + 1) - self.total_mu
 
-    def _mu_per_copy(self) -> list[int]:
-        return [mu for mu, count in self.mu for _ in range(count)]
-
     def all_checks(self) -> list[tuple[tuple[int, ...] | None, CheckResult]]:
         out: list[tuple[tuple[int, ...] | None, CheckResult]] = [
             (None, check) for check in self.checks]
@@ -218,6 +218,17 @@ class Report:
         return any(check.status == "fail" for _, check in self.all_checks())
 
     def to_json(self) -> dict[str, object]:
+        """The --json document; block lists and mu are Runs.  Raises
+        InstanceError when they would list more than MAX_REPORT_ENTRIES
+        numbers, counted from the runs before any list is written."""
+        entries = sum(count for _, count in self.mu) + sum(
+            count for entry in self.entries
+            for _, _, count in entry.jordan.iter_blocks())
+        if entries > MAX_REPORT_ENTRIES:
+            raise InstanceError(
+                f"the --json report would list {entries} Jordan blocks and "
+                f"Milnor numbers, above the limit of {MAX_REPORT_ENTRIES}; "
+                "the text report gives the same blocks as counts")
         single = self.mode in ("given", "from_nodes")
         if single:
             beta_used: object = list(self.entries[0].beta)
@@ -234,7 +245,7 @@ class Report:
         return {
             "n": self.n,
             "d": self.d,
-            "mu": self._mu_per_copy(),
+            "mu": Runs(self.mu),
             "total_dim": self.total_dim,
             "chi": list(self.chi),
             "mode": self.mode,
@@ -251,8 +262,9 @@ class Report:
     def to_text(self) -> str:
         lines = [
             f"monodromy at infinity: n = {self.n}, d = {self.d}",
-            f"local Milnor numbers: {self._mu_per_copy()} "
-            f"(total {self.total_mu}); "
+            "local Milnor numbers: ["
+            + "".join(f"{mu}, " * count for mu, count in self.mu)[:-2]
+            + f"] (total {self.total_mu}); "
             f"operator dimension {self.total_dim}",
             f"chi = {list(self.chi)}",
             f"beta mode: {self.mode}"

@@ -8,10 +8,52 @@ by increasing angle, block sizes decreasing.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .cyclo import RootExponentVector, UnitRoot
+
+
+class Runs:
+    """A list of ints kept as (value, count) runs, in order.
+
+    Iterating yields the values one by one, and a Runs equals the plain
+    list it expands to.  It is not a list, so json.dumps refuses it; the
+    --json writer renders each run without expanding it.
+    """
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: Iterable[tuple[int, int]]) -> None:
+        merged: list[tuple[int, int]] = []
+        for value, count in pairs:
+            if type(value) is not int or type(count) is not int or count < 0:
+                raise TypeError(f"a run is an int and a count >= 0, "
+                                f"got {value!r} x {count!r}")
+            if merged and merged[-1][0] == value:
+                merged[-1] = (value, merged[-1][1] + count)
+            elif count:
+                merged.append((value, count))
+        self.pairs = tuple(merged)
+
+    def __iter__(self) -> Iterator[int]:
+        for value, count in self.pairs:
+            for _ in range(count):  # range takes counts beyond sys.maxsize
+                yield value
+
+    def __bool__(self) -> bool:
+        return bool(self.pairs)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Runs):
+            return self.pairs == other.pairs
+        if isinstance(other, list):
+            return (len(other) == sum(count for _, count in self.pairs)
+                    and all(map(eq, self, other)))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Runs({list(self.pairs)!r})"
 
 
 class JordanStructure:
@@ -118,9 +160,10 @@ class JordanStructure:
         return f"JordanStructure({{{inner}}})"
 
     def to_json(self) -> list[dict[str, object]]:
-        """JSON form: [{"eigenvalue": "num/den", "blocks": [sizes desc]}]."""
-        return [{"eigenvalue": str(root), "blocks": self.sizes_at(root)}
-                for root in self._blocks]
+        """JSON form: [{"eigenvalue": "num/den", "blocks": [sizes desc]}],
+        each block list as the Runs of its sizes."""
+        return [{"eigenvalue": str(root), "blocks": Runs(sizes.items())}
+                for root, sizes in self._blocks.items()]
 
     @classmethod
     def from_json(cls, data: object) -> JordanStructure:

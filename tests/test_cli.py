@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,12 @@ import pytest
 import moninf.infinity
 from moninf.cli import main
 from moninf.cyclo import RootExponentVector
-from moninf.infinity import CheckResult, Report, parse_problem
+from moninf.infinity import (
+    MAX_REPORT_ENTRIES,
+    CheckResult,
+    Report,
+    parse_problem,
+)
 from moninf.jordan import JordanStructure
 from moninf.localsing import milnor_number
 from test_exactness import LARGE_REPORT_INSTANCE
@@ -122,6 +128,59 @@ def test_huge_n_is_rejected_before_the_power_is_formed(tmp_path, capsys, n):
     assert main(["bounds", str(doc)]) == 1
     assert time.process_time() - start < 1
     assert f"error: n = {n} and d = 3 give |chi_s| >= 2^" in capsys.readouterr().err
+
+
+# n = 100, d = 3, beta = 0: 2^101 blocks of size 1 (an 87-byte document);
+# n = 3, d = 400 with two nodes: about 2.5e10 blocks and two Milnor numbers,
+# as many entries as the operator has dimensions
+@pytest.mark.parametrize("data, entries", [
+    ({"n": 100, "d": 3, "singularities": [],
+      "beta": {"mode": "given", "values": [0, 0, 0]}},
+     "2535301200456458802993406410752"),
+    ({"n": 3, "d": 400, "singularities": [{"type": "node", "count": 2}],
+      "beta": {"mode": "from_nodes",
+               "points": [["1", "0", "0", "0"], ["0", "1", "0", "0"]]}},
+     "25344958399"),
+])
+def test_oversized_json_report_exits_1_before_its_first_byte(tmp_path, capsys,
+                                                              data, entries):
+    instance = tmp_path / "big.json"
+    instance.write_text(json.dumps(data))
+    start = time.perf_counter()
+    assert main(["compute", str(instance), "--json"]) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: the --json report would list "
+                                   f"{entries} Jordan blocks")
+    assert f"limit of {MAX_REPORT_ENTRIES}" in captured.err
+    # the text report gives the blocks as counts, one line per eigenvalue
+    assert main(["compute", str(instance)]) == 0
+    out = capsys.readouterr().out
+    assert f"operator dimension {entries}" in out
+    assert "[fail]" not in out
+
+
+def test_a_large_count_lists_no_copies(tmp_path, capsys):
+    # 10**6 nodes at d = 101 fill (d-1)^(n+1): no admissible beta, and mu
+    # is written from its one run, never as a list of 10**6 ints
+    instance = tmp_path / "nodes.json"
+    instance.write_text(json.dumps({
+        "n": 2, "d": 101, "singularities": [{"type": "node", "count": 10**6}],
+        "beta": {"mode": "enumerate"}}))
+    target = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        assert main(["compute", str(instance), "--json",
+                     "--output", str(target)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert json.loads(target.read_text())["mu"] == [1] * 10**6
+    assert main(["compute", str(instance)]) == 0
+    assert f"local Milnor numbers: {[1] * 10**6} (total 1000000); " \
+        "operator dimension 0" in capsys.readouterr().out
 
 
 def test_compute_exit_2_on_check_failure(monkeypatch, capsys):

@@ -6,6 +6,7 @@ ints gives a float), no cmath and none of the floating-point functions
 of math.  Rational numbers enter only as point
 coordinates, so defect.py is the one module that imports fractions: the
 oracle works over Z[zeta_N] and the defect over Z.  Two oracle reports,
+an oracle report with injected counterexamples in text and in JSON,
 two defect reports, four from_nodes compute reports, one large Brieskorn
 compute report and one enumerate-mode report with a non-semisimple germ
 are pinned by digest, so a change of representation, of rank engine, of
@@ -25,6 +26,10 @@ from pathlib import Path
 import pytest
 
 from moninf.cli import main
+from moninf.cyclic import cyclic_power
+from moninf.cyclo import ONE, UnitRoot
+from moninf.jordan import JordanStructure
+from moninf.oracle import SpectrumNotCovered
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "moninf"
@@ -179,6 +184,18 @@ def test_large_report_is_unchanged_on_both_routes(tmp_path, capsys):
     assert target.read_bytes() == out
 
 
+def test_large_report_is_written_from_the_runs(monkeypatch, tmp_path, capsys):
+    def expand(self, alpha):
+        raise AssertionError(f"block sizes at {alpha} listed one by one")
+
+    monkeypatch.setattr(JordanStructure, "sizes_at", expand)
+    instance = tmp_path / "large.json"
+    instance.write_text(json.dumps(LARGE_REPORT_INSTANCE))
+    assert main(["compute", str(instance), "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+        "ea37488b07167c474e9b3c336377ca0ff1893472a9644f2c72cb22599f8ff58f"
+
+
 # n = 2, d = 6: three cusps and two copies of a germ with size-2 blocks at
 # the 6th roots 1/3 and 2/3 and simple eigenvalues 1/5, 4/5 off them; the
 # enumeration gives four beta vectors
@@ -202,3 +219,25 @@ def test_enumerated_non_semisimple_report_is_unchanged(tmp_path, capsys):
     assert len(json.loads(out)["beta_used"]) == 4
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "51b390cd4e1ecc56f7981891d7b2ce7282d61fd07400c9b379b724412c25d419"
+
+
+# every dimension-1 structure at m = 3 fails the matrix route; every other
+# comparison "disagrees" with a structure that repeats its block sizes
+@pytest.mark.parametrize("flags, digest", [
+    ([], "9c75081e7d79d9fa1ff1fa2c164dc9c230d49314cab8aeabe7536a37a1dba190"),
+    (["--json"],
+     "bbe9a6521b19da796c9aef16c0d09fdbaca2182925f7a62eb2f017efd040c75c"),
+])
+def test_oracle_counterexample_reports_are_unchanged(flags, digest,
+                                                     monkeypatch, capsys):
+    wrong = JordanStructure({ONE: {1: 3}, UnitRoot(1, 2): {2: 2, 1: 1}})
+
+    def fake(structure, order, *, level_cap):
+        if order == 3 and structure.total_dim == 1:
+            raise SpectrumNotCovered("covered 0 of 1 dimensions")
+        return cyclic_power(structure, order), wrong
+
+    monkeypatch.setattr("moninf.cli.verify_cyclic_agreement", fake)
+    assert main(["oracle", "--max-dim", "2", "--max-m", "3", *flags]) == 2
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

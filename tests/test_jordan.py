@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
+from moninf.cli import _json_chunks
 from moninf.cyclo import ONE, MINUS_ONE, RootExponentVector, UnitRoot
 from moninf.jordan import JordanStructure
+
+
+def _written(j: JordanStructure) -> object:
+    """The structure's JSON form as the --json writer writes it, read back."""
+    return json.loads("".join(_json_chunks(j.to_json())))
 
 
 def _random_structure(rng: random.Random) -> JordanStructure:
@@ -100,12 +107,13 @@ def test_json_round_trip_and_order():
     j = JordanStructure.from_blocks([
         (MINUS_ONE, 1), (ONE, 2), (MINUS_ONE, 3), (ONE, 2),
     ])
-    data = j.to_json()
-    assert data == [
+    data = [
         {"eigenvalue": "0/1", "blocks": [2, 2]},
         {"eigenvalue": "1/2", "blocks": [3, 1]},
     ]
-    assert JordanStructure.from_json(data) == j
+    assert j.to_json() == data
+    assert _written(j) == data
+    assert JordanStructure.from_json(_written(j)) == j
     # blocks listed in any order parse to the same structure
     shuffled = [{"eigenvalue": "1/2", "blocks": [1, 3]},
                 {"eigenvalue": "0/1", "blocks": [2, 2]}]
@@ -132,4 +140,4 @@ def test_json_round_trip_random():
     rng = random.Random(7)
     for _ in range(50):
         j = _random_structure(rng)
-        assert JordanStructure.from_json(j.to_json()) == j
+        assert JordanStructure.from_json(_written(j)) == j

@@ -10,6 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from moninf.cli import _JOIN_SLICE, _json_chunks  # noqa: E402
+from moninf.jordan import Runs  # noqa: E402
 
 # keys and strings that exercise every escape json.dumps makes
 KEYS = st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\té \U0001f600')
@@ -24,6 +25,10 @@ LONG_INT_LISTS = st.builds(
     st.sampled_from([_JOIN_SLICE - 1, _JOIN_SLICE, _JOIN_SLICE + 1,
                      2 * _JOIN_SLICE + 1]))
 LEAF_LISTS = st.lists(INTS) | st.lists(INTS | st.booleans()) | LONG_INT_LISTS
+# runs of one count each, around and past the slice, several in one list
+RUN_COUNTS = st.integers(0, 3) | st.sampled_from(
+    [1, _JOIN_SLICE - 1, _JOIN_SLICE, _JOIN_SLICE + 1, 2 * _JOIN_SLICE + 1])
+RUNS = st.lists(st.tuples(INTS, RUN_COUNTS), max_size=4).map(Runs)
 
 
 def _documents(children):
@@ -32,16 +37,45 @@ def _documents(children):
             | st.dictionaries(KEYS, children, max_size=4))
 
 
-DOCUMENTS = st.recursive(SCALARS | LEAF_LISTS, _documents, max_leaves=12)
+DOCUMENTS = st.recursive(SCALARS | LEAF_LISTS | RUNS, _documents,
+                         max_leaves=12)
+
+
+def _expanded(doc):
+    """The document with every Runs replaced by its plain list."""
+    if isinstance(doc, Runs):
+        return list(doc)
+    if isinstance(doc, dict):
+        return {key: _expanded(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return type(doc)(map(_expanded, doc))
+    return doc
 
 
 @given(DOCUMENTS)
 def test_chunks_join_to_json_dumps(doc):
+    chunks = list(_json_chunks(doc))
     # a bare flag: pytest's diff of two long texts would make each failing
     # call, and so hypothesis's shrinking, take seconds
-    same = "".join(_json_chunks(doc)) == json.dumps(doc, indent=2,
-                                                    sort_keys=True)
+    same = "".join(chunks) == json.dumps(_expanded(doc), indent=2,
+                                         sort_keys=True)
     assert same
+    # json.dumps escapes every newline inside a string, so a piece's
+    # newlines count the list items it holds
+    assert max(chunk.count("\n") for chunk in chunks) <= _JOIN_SLICE
+
+
+def test_runs_are_lists_to_the_writer_only():
+    runs = Runs([(3, 2), (3, 1), (2, 0), (1, 2)])
+    assert runs.pairs == ((3, 3), (1, 2))
+    assert runs == [3, 3, 3, 1, 1] and runs != [3, 3, 1, 1]
+    assert Runs([]) == [] and not Runs([(5, 0)])
+    with pytest.raises(TypeError):
+        json.dumps(runs)
+    with pytest.raises(TypeError):
+        Runs([(True, 1)])
+    # the sizes come one at a time, whatever the count
+    assert next(iter(Runs([(7, 10**30)]))) == 7
 
 
 def test_long_int_lists_are_written_in_bounded_chunks():
