@@ -53,7 +53,8 @@ from .localsing import (
 DEFAULT_ENUMERATE_CAP = 1024
 
 MAX_REPORT_ENTRIES = 10**8
-"""Largest number of Jordan blocks and Milnor numbers a --json report lists."""
+"""Largest number of Jordan blocks and Milnor numbers a --json report
+lists, and of Milnor numbers a text report lists."""
 
 MAX_CHI_BITS = 14285
 """2^14285 > 10^4300, and by default Python prints no int of more than
@@ -260,6 +261,13 @@ class Report:
         }
 
     def to_text(self) -> str:
+        """The text report; blocks are counts, but mu lists every copy.
+        Raises InstanceError when mu has more than MAX_REPORT_ENTRIES."""
+        listed = sum(count for _, count in self.mu)
+        if listed > MAX_REPORT_ENTRIES:
+            raise InstanceError(
+                f"the text report would list {listed} Milnor numbers, "
+                f"above the limit of {MAX_REPORT_ENTRIES}")
         lines = [
             f"monodromy at infinity: n = {self.n}, d = {self.d}",
             "local Milnor numbers: ["

@@ -16,21 +16,19 @@ The Jordan structure of a matrix M at an eigenvalue alpha comes from the
 nullities n_k of (M - alpha*I)^k: with n_0 = 0, the number of blocks of
 size exactly l at alpha is 2*n_l - n_(l-1) - n_(l+1).
 
-Certificate.  Exact elimination runs only where arithmetic mod p cannot
-settle the answer.  (1) M is split into the connected components K of
-its symmetric sparsity pattern: a permutation similarity, so Jordan
-types add over components.  (2) With L the level the candidates need,
-p = 1 (mod L) is prime and omega has order L mod p, so zeta_L -> omega
-is a ring map Z[zeta_L] -> F_p; a minor nonzero mod p is nonzero, so the
-nullities n^p_k of (K - alpha)^k mod p are >= n_k, and their limit
-a^p(alpha) is >= the multiplicity a(alpha).  (3) a^p is taken as a only
-if sum a^p = dim K and tr(K^j) = sum a^p(alpha) alpha^j in Z[zeta_L]
-for j = 1 .. dim K, from exact powers: by Newton's identities
-prod (x - alpha)^a^p(alpha) is then the characteristic polynomial of K.
-(4) If n^p_1(alpha) = 1 then n_1 = 1: one block, of size a(alpha).
-Otherwise the exact nullities run until they reach a(alpha).  If (3)
-fails, exact nullities run for every candidate, which also decides
-SpectrumNotCovered exactly.
+Route.  (1) M is split into the connected components K of its symmetric
+sparsity pattern: a permutation similarity, so Jordan types add over
+components.  (2) With L the level the candidates need, the exact traces
+tr(K^j), j = 1 .. dim K, give det(x - K) over Z[zeta_L] by Newton's
+identities; their division by k is exact on each coefficient, because
+the power basis is an integral basis.  (3) Synthetic division by
+x - alpha gives the multiplicity a(alpha) of each candidate, so the sum
+of the a(alpha) decides SpectrumNotCovered with no rank.  (4) If
+a(alpha) > 0, K - alpha is reduced mod a prime p = 1 (mod L) by the ring
+map zeta_L -> omega, omega of order L mod p; a minor nonzero mod p is
+nonzero, so the nullity mod p is >= n_1.  If it is 1, so is n_1: one
+block, of size a(alpha).  Otherwise the exact nullities run until they
+reach a(alpha).
 """
 
 from __future__ import annotations
@@ -311,11 +309,6 @@ def _int_rank(rows: list[dict[int, tuple[int, ...]]], ncols: int,
     return rank
 
 
-def rank(m: CycloMatrix) -> int:
-    """Exact rank over Q(zeta_level)."""
-    return _int_rank(m.rows, m.ncols, _field(m.level))
-
-
 def _sparse_matmul(a: list[dict[int, tuple[int, ...]]],
                    b: list[dict[int, tuple[int, ...]]],
                    field: _Field) -> list[dict[int, tuple[int, ...]]]:
@@ -385,57 +378,47 @@ def _components(rows: list[dict[int, tuple[int, ...]]]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _nullities_mod_p(rows: list[dict[int, int]], alpha: int,
-                     prime: int) -> list[int]:
-    """Nullities mod prime of (K - alpha)^k for k = 0, 1, ... until they
-    stop growing; K is given by sparse rows of residues."""
-    dim = len(rows)
-    shifted = [{**row, i: (row.get(i, 0) - alpha) % prime}
-               for i, row in enumerate(rows)]
-    power = [[row.get(j, 0) for j in range(dim)] for row in shifted]
-    nullities = [0]
-    while True:
-        nullity = dim - len(_eliminate_mod_p(power, prime)[0])
-        if nullity == nullities[-1]:
-            return nullities
-        nullities.append(nullity)
-        product = []
-        for row in power:
-            acc = [0] * dim
-            for k, x in enumerate(row):
-                if x:
-                    for j, y in shifted[k].items():
-                        acc[j] += x * y
-            product.append([v % prime for v in acc])
-        power = product
-
-
-def _certified(rows: list[dict[int, tuple[int, ...]]], level: int,
-               mults: dict[UnitRoot, int], top: int) -> bool:
-    """Whether prod (x - alpha)^mults[alpha] is the characteristic
-    polynomial of K: the degrees match and tr(K^j) = sum mults[alpha] *
-    alpha^j in Z[zeta_top] for j = 1 .. dim K (Newton's identities)."""
-    dim = len(rows)
-    if sum(mults.values()) != dim:
-        return False
-    field, target = _field(level), _field(top)
-    power = rows
-    for j in range(1, dim + 1):
-        if j > 1:
+def _char_poly(rows: list[dict[int, tuple[int, ...]]], level: int,
+               top: int) -> list[tuple[int, ...]]:
+    """det(x - K) over Z[zeta_top], coefficients c_0 = 1, c_1, ..., c_dim
+    by descending power of x, from the exact traces p_j = tr(K^j) by
+    Newton's identities k*c_k = -sum_(i <= k) c_(k-i)*p_i."""
+    field = _field(level)
+    zero = (0,) * field.degree
+    coeffs, traces, power = [field.monomial(0)], [], rows
+    for k in range(1, len(rows) + 1):
+        if k > 1:
             power = _sparse_matmul(power, rows, field)
-        trace = [sum(c) for c in zip(*(row[i] for i, row in enumerate(power)
-                                         if i in row))]
-        terms = [(mult, target.monomial(top // alpha.den * alpha.num * j))
-                 for alpha, mult in mults.items()]
-        if field.lift(trace, target) != tuple(
-                sum(mult * mono[idx] for mult, mono in terms)
-                for idx in range(target.degree)):
-            return False
-    return True
+        traces.append(tuple(map(sum, zip(zero, *(
+            row[i] for i, row in enumerate(power) if i in row)))))
+        acc = [0] * field.degree
+        for i in range(1, k + 1):
+            for idx, v in enumerate(field.vmul(coeffs[k - i], traces[i - 1])):
+                acc[idx] -= v
+        # exact: the power basis is an integral basis of Z[zeta_level]
+        coeffs.append(tuple(v // k for v in acc))
+    target = _field(top)
+    return [field.lift(c, target) for c in coeffs]
+
+
+def _nullity_mod_p(rows: list[dict[int, tuple[int, ...]]], level: int,
+                   alpha: UnitRoot, top: int) -> int:
+    """Nullity of K - alpha mod p under zeta_top -> omega: at least the
+    exact nullity, since a minor nonzero mod p is nonzero."""
+    prime, omega = _prime_for_level(top)
+    powers = [pow(omega, top // level * i, prime)
+              for i in range(_field(level).degree)]
+    image = pow(omega, top // alpha.den * alpha.num, prime)
+    dense = [[0] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        for j, vec in row.items():
+            dense[i][j] = sum(map(int.__mul__, vec, powers)) % prime
+        dense[i][i] = (dense[i][i] - image) % prime
+    return len(rows) - len(_eliminate_mod_p(dense, prime)[0])
 
 
 def _exact_nullities(rows: list[dict[int, tuple[int, ...]]], level: int,
-                     alpha: UnitRoot, stop: int | None = None) -> list[int]:
+                     alpha: UnitRoot, stop: int) -> list[int]:
     """Exact nullities of (K - alpha)^k for k = 0, 1, ... until they stop
     growing or reach `stop`."""
     dim = len(rows)
@@ -466,29 +449,29 @@ def _exact_nullities(rows: list[dict[int, tuple[int, ...]]], level: int,
 def _component_nullities(rows: list[dict[int, tuple[int, ...]]], level: int,
                          roots: list[UnitRoot], top: int,
                          ) -> list[tuple[UnitRoot, list[int]]]:
-    """(alpha, exact nullities of (K - alpha)^k) for the eigenvalues of K."""
-    prime, omega = _prime_for_level(top)
-    powers = [pow(omega, top // level * i, prime)
-              for i in range(_field(level).degree)]
-    rows_p = [{j: sum(map(int.__mul__, vec, powers)) % prime
-               for j, vec in row.items()} for row in rows]
-    guesses, found = {}, 0
+    """(alpha, exact nullities of (K - alpha)^k) for the eigenvalues of K;
+    det(x - K) keeps only the factors no candidate has taken yet."""
+    field = _field(top)
+    poly = _char_poly(rows, level, top)
+    out = []
     for alpha in roots:
-        # generalized eigenspaces mod p are independent, so once they
-        # fill K every later candidate has a^p = 0
-        if found == len(rows):
-            break
-        image = pow(omega, top // alpha.den * alpha.num, prime)
-        nullities = _nullities_mod_p(rows_p, image, prime)
-        if nullities[-1]:
-            guesses[alpha] = nullities
-            found += nullities[-1]
-    if not _certified(rows, level, {alpha: nullities[-1] for alpha, nullities
-                                    in guesses.items()}, top):
-        return [(alpha, _exact_nullities(rows, level, alpha)) for alpha in roots]
-    return [(alpha, list(range(nullities[-1] + 1)) if nullities[1] == 1
-             else _exact_nullities(rows, level, alpha, nullities[-1]))
-            for alpha, nullities in guesses.items()]
+        mult, value = 0, field.embed_root(alpha)
+        while len(poly) > 1:
+            # synthetic division by x - alpha; the last entry is the remainder
+            quotient = [poly[0]]
+            for c in poly[1:]:
+                quotient.append(tuple(map(int.__add__, c,
+                                          field.vmul(value, quotient[-1]))))
+            if any(quotient.pop()):
+                break
+            poly, mult = quotient, mult + 1
+        if not mult:
+            continue
+        if _nullity_mod_p(rows, level, alpha, top) == 1:
+            out.append((alpha, list(range(mult + 1))))
+        else:
+            out.append((alpha, _exact_nullities(rows, level, alpha, mult)))
+    return out
 
 
 def jordan_type(m: CycloMatrix, candidates: Iterable[UnitRoot], *,

@@ -161,6 +161,24 @@ def test_oversized_json_report_exits_1_before_its_first_byte(tmp_path, capsys,
     assert "[fail]" not in out
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_oversized_mu_list_exits_1_in_both_formats(tmp_path, capsys, flags):
+    # both reports list mu once per copy; the text report, which gives
+    # the blocks as counts, would otherwise write about 300 MB
+    count = MAX_REPORT_ENTRIES + 1
+    instance = tmp_path / "nodes.json"
+    instance.write_text(json.dumps({
+        "n": 2, "d": 500, "singularities": [{"type": "node", "count": count}],
+        "beta": {"mode": "enumerate"}}))
+    start = time.perf_counter()
+    assert main(["compute", str(instance), "--enumerate-cap", "1", *flags]) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"report would list {count} " in captured.err
+    assert f"limit of {MAX_REPORT_ENTRIES}" in captured.err
+
+
 def test_a_large_count_lists_no_copies(tmp_path, capsys):
     # 10**6 nodes at d = 101 fill (d-1)^(n+1): no admissible beta, and mu
     # is written from its one run, never as a list of 10**6 ints

@@ -5,7 +5,9 @@ literal, no float() or complex() call, no true division (``/`` on two
 ints gives a float), no cmath and none of the floating-point functions
 of math.  Rational numbers enter only as point
 coordinates, so defect.py is the one module that imports fractions: the
-oracle works over Z[zeta_N] and the defect over Z.  Two oracle reports,
+oracle works over Z[zeta_N] and the defect over Z.  The oracle names
+cyclic_power only in the comparison it makes, and cyclic.py imports
+nothing from the oracle, so the check stays independent.  Two oracle reports,
 an oracle report with injected counterexamples in text and in JSON,
 two defect reports, four from_nodes compute reports, one large Brieskorn
 compute report and one enumerate-mode report with a non-semisimple germ
@@ -90,6 +92,24 @@ def test_only_defect_imports_fractions():
                  or isinstance(node, ast.Import)
                  and any(alias.name == "fractions" for alias in node.names)]
     assert importers == ["defect.py"]
+
+
+def test_the_oracle_is_independent_of_cyclic():
+    # the oracle checks cyclic_power, so only the comparison may use it
+    modules = dict(_modules())
+    users = [getattr(stmt, "name", f"line {stmt.lineno}")
+             for stmt in modules["oracle.py"].body
+             if not isinstance(stmt, (ast.Import, ast.ImportFrom))
+             and any(isinstance(node, ast.Name) and node.id == "cyclic_power"
+                     or isinstance(node, ast.Attribute)
+                     and node.attr == "cyclic_power" for node in ast.walk(stmt))]
+    assert users == ["verify_cyclic_agreement"]
+    imports = [f"{node.module}.{alias.name}" if isinstance(node, ast.ImportFrom)
+               else alias.name for node in ast.walk(modules["cyclic.py"])
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               for alias in node.names]
+    assert "jordan.JordanStructure" in imports
+    assert not any("oracle" in name for name in imports)
 
 
 @pytest.mark.parametrize("argv, digest", [

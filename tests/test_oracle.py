@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from moninf import oracle
 from moninf.cli import main
 from moninf.cyclo import ONE, MINUS_ONE, UnitRoot, mth_roots
+from moninf.defect import _eliminate_mod_p
 from moninf.jordan import JordanStructure
 from moninf.oracle import (
     CycloMatrix,
@@ -23,7 +24,6 @@ from moninf.oracle import (
     _prime_for_level,
     cyclotomic_polynomial,
     jordan_type,
-    rank,
     verify_cyclic_agreement,
 )
 
@@ -128,19 +128,23 @@ def test_build_cyclic_matrix_layout():
         build_cyclic_matrix(CycloMatrix(1, [{0: (1,)}], 2), 2)
 
 
+def _rank(m: CycloMatrix) -> int:
+    return oracle._int_rank(m.rows, m.ncols, _field(m.level))
+
+
 def test_rank_basic_cases():
     field = _field(4)
     one = field.monomial(0)
     zero = (0,) * field.degree
-    assert rank(_sparse(4, [[one, zero], [zero, one]])) == 2
-    assert rank(_sparse(4, [[zero, zero], [zero, zero]])) == 0
-    assert rank(CycloMatrix(4, [], 0)) == 0
+    assert _rank(_sparse(4, [[one, zero], [zero, one]])) == 2
+    assert _rank(_sparse(4, [[zero, zero], [zero, zero]])) == 0
+    assert _rank(CycloMatrix(4, [], 0)) == 0
     # rank drops only through genuine cyclotomic cancellation
     z = field.embed_root(UnitRoot(1, 4))
     zbar = field.embed_root(UnitRoot(3, 4))
-    assert rank(_sparse(4, [[one, z], [zbar, one]])) == 1
-    assert rank(_sparse(4, [[one, z], [z, one]])) == 2
-    assert rank(CycloMatrix(1, [{0: (2,), 1: (4,)}, {0: (3,), 1: (6,)}], 2)) == 1
+    assert _rank(_sparse(4, [[one, z], [zbar, one]])) == 1
+    assert _rank(_sparse(4, [[one, z], [z, one]])) == 2
+    assert _rank(CycloMatrix(1, [{0: (2,), 1: (4,)}, {0: (3,), 1: (6,)}], 2)) == 1
 
 
 def test_rank_invariant_under_elementary_operations():
@@ -166,7 +170,7 @@ def test_rank_invariant_under_elementary_operations():
             else:
                 for row in grid:
                     row[i] = _add(row[i], field.vmul(c, row[j]))
-        assert rank(_sparse(level, grid)) == r
+        assert _rank(_sparse(level, grid)) == r
 
 
 def _random_structure(rng: random.Random, max_dim: int = 5) -> JordanStructure:
@@ -191,13 +195,21 @@ def test_jordan_type_recovers_block_matrices():
         assert jordan_type(m, j.spectrum()) == j
 
 
-def _conjugated(j: JordanStructure,
-                ops: list[tuple[int, int, int]]) -> CycloMatrix:
+def _conjugated(j: JordanStructure, ops: list[tuple[int, int, int]],
+                bumps: list[tuple[int, int]] = ()) -> CycloMatrix:
     """A level-6 realization of j conjugated by elementary matrices: for
-    each (i, k, e), row i += zeta_6^e * row k, then the inverse column op."""
+    each (i, k, e), row i += zeta_6^e * row k, then the inverse column op.
+    Before that, the prime of level 6 is added to each entry (i, k) of
+    `bumps` with i < k: the matrix stays triangular, with the same
+    characteristic polynomial, and equal to the realization mod p."""
     field = _field(6)
     grid = _dense(build_jordan_matrix(j, 6))
     n = len(grid)
+    p = _prime_for_level(6)[0]
+    for i, k in bumps:
+        i, k = sorted((i % n, k % n))
+        if i < k:
+            grid[i][k] = _add(grid[i][k], (p, 0))
     for i, k, e in ops:
         i, k = i % n, k % n
         if i == k:
@@ -329,16 +341,15 @@ def test_two_blocks_mod_p_are_one_block_over_q(monkeypatch):
 
 
 @pytest.mark.parametrize("entry", [
-    _prime_for_level(1)[0] + 1,  # 1 mod p, but tr(K) = 1 + p is not 1
-    0,  # the guess covers 0 of 1 dimensions
+    _prime_for_level(1)[0] + 1,  # 1 mod p, but det(x - K) = x - 1 - p
+    0,
 ])
-def test_failed_certificate_falls_back_to_exact_ranks(monkeypatch, entry):
-    certified = _spy(monkeypatch, "_certified")
+def test_uncovered_spectrum_needs_no_rank(monkeypatch, entry):
+    eliminations = _spy(monkeypatch, "_eliminate_mod_p")
     exact = _spy(monkeypatch, "_exact_nullities")
     with pytest.raises(SpectrumNotCovered, match="cover 0 of 1 dimensions"):
         jordan_type(CycloMatrix(1, [{0: (entry,)}], 1), [ONE])
-    assert [result for _, _, result in certified] == [False]
-    assert [result for _, _, result in exact] == [[0, 0]]
+    assert eliminations == exact == []
 
 
 def test_shuffled_block_diagonal_matrix_keeps_its_type():
@@ -354,11 +365,85 @@ def test_shuffled_block_diagonal_matrix_keeps_its_type():
     assert jordan_type(shuffled, j.spectrum()) == jordan_type(m, j.spectrum()) == j
 
 
-def _outcome(m: CycloMatrix, candidates: list[UnitRoot]) -> object:
-    try:
-        return jordan_type(m, candidates)
-    except SpectrumNotCovered as exc:
-        return str(exc)
+def test_a_candidate_of_multiplicity_0_costs_no_elimination(monkeypatch):
+    j = JordanStructure({ONE: {2: 2, 3: 1}})
+    m = build_jordan_matrix(j, 1)
+    eliminations = _spy(monkeypatch, "_eliminate_mod_p")
+    assert jordan_type(m, [ONE, MINUS_ONE, UnitRoot(1, 3)]) == j
+    # one per component, each a single Jordan block at 1
+    assert len(eliminations) == len(oracle._components(m.rows)) == 3
+
+
+def _poly_mul(a: list[tuple[int, ...]], b: list[tuple[int, ...]],
+              field) -> list[tuple[int, ...]]:
+    out = [(0,) * field.degree] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[i + k] = _add(out[i + k], field.vmul(x, y))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(blocks=st.lists(st.tuples(st.sampled_from(mth_roots(ONE, 6)),
+                                 st.integers(1, 3)), min_size=1, max_size=4),
+       ops=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11),
+                              st.integers(0, 5)), max_size=10),
+       bumps=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+                      max_size=2),
+       top=st.sampled_from([6, 12, 36]))
+def test_char_poly_is_the_product_over_the_jordan_blocks(blocks, ops, bumps,
+                                                         top):
+    j = JordanStructure.from_blocks(blocks)
+    field = _field(top)
+    expected = [field.monomial(0)]
+    for root, size in blocks:
+        minus_root = tuple(-c for c in field.embed_root(root))
+        for _ in range(size):
+            expected = _poly_mul(expected, [field.monomial(0), minus_root], field)
+    for m in (build_jordan_matrix(j, 6), _conjugated(j, ops, bumps)):
+        assert oracle._char_poly(m.rows, 6, top) == expected
+
+
+def _multiplicity_bound(m: CycloMatrix, alpha: UnitRoot, avoid: int) -> int:
+    """The multiplicity of alpha as an eigenvalue of m modulo a prime q
+    other than `avoid`: at least the exact one, since a minor nonzero
+    mod q is nonzero.  Entries bumped by `avoid` stay visible mod q, so
+    the bound is exact unless q divides a minor, and an exact chain that
+    reaches it needs no rank of one more power to see it stop (on dense
+    conjugates that rank has taken minutes)."""
+    level = math.lcm(m.level, alpha.den)
+    k = next(k for k in range(1, 12) if _prime_for_level(k * level)[0] != avoid)
+    q, omega = _prime_for_level(k * level)
+    zeta = pow(omega, k * level // m.level, q)
+    shift = [[0] * m.nrows for _ in m.rows]
+    for i, row in enumerate(m.rows):
+        for j, vec in row.items():
+            shift[i][j] = sum(c * pow(zeta, e, q) for e, c in enumerate(vec)) % q
+        shift[i][i] -= pow(omega, k * level // alpha.den * alpha.num, q)
+    power, nullities = shift, [0]
+    while len(nullities) < 2 or nullities[-1] != nullities[-2]:
+        nullities.append(m.nrows - len(_eliminate_mod_p(
+            [[x % q for x in row] for row in power], q)[0]))
+        power = [[sum(map(int.__mul__, row, col)) % q for col in zip(*shift)]
+                 for row in power]
+    return nullities[-1]
+
+
+def _exact_outcome(m: CycloMatrix, candidates: list[UnitRoot],
+                   avoid: int) -> object:
+    """jordan_type's answer from exact nullities of every candidate.  Each
+    chain stops at the bound mod q; where it stops below, it stagnated."""
+    blocks, covered = [], 0
+    for alpha in sorted(set(candidates)):
+        nullities = oracle._exact_nullities(
+            m.rows, m.level, alpha, _multiplicity_bound(m, alpha, avoid))
+        covered += nullities[-1]
+        null = nullities + nullities[-1:]
+        blocks.append((alpha, {size: 2 * null[size] - null[size - 1] - null[size + 1]
+                               for size in range(1, len(nullities))}))
+    if covered != m.nrows:
+        return f"candidate eigenvalues cover {covered} of {m.nrows} dimensions"
+    return JordanStructure(blocks)
 
 
 @settings(max_examples=60, deadline=None)
@@ -371,8 +456,8 @@ def _outcome(m: CycloMatrix, candidates: list[UnitRoot]) -> object:
        extra=st.lists(st.sampled_from(mth_roots(ONE, 12)), max_size=2),
        bumps=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
                       max_size=2))
-def test_certified_route_matches_the_exact_route(blocks, ops, order, drop,
-                                                 extra, bumps):
+def test_charpoly_route_matches_the_exact_route(blocks, ops, order, drop,
+                                                extra, bumps):
     j = JordanStructure.from_blocks(blocks)
     candidates = sorted({alpha for xi in j.spectrum()
                          for alpha in mth_roots(xi, order)})
@@ -384,10 +469,11 @@ def test_certified_route_matches_the_exact_route(blocks, ops, order, drop,
         row = grid[i % len(grid)]
         row[k % len(grid)] = _add(row[k % len(grid)], (p, 0))
     m = build_cyclic_matrix(_sparse(6, grid), order)
-    certified = _outcome(m, candidates)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "_certified", lambda *args: False)
-        assert _outcome(m, candidates) == certified
+    try:
+        outcome: object = jordan_type(m, candidates)
+    except SpectrumNotCovered as exc:
+        outcome = str(exc)
+    assert outcome == _exact_outcome(m, candidates, p)
 
 
 def test_random_oracle_needs_no_exact_rank(monkeypatch, capsys):
