@@ -14,8 +14,8 @@ point but that one.  Otherwise E may have at most MAX_MATRIX_CELLS
 entries, so the work is bounded before any of it starts.
 
 The rank over Q is certified from one elimination modulo the prime
-p = 2^31 - 1, with exact integer arithmetic only where the mod-p answer
-needs it:
+p = 2^31 - 1 (modp.eliminate, shared with the oracle), with exact
+integer arithmetic only where the mod-p answer needs it:
 
 - lower bound: E mod p is the reduction of the integer E, so the r pivot
   rows found mod p have a nonzero r x r minor mod p, hence over Z; they
@@ -50,8 +50,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-PRIME = 2**31 - 1
-"""The Mersenne prime modulo which the evaluation matrix is first reduced."""
+from .modp import PRIME, eliminate
 
 MAX_MATRIX_CELLS = 500_000
 """Largest evaluation matrix, in entries, that defect_of_system builds."""
@@ -169,51 +168,6 @@ def _row_mod_p(point: tuple[int, ...], exps: list[tuple[int, ...]],
             for exp in exps]
 
 
-def _eliminate_mod_p(rows: list[list[int]], prime: int = PRIME,
-                     ) -> tuple[list[int], list[set[int]]]:
-    """Row-reduce `rows` (entries in [0, prime)) modulo a prime, in order.
-
-    Returns the indices of the pivot rows and, for each row that reduces
-    to zero, its support: the row itself and the pivot rows with a
-    nonzero coefficient in its relation mod prime.  Each stored row is
-    scaled to 1 at its pivot column and keeps the multipliers that
-    express it through earlier stored rows, so a relation found against
-    the stored rows is rewritten in the original pivot rows by one
-    backward pass.  A row is reduced modulo the prime once, after all of
-    its updates.
-    """
-    ncols = len(rows[0])
-    basis: list[tuple[int, list[int], dict[int, int]]] = []
-    pivots: list[int] = []
-    supports: list[set[int]] = []
-    for index, row in enumerate(rows):
-        used = {}
-        for j, (col, stored, _) in enumerate(basis):
-            f = row[col] % prime
-            if f:
-                used[j] = f
-                row = [x - f * y for x, y in zip(row, stored)]
-        row = [x % prime for x in row]
-        col = next((c for c, x in enumerate(row) if x), None)
-        if col is None:
-            support = {index}
-            for j in range(len(basis) - 1, -1, -1):
-                c = used.get(j, 0) % prime
-                if c:
-                    support.add(pivots[j])
-                    for j2, m in basis[j][2].items():
-                        used[j2] = used.get(j2, 0) - c * m
-            supports.append(support)
-            continue
-        inv = pow(row[col], -1, prime)
-        basis.append((col, [x * inv % prime for x in row],
-                      {j: f * inv % prime for j, f in used.items()}))
-        pivots.append(index)
-        if len(pivots) == ncols:
-            break
-    return pivots, supports
-
-
 def _exact_row(point: tuple[int, ...], exps: list[tuple[int, ...]]) -> list[int]:
     return [math.prod(c ** e for c, e in zip(point, exp)) for exp in exps]
 
@@ -236,7 +190,7 @@ def defect_of_system(pts: ProjectivePointSet, q: int) -> int:
             f"monomials of degree q = {q} has {k * ncols} entries, above "
             f"the limit of {MAX_MATRIX_CELLS}")
     exps = monomial_exponents(pts.dim, q)
-    pivots, supports = _eliminate_mod_p(
+    pivots, supports = eliminate(
         [_row_mod_p(point, exps, q) for point in pts.points])
     rank = len(pivots)
     if rank == k or rank == ncols:

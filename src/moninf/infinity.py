@@ -222,14 +222,18 @@ class Report:
         """The --json document; block lists and mu are Runs.  Raises
         InstanceError when they would list more than MAX_REPORT_ENTRIES
         numbers, counted from the runs before any list is written."""
-        entries = sum(count for _, count in self.mu) + sum(
+        listed_mu = sum(count for _, count in self.mu)
+        entries = listed_mu + sum(
             count for entry in self.entries
             for _, _, count in entry.jordan.iter_blocks())
         if entries > MAX_REPORT_ENTRIES:
+            # the text report lists mu too, so it helps only when mu fits
+            hint = ("; the text report gives the same blocks as counts"
+                    if listed_mu <= MAX_REPORT_ENTRIES else "")
             raise InstanceError(
                 f"the --json report would list {entries} Jordan blocks and "
-                f"Milnor numbers, above the limit of {MAX_REPORT_ENTRIES}; "
-                "the text report gives the same blocks as counts")
+                f"Milnor numbers, above the limit of {MAX_REPORT_ENTRIES}"
+                + hint)
         single = self.mode in ("given", "from_nodes")
         if single:
             beta_used: object = list(self.entries[0].beta)

@@ -23,12 +23,13 @@ tr(K^j), j = 1 .. dim K, give det(x - K) over Z[zeta_L] by Newton's
 identities; their division by k is exact on each coefficient, because
 the power basis is an integral basis.  (3) Synthetic division by
 x - alpha gives the multiplicity a(alpha) of each candidate, so the sum
-of the a(alpha) decides SpectrumNotCovered with no rank.  (4) If
-a(alpha) > 0, K - alpha is reduced mod a prime p = 1 (mod L) by the ring
-map zeta_L -> omega, omega of order L mod p; a minor nonzero mod p is
-nonzero, so the nullity mod p is >= n_1.  If it is 1, so is n_1: one
-block, of size a(alpha).  Otherwise the exact nullities run until they
-reach a(alpha).
+of the a(alpha) decides SpectrumNotCovered with no rank.  Since
+1 <= n_1 <= a(alpha), a(alpha) = 1 is one block of size 1, again with
+no rank.  (4) If a(alpha) > 1, K - alpha is reduced mod a prime
+p = 1 (mod L) by the ring map zeta_L -> omega, omega of order L mod p,
+and eliminated by modp.eliminate; a minor nonzero mod p is nonzero, so
+the nullity mod p is >= n_1.  If it is 1, so is n_1: one block, of size
+a(alpha).  Otherwise the exact nullities run until they reach a(alpha).
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .cyclic import cyclic_power
 from .cyclo import UnitRoot
-from .defect import PRIME, _eliminate_mod_p
 from .jordan import JordanStructure
+from .modp import PRIME, eliminate
 
 DEFAULT_LEVEL_CAP = 360
 
@@ -414,7 +415,7 @@ def _nullity_mod_p(rows: list[dict[int, tuple[int, ...]]], level: int,
         for j, vec in row.items():
             dense[i][j] = sum(map(int.__mul__, vec, powers)) % prime
         dense[i][i] = (dense[i][i] - image) % prime
-    return len(rows) - len(_eliminate_mod_p(dense, prime)[0])
+    return len(rows) - len(eliminate(dense, prime)[0])
 
 
 def _exact_nullities(rows: list[dict[int, tuple[int, ...]]], level: int,
@@ -467,7 +468,7 @@ def _component_nullities(rows: list[dict[int, tuple[int, ...]]], level: int,
             poly, mult = quotient, mult + 1
         if not mult:
             continue
-        if _nullity_mod_p(rows, level, alpha, top) == 1:
+        if mult == 1 or _nullity_mod_p(rows, level, alpha, top) == 1:
             out.append((alpha, list(range(mult + 1))))
         else:
             out.append((alpha, _exact_nullities(rows, level, alpha, mult)))

@@ -179,6 +179,27 @@ def test_oversized_mu_list_exits_1_in_both_formats(tmp_path, capsys, flags):
     assert f"limit of {MAX_REPORT_ENTRIES}" in captured.err
 
 
+@pytest.mark.parametrize("data, hinted", [
+    ({"n": 100, "d": 3, "singularities": [],
+      "beta": {"mode": "given", "values": [0, 0, 0]}}, True),
+    ({"n": 2, "d": 500,
+      "singularities": [{"type": "node", "count": MAX_REPORT_ENTRIES + 1}],
+      "beta": {"mode": "enumerate"}}, False),
+])
+def test_json_cap_names_text_mode_only_when_it_fits(tmp_path, capsys, data,
+                                                    hinted):
+    # text mode gives the blocks as counts but lists mu once per copy, so
+    # it is offered only when mu alone stays within the cap
+    instance = tmp_path / "big.json"
+    instance.write_text(json.dumps(data))
+    argv = ["compute", str(instance), "--enumerate-cap", "1"]
+    assert main([*argv, "--json"]) == 1
+    err = capsys.readouterr().err
+    assert f"limit of {MAX_REPORT_ENTRIES}" in err
+    assert ("text report" in err) is hinted
+    assert main(argv) == (0 if hinted else 1)
+
+
 def test_a_large_count_lists_no_copies(tmp_path, capsys):
     # 10**6 nodes at d = 101 fill (d-1)^(n+1): no admissible beta, and mu
     # is written from its one run, never as a list of 10**6 ints

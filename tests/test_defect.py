@@ -11,12 +11,12 @@ import pytest
 
 from moninf import defect
 from moninf.defect import (
-    PRIME,
     ProjectivePointSet,
     defect_of_system,
     monomial_exponents,
     nodal_beta,
 )
+from moninf.modp import PRIME
 
 
 def _fraction_rank(rows: list[list[Fraction]]) -> int:

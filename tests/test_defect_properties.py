@@ -10,7 +10,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from moninf.defect import PRIME, ProjectivePointSet, defect_of_system  # noqa: E402
+from moninf.defect import ProjectivePointSet, defect_of_system  # noqa: E402
+from moninf.modp import PRIME  # noqa: E402
 from test_defect import (  # noqa: E402
     _defect_by_fraction_elimination,
     _projectively_equal,

@@ -7,7 +7,9 @@ of math.  Rational numbers enter only as point
 coordinates, so defect.py is the one module that imports fractions: the
 oracle works over Z[zeta_N] and the defect over Z.  The oracle names
 cyclic_power only in the comparison it makes, and cyclic.py imports
-nothing from the oracle, so the check stays independent.  Two oracle reports,
+nothing from the oracle, so the check stays independent.  The one
+elimination mod p is in modp.py, which the defect and the oracle both
+import; the oracle imports nothing from the defect.  Two oracle reports,
 an oracle report with injected counterexamples in text and in JSON,
 two defect reports, four from_nodes compute reports, one large Brieskorn
 compute report and one enumerate-mode report with a non-semisimple germ
@@ -110,6 +112,33 @@ def test_the_oracle_is_independent_of_cyclic():
                for alias in node.names]
     assert "jordan.JordanStructure" in imports
     assert not any("oracle" in name for name in imports)
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # "from . import x" names the module x itself
+            names.update([node.module] if node.module
+                         else [alias.name for alias in node.names])
+    return {name.removeprefix("moninf.") for name in names}
+
+
+def test_one_elimination_mod_p_shared_by_defect_and_oracle():
+    # an elimination over F_p scales each pivot row by an inverse mod p
+    modules = dict(_modules())
+    inverting = [name for name, tree in modules.items()
+                 if any(isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "pow" and len(node.args) == 3
+                        and ast.unparse(node.args[1]) == "-1"
+                        for node in ast.walk(tree))]
+    assert inverting == ["modp.py"]
+    assert "modp" in _imported_modules(modules["defect.py"])
+    assert "modp" in _imported_modules(modules["oracle.py"])
+    assert "defect" not in _imported_modules(modules["oracle.py"])
 
 
 @pytest.mark.parametrize("argv, digest", [

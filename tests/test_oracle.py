@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from moninf import oracle
 from moninf.cli import main
 from moninf.cyclo import ONE, MINUS_ONE, UnitRoot, mth_roots
-from moninf.defect import _eliminate_mod_p
 from moninf.jordan import JordanStructure
+from moninf.modp import eliminate
 from moninf.oracle import (
     CycloMatrix,
     LevelCapExceeded,
@@ -345,7 +345,7 @@ def test_two_blocks_mod_p_are_one_block_over_q(monkeypatch):
     0,
 ])
 def test_uncovered_spectrum_needs_no_rank(monkeypatch, entry):
-    eliminations = _spy(monkeypatch, "_eliminate_mod_p")
+    eliminations = _spy(monkeypatch, "eliminate")
     exact = _spy(monkeypatch, "_exact_nullities")
     with pytest.raises(SpectrumNotCovered, match="cover 0 of 1 dimensions"):
         jordan_type(CycloMatrix(1, [{0: (entry,)}], 1), [ONE])
@@ -368,10 +368,26 @@ def test_shuffled_block_diagonal_matrix_keeps_its_type():
 def test_a_candidate_of_multiplicity_0_costs_no_elimination(monkeypatch):
     j = JordanStructure({ONE: {2: 2, 3: 1}})
     m = build_jordan_matrix(j, 1)
-    eliminations = _spy(monkeypatch, "_eliminate_mod_p")
+    eliminations = _spy(monkeypatch, "eliminate")
     assert jordan_type(m, [ONE, MINUS_ONE, UnitRoot(1, 3)]) == j
     # one per component, each a single Jordan block at 1
     assert len(eliminations) == len(oracle._components(m.rows)) == 3
+
+
+def test_simple_candidates_cost_no_elimination(monkeypatch):
+    # the order-6 cyclic operator of (-1) is one component whose
+    # eigenvalues, the sixth roots of -1, are distinct: among the twelfth
+    # roots of unity every a(alpha) is 0 or 1
+    eliminations = _spy(monkeypatch, "eliminate")
+    j = JordanStructure({MINUS_ONE: {1: 1}})
+    expected, actual = verify_cyclic_agreement(j, 6)
+    assert actual == expected
+    assert [actual.blocks_at(alpha) for alpha in actual.spectrum()] \
+        == [{1: 1}] * 6
+    m = build_cyclic_matrix(build_jordan_matrix(j, 2), 6)
+    assert len(oracle._components(m.rows)) == 1
+    assert jordan_type(m, mth_roots(ONE, 12)) == actual
+    assert eliminations == []
 
 
 def _poly_mul(a: list[tuple[int, ...]], b: list[tuple[int, ...]],
@@ -422,7 +438,7 @@ def _multiplicity_bound(m: CycloMatrix, alpha: UnitRoot, avoid: int) -> int:
         shift[i][i] -= pow(omega, k * level // alpha.den * alpha.num, q)
     power, nullities = shift, [0]
     while len(nullities) < 2 or nullities[-1] != nullities[-2]:
-        nullities.append(m.nrows - len(_eliminate_mod_p(
+        nullities.append(m.nrows - len(eliminate(
             [[x % q for x in row] for row in power], q)[0]))
         power = [[sum(map(int.__mul__, row, col)) % q for col in zip(*shift)]
                  for row in power]
