@@ -202,11 +202,11 @@ def _exhaustive_structures(roots: list[UnitRoot], max_dim: int):
         for weight in range(budget + 1):
             for part in _partitions(weight):
                 for tail in rec(idx + 1, budget - weight):
-                    head = [(roots[idx], size) for size in part]
+                    head = [(roots[idx], {size: 1}) for size in part]
                     yield head + tail
     for blocks in rec(0, max_dim):
         if blocks:
-            yield JordanStructure.from_blocks(blocks)
+            yield JordanStructure(blocks)
 
 
 def _random_structure(rng: random.Random, max_dim: int,
@@ -216,9 +216,9 @@ def _random_structure(rng: random.Random, max_dim: int,
     while remaining:
         size = rng.randint(1, remaining)
         den = rng.choice(orders)
-        blocks.append((UnitRoot(rng.randrange(den), den), size))
+        blocks.append((UnitRoot(rng.randrange(den), den), {size: 1}))
         remaining -= size
-    return JordanStructure.from_blocks(blocks)
+    return JordanStructure(blocks)
 
 
 def _one_line(structure: JordanStructure) -> str:
@@ -230,8 +230,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     exhaustive = args.seed is None
     max_dim = args.max_dim if args.max_dim is not None else (4 if exhaustive else 6)
     max_m = args.max_m if args.max_m is not None else (3 if exhaustive else 5)
-    if max_dim < 1 or max_m < 2:
-        raise InstanceError("oracle needs --max-dim >= 1 and --max-m >= 2")
+    if max_dim < 1 or max_m < 2 or args.trials < 1:
+        raise InstanceError(
+            "oracle needs --max-dim >= 1, --max-m >= 2 and --trials >= 1")
     cases = []
     if exhaustive:
         for structure in _exhaustive_structures(mth_roots(ONE, 6), max_dim):

@@ -12,8 +12,8 @@ A :class:`RootExponentVector` is the formal product
 over roots of unity alpha with nonzero integer exponents e_alpha.  Negative
 exponents are allowed, so characteristic polynomials and zeta-function
 quotients share one representation.  The product is never expanded into
-coefficient form; :func:`factor_list` only regroups full Galois orbits into
-cyclotomic factors Phi_q for display.
+coefficient form; its display only regroups full Galois orbits into
+cyclotomic factors Phi_q.
 """
 
 from __future__ import annotations
@@ -151,11 +151,6 @@ class RootExponentVector:
         """(root, exponent) pairs in increasing angle order."""
         return iter(self._factors.items())
 
-    @property
-    def degree(self) -> int:
-        """Sum of exponents; the degree when the product is a polynomial."""
-        return sum(self._factors.values())
-
     def is_polynomial(self) -> bool:
         return all(e > 0 for e in self._factors.values())
 
@@ -170,89 +165,35 @@ class RootExponentVector:
             return NotImplemented
         return self._factors == other._factors
 
-    def __hash__(self) -> int:
-        return hash(tuple(self._factors.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self._factors)
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{r}: {e}" for r, e in self._factors.items())
         return f"RootExponentVector({{{inner}}})"
 
     def __str__(self) -> str:
-        return format_factors(factor_list(self))
+        """The product as Phi_q powers, then linear factors.
+
+        For each denominator q whose full set of primitive q-th roots appears
+        with exponents of one common sign, the signed minimum exponent is
+        pulled out as Phi_q, written (x - 1) for q = 1 and (x + 1) for q = 2;
+        whatever remains stays as linear factors (x - zeta(p/q)).  The
+        expansion of the display always equals the product exactly.
+        """
+        by_den: dict[int, dict[UnitRoot, int]] = {}
+        for root, exp in self._factors.items():
+            by_den.setdefault(root.den, {})[root] = exp
+        phis: list[tuple[str, int]] = []
+        loose: list[tuple[str, int]] = []
+        for q, orbit in sorted(by_den.items()):
+            exps = orbit.values()
+            if len(orbit) == totient(q) and (all(e > 0 for e in exps)
+                                             or all(e < 0 for e in exps)):
+                e = min(exps, key=abs)
+                phis.append(({1: "(x - 1)", 2: "(x + 1)"}.get(q, f"Phi_{q}"), e))
+                orbit = {r: v - e for r, v in orbit.items()}
+            loose.extend((f"(x - zeta({r}))", v) for r, v in orbit.items() if v)
+        return " * ".join(base if e == 1 else f"{base}^{e}"
+                          for base, e in phis + loose) or "1"
 
     def to_json(self) -> dict[str, int]:
         """JSON form: {"num/den": exponent} with roots in increasing order."""
         return {str(r): e for r, e in self._factors.items()}
-
-
-@dataclass(frozen=True)
-class PhiFactor:
-    """Phi_q^exponent: the full orbit of primitive q-th roots of unity."""
-
-    q: int
-    exponent: int
-
-    def __str__(self) -> str:
-        if self.q == 1:
-            base = "(x - 1)"
-        elif self.q == 2:
-            base = "(x + 1)"
-        else:
-            base = f"Phi_{self.q}"
-        return base if self.exponent == 1 else f"{base}^{self.exponent}"
-
-
-@dataclass(frozen=True)
-class RootFactor:
-    """A single linear factor (x - zeta(num/den))^exponent."""
-
-    root: UnitRoot
-    exponent: int
-
-    def __str__(self) -> str:
-        if self.root == ONE:
-            base = "(x - 1)"
-        elif self.root == MINUS_ONE:
-            base = "(x + 1)"
-        else:
-            base = f"(x - zeta({self.root}))"
-        return base if self.exponent == 1 else f"{base}^{self.exponent}"
-
-
-Factor = Union[PhiFactor, RootFactor]
-
-
-def factor_list(rev: RootExponentVector) -> list[Factor]:
-    """Greedy grouping of Galois orbits into cyclotomic factors.
-
-    For each denominator q whose full set of primitive q-th roots appears
-    with exponents of one common sign, the signed minimum exponent is pulled
-    out as Phi_q; whatever remains stays as explicit linear factors.  The
-    expansion of the result always equals the input exactly.
-    """
-    by_den: dict[int, dict[UnitRoot, int]] = {}
-    for root, exp in rev.items():
-        by_den.setdefault(root.den, {})[root] = exp
-    phi_parts: list[PhiFactor] = []
-    loose: list[RootFactor] = []
-    for q in sorted(by_den):
-        orbit = by_den[q]
-        exps = list(orbit.values())
-        full = len(orbit) == totient(q)
-        same_sign = all(e > 0 for e in exps) or all(e < 0 for e in exps)
-        if full and same_sign:
-            sign = 1 if exps[0] > 0 else -1
-            e = sign * min(abs(v) for v in exps)
-            phi_parts.append(PhiFactor(q, e))
-            orbit = {r: v - e for r, v in orbit.items() if v != e}
-        loose.extend(RootFactor(r, v) for r, v in sorted(orbit.items()) if v)
-    return [*phi_parts, *loose]
-
-
-def format_factors(factors: list[Factor]) -> str:
-    if not factors:
-        return "1"
-    return " * ".join(str(f) for f in factors)

@@ -133,10 +133,17 @@ def monomial_exponents(n: int, q: int) -> list[tuple[int, ...]]:
 
 
 def _integer_rank(rows: list[list[int]]) -> int:
-    """Fraction-free Gaussian elimination, with row content stripped."""
-    rows = [row[:] for row in rows if any(row)]
+    """Fraction-free Gaussian elimination, with row content stripped.
+
+    The columns are taken in nondecreasing order of their largest absolute
+    entry: with no Bareiss division the entries grow fastest when the
+    first pivot columns hold the largest numbers.
+    """
+    rows = [row for row in rows if any(row)]
     if not rows:
         return 0
+    rows = [list(r) for r in zip(*sorted(zip(*rows),
+                                         key=lambda col: max(map(abs, col))))]
     ncols = len(rows[0])
     rank = 0
     for col in range(ncols):

@@ -61,8 +61,8 @@ class JordanStructure:
 
     __slots__ = ("_blocks",)
 
-    def __init__(self,
-                 blocks: Mapping[UnitRoot, Mapping[int, int]] = ()) -> None:
+    def __init__(self, blocks: Mapping[UnitRoot, Mapping[int, int]]
+                 | Iterable[tuple[UnitRoot, Mapping[int, int]]] = ()) -> None:
         canon: dict[UnitRoot, dict[int, int]] = {}
         items = blocks.items() if isinstance(blocks, Mapping) else blocks
         for root, sizes in items:
@@ -83,15 +83,6 @@ class JordanStructure:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("JordanStructure is immutable")
-
-    @classmethod
-    def from_blocks(cls, pairs: Iterable[tuple[UnitRoot, int]]) -> JordanStructure:
-        """Build from (eigenvalue, block size) pairs, one block per pair."""
-        acc: dict[UnitRoot, dict[int, int]] = {}
-        for root, size in pairs:
-            sizes = acc.setdefault(root, {})
-            sizes[size] = sizes.get(size, 0) + 1
-        return cls(acc)
 
     def sharp(self, alpha: UnitRoot, size: int) -> int:
         """Number of Jordan blocks of exactly the given size at alpha."""

@@ -149,13 +149,6 @@ class _Field:
                         out[idx] += ct * rv
         return tuple(out)
 
-    def vsub_scaled(self, p: Sequence[int], a: Sequence[int],
-                    q: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        """p*a - q*b for vectors a, b and vector multipliers p, q."""
-        left = self.vmul(p, a)
-        right = self.vmul(q, b)
-        return tuple(x - y for x, y in zip(left, right))
-
     def lift(self, vec: Sequence[int], target: _Field) -> tuple[int, ...]:
         """Rewrite a vector at this level as one at a multiple level."""
         if target.level % self.level:
@@ -293,7 +286,8 @@ def _int_rank(rows: list[dict[int, tuple[int, ...]]], ncols: int,
                 if piv_entry is None:
                     prod = vmul(piv_val, val)
                 else:
-                    prod = field.vsub_scaled(piv_val, val, coeff, piv_entry)
+                    prod = tuple(map(int.__sub__, vmul(piv_val, val),
+                                     vmul(coeff, piv_entry)))
                 if any(prod):
                     new_row[c2] = prod
             for c2, piv_entry in piv_row.items():
@@ -520,12 +514,18 @@ def verify_cyclic_agreement(structure: JordanStructure, order: int, *,
     operator built from a realization of `structure`: the first computed by
     :func:`moninf.cyclic.cyclic_power`, the second read off an explicit
     matrix by rank computations.  Agreement of the two is the caller's
-    check.
+    check.  Raises :class:`LevelCapExceeded` before either is computed
+    when the field level they need exceeds `level_cap`.
     """
-    expected = cyclic_power(structure, order)
     level = 1
     for root in structure.spectrum():
         level = math.lcm(level, root.den)
+    # the m-th roots of a root p/q have lcm denominator m*q, so the
+    # candidates below need level order*level: refuse it before any work
+    if structure and order * level > level_cap:
+        raise LevelCapExceeded(
+            f"required field level {order * level} exceeds the cap {level_cap}")
+    expected = cyclic_power(structure, order)
     base = build_jordan_matrix(structure, level)
     cyclic_matrix = build_cyclic_matrix(base, order)
     candidates = sorted(expected.spectrum())

@@ -114,8 +114,8 @@ def _random_germ(rng: random.Random, n: int):
     blocks = []
     for den in rng.choices((1, 2, 3, 4, 6, 12), k=rng.randint(1, 3)):
         root = UnitRoot(rng.randrange(den), den)
-        blocks.append((root, rng.randint(1, n - 1 if root == ONE else n)))
-    return ExplicitJordan(JordanStructure.from_blocks(blocks))
+        blocks.append((root, {rng.randint(1, n - 1 if root == ONE else n): 1}))
+    return ExplicitJordan(JordanStructure(blocks))
 
 
 def _random_spec(rng: random.Random, given: bool) -> ProblemSpec:

@@ -451,6 +451,28 @@ def test_oracle_prints_counterexample(monkeypatch, capsys):
     assert "disagreements found" in out
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_oracle_rejects_fewer_than_one_trial(capsys, trials):
+    assert main(["oracle", "--seed", "1", "--trials", trials, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--trials >= 1" in captured.err
+
+
+def test_oracle_level_cap_exits_1_before_any_work(monkeypatch, capsys):
+    # one trial at m up to 400000: the field level is checked before the
+    # power rule runs or a matrix is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done above the level cap")
+
+    for name in ("cyclic_power", "build_jordan_matrix", "build_cyclic_matrix"):
+        monkeypatch.setattr(f"moninf.oracle.{name}", refuse)
+    assert main(["oracle", "--seed", "1", "--trials", "1",
+                 "--max-m", "400000"]) == 1
+    assert capsys.readouterr().err == \
+        "error: required field level 1366496 exceeds the cap 360\n"
+
+
 def test_usage_errors_exit_1(capsys):
     assert main(["compute"]) == 1
     assert main(["no-such-command"]) == 1

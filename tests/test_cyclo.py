@@ -4,21 +4,23 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 
 from moninf.cyclo import (
     ONE,
     MINUS_ONE,
-    PhiFactor,
     RootExponentVector,
-    RootFactor,
     UnitRoot,
-    factor_list,
-    format_factors,
     mth_roots,
     totient,
 )
+
+
+def _degree(rev):
+    """Sum of the exponents: the degree of a polynomial product."""
+    return sum(e for _, e in rev.items())
 
 
 def _brute_force_mth_roots(xi: UnitRoot, m: int) -> list[UnitRoot]:
@@ -108,12 +110,12 @@ def test_rev_multiplication_adds_exponents():
     prod = f * g
     assert dict(prod.items()) == {ONE: 3}
     assert prod == RootExponentVector.linear(ONE, 3)
-    assert prod.degree == 3
+    assert _degree(prod) == 3
     assert f * RootExponentVector.linear(UnitRoot(1, 6), -2) == \
         RootExponentVector()
-    assert not RootExponentVector()
+    assert list(RootExponentVector().items()) == []
     h = RootExponentVector([(ONE, 2), (MINUS_ONE, -1)])
-    assert h.degree == 1
+    assert _degree(h) == 1
     assert not h.is_polynomial()
 
 
@@ -135,37 +137,50 @@ def test_rev_json_round_trip():
 
 def test_factor_list_groups_full_orbits():
     f = RootExponentVector([(UnitRoot(1, 6), 1), (UnitRoot(5, 6), 1)])
-    assert factor_list(f) == [PhiFactor(6, 1)]
+    assert str(f) == "Phi_6"
 
     g = RootExponentVector([(ONE, 3)])
-    assert factor_list(g) == [PhiFactor(1, 3)]
-    assert format_factors(factor_list(g)) == "(x - 1)^3"
+    assert str(g) == "(x - 1)^3"
 
 
 def test_factor_list_extracts_signed_minimum():
     f = RootExponentVector([(UnitRoot(1, 6), 2), (UnitRoot(5, 6), 1)])
-    assert factor_list(f) == [PhiFactor(6, 1), RootFactor(UnitRoot(1, 6), 1)]
+    assert str(f) == "Phi_6 * (x - zeta(1/6))"
 
     neg = RootExponentVector([(UnitRoot(1, 3), -2), (UnitRoot(2, 3), -5)])
-    assert factor_list(neg) == [PhiFactor(3, -2), RootFactor(UnitRoot(2, 3), -3)]
+    assert str(neg) == "Phi_3^-2 * (x - zeta(2/3))^-3"
 
 
 def test_factor_list_skips_mixed_signs_and_partial_orbits():
     mixed = RootExponentVector([(UnitRoot(1, 6), 2), (UnitRoot(5, 6), -1)])
-    assert factor_list(mixed) == [RootFactor(UnitRoot(1, 6), 2),
-                                  RootFactor(UnitRoot(5, 6), -1)]
+    assert str(mixed) == "(x - zeta(1/6))^2 * (x - zeta(5/6))^-1"
 
     partial = RootExponentVector([(UnitRoot(1, 5), 1), (UnitRoot(2, 5), 1)])
-    assert factor_list(partial) == [RootFactor(UnitRoot(1, 5), 1),
-                                    RootFactor(UnitRoot(2, 5), 1)]
+    assert str(partial) == "(x - zeta(1/5)) * (x - zeta(2/5))"
 
 
-def _expand(factor) -> RootExponentVector:
-    if isinstance(factor, PhiFactor):
-        return RootExponentVector(
-            (UnitRoot(p, factor.q), factor.exponent)
-            for p in range(factor.q) if math.gcd(p, factor.q) == 1)
-    return RootExponentVector.linear(factor.root, factor.exponent)
+_FACTOR_RE = re.compile(
+    r"(?:Phi_(\d+)|\(x ([-+]) 1\)|\(x - zeta\((\d+)/(\d+)\)\))(?:\^(-?\d+))?")
+
+
+def _expand(text: str) -> RootExponentVector:
+    """The product a display string writes, expanded over its roots."""
+    out = RootExponentVector()
+    for factor in [] if text == "1" else text.split(" * "):
+        match = _FACTOR_RE.fullmatch(factor)
+        assert match, factor
+        phi, sign, num, den, exp = match.groups()
+        exponent = int(exp or 1)
+        if phi:
+            q = int(phi)
+            out = out * RootExponentVector(
+                (UnitRoot(p, q), exponent)
+                for p in range(q) if math.gcd(p, q) == 1)
+        else:
+            root = ({"-": ONE, "+": MINUS_ONE}[sign] if sign
+                    else UnitRoot(int(num), int(den)))
+            out = out * RootExponentVector.linear(root, exponent)
+    return out
 
 
 def test_factor_list_expansion_round_trip():
@@ -177,14 +192,11 @@ def test_factor_list_expansion_round_trip():
             pairs.append((UnitRoot(rng.randrange(den), den),
                           rng.choice([-3, -2, -1, 1, 2, 3])))
         f = RootExponentVector(pairs)
-        expanded = RootExponentVector()
-        for factor in factor_list(f):
-            expanded = expanded * _expand(factor)
-        assert expanded == f
+        assert _expand(str(f)) == f
 
 
 def test_format_factors_rendering():
-    assert format_factors([]) == "1"
+    assert str(RootExponentVector()) == "1"
     f = RootExponentVector([(ONE, 8), (MINUS_ONE, 9), (UnitRoot(1, 3), 9),
                             (UnitRoot(2, 3), 9), (UnitRoot(1, 6), 9),
                             (UnitRoot(5, 6), 9)])

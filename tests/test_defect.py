@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import itertools
 import math
 import random
@@ -209,6 +210,35 @@ def test_collinear_points_check_only_their_own_rows(monkeypatch):
     assert defect_of_system(ProjectivePointSet(n, tuple(points)), q) == \
         _defect_by_fraction_elimination(n, points, q) == j - (q + 1)
     assert len(sizes) == 1 and sizes[0] <= j
+
+
+def test_conic_defect_is_the_same_in_both_coordinate_orders():
+    # (t^2, t, 1) and (1, t, t^2) only permute the columns of E; with the
+    # largest powers in the first columns the exact check used to take
+    # minutes on sets not much larger than this one
+    for order in (slice(None), slice(None, None, -1)):
+        points = [(t * t, t, 1)[order] for t in range(1, 81)]
+        assert defect_of_system(ProjectivePointSet(2, tuple(points)), 20) == \
+            80 - (2 * 20 + 1)
+
+
+def test_exact_rank_takes_the_columns_by_size(monkeypatch):
+    # the monomials come largest power first, so the given columns are in
+    # decreasing order of size; the elimination starts from them reordered
+    exps = monomial_exponents(2, 4)
+    rows = [defect._exact_row((t * t, t, 1), exps) for t in range(1, 13)]
+    started = []
+
+    def spy(row):
+        started.append(builtins.list(row))
+        return builtins.list(row)
+
+    monkeypatch.setattr(defect, "list", spy, raising=False)
+    assert defect._integer_rank(rows) == 2 * 4 + 1
+    largest = [max(map(abs, col)) for col in zip(*started)]
+    assert largest == sorted(largest)
+    assert largest != [max(map(abs, col)) for col in zip(*rows)]
+    assert sorted(zip(*started)) == sorted(zip(*rows))
 
 
 def test_defect_invariances():

@@ -9,7 +9,9 @@ oracle works over Z[zeta_N] and the defect over Z.  The oracle names
 cyclic_power only in the comparison it makes, and cyclic.py imports
 nothing from the oracle, so the check stays independent.  The one
 elimination mod p is in modp.py, which the defect and the oracle both
-import; the oracle imports nothing from the defect.  Two oracle reports,
+import; the oracle imports nothing from the defect.  Every function,
+class and method of the package is named somewhere in it outside its own
+definition, so no helper stays that only tests call.  Two oracle reports,
 an oracle report with injected counterexamples in text and in JSON,
 two defect reports, four from_nodes compute reports, one large Brieskorn
 compute report and one enumerate-mode report with a non-semisimple germ
@@ -139,6 +141,55 @@ def test_one_elimination_mod_p_shared_by_defect_and_oracle():
     assert "modp" in _imported_modules(modules["defect.py"])
     assert "modp" in _imported_modules(modules["oracle.py"])
     assert "defect" not in _imported_modules(modules["oracle.py"])
+
+
+def _unnamed(modules: list[tuple[str, ast.Module]]) -> list[str]:
+    """Top-level functions and classes, and methods that are not dunders,
+    whose name no Name or Attribute node outside their own definition uses."""
+    uses: dict[str, set[int]] = {}
+    for _, tree in modules:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                key = node.id if isinstance(node, ast.Name) else node.attr
+                uses.setdefault(key, set()).add(id(node))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+    for module, tree in modules:
+        for top in tree.body:
+            if not isinstance(top, defs):
+                continue
+            methods = [(f"{top.name}.{item.name}", item)
+                       for item in (top.body if isinstance(top, ast.ClassDef)
+                                    else [])
+                       if isinstance(item, defs[:2])
+                       and not (item.name.startswith("__")
+                                and item.name.endswith("__"))]
+            for label, node in [(top.name, top), *methods]:
+                inside = {id(sub) for sub in ast.walk(node)}
+                if not uses.get(node.name, set()) - inside:
+                    found.append(f"{module}: {label}")
+    return found
+
+
+def test_every_definition_is_named_elsewhere_in_the_package():
+    """ROADMAP aim 2 keeps no helper that only tests call.
+
+    The check goes by name only, so it cannot tell two definitions of one
+    name apart: RootExponentVector.degree, which only tests read, passed
+    it through the attribute _Field.degree of the oracle until it was
+    deleted.  It passed on the package before the factor-list display
+    layer and the test-only helpers were removed, and it passes now.
+    """
+    assert _unnamed(_modules()) == []
+
+
+def test_unnamed_finder_sees_a_helper_only_tests_call():
+    tree = ast.parse("def used():\n    pass\n"
+                     "def only_tests():\n    used()\n"
+                     "class C:\n    def __eq__(self, other):\n        pass\n"
+                     "    def again(self):\n        return self.again()\n")
+    assert _unnamed([("m.py", tree)]) == ["m.py: only_tests", "m.py: C",
+                                          "m.py: C.again"]
 
 
 @pytest.mark.parametrize("argv, digest", [

@@ -140,9 +140,9 @@ def test_beta_bump_moves_counts_by_two_and_minus_one():
 
 def test_charpoly_is_beta_independent():
     report = assemble(_sextic_spec(EnumerateBeta()))
-    polys = {entry.jordan.char_poly() for entry in report.entries}
-    assert len(polys) == 1
-    assert polys.pop() == report.charpoly
+    polys = [entry.jordan.char_poly() for entry in report.entries]
+    assert polys
+    assert all(poly == report.charpoly for poly in polys)
 
 
 def test_sextic_charpoly_display():
@@ -341,7 +341,7 @@ def test_zeta_degree_matches_chi_sum():
         count = rng.randint(0, min(4, (d - 1) ** (n + 1)))
         spec = ProblemSpec(n, d, _nodes(count), EnumerateBeta())
         zeta = zeta_of_top_form(spec)
-        assert zeta.degree == (d - 1) ** (n + 1) - d * count
+        assert sum(e for _, e in zeta.items()) == (d - 1) ** (n + 1) - d * count
 
 
 def test_zeta_two_forms_check():

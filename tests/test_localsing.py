@@ -85,7 +85,7 @@ def test_node_monodromy_depends_on_parity():
 
 
 def test_explicit_model_passthrough():
-    j = JordanStructure.from_blocks([(ONE, 2), (UnitRoot(1, 3), 1)])
+    j = JordanStructure({ONE: {2: 1}, UnitRoot(1, 3): {1: 1}})
     model = ExplicitJordan(j)
     assert milnor_number(model) == 3
     assert local_monodromy(model, 2) is j

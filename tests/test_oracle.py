@@ -28,6 +28,11 @@ from moninf.oracle import (
 )
 
 
+def _from_blocks(pairs):
+    """One Jordan block per (eigenvalue, size) pair."""
+    return JordanStructure((root, {size: 1}) for root, size in pairs)
+
+
 def _poly_mul_int(a: list[int], b: list[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -183,7 +188,7 @@ def _random_structure(rng: random.Random, max_dim: int = 5) -> JordanStructure:
         dim += size
         if rng.random() < 0.3:
             break
-    return JordanStructure.from_blocks(pairs)
+    return _from_blocks(pairs)
 
 
 def test_jordan_type_recovers_block_matrices():
@@ -409,7 +414,7 @@ def _poly_mul(a: list[tuple[int, ...]], b: list[tuple[int, ...]],
        top=st.sampled_from([6, 12, 36]))
 def test_char_poly_is_the_product_over_the_jordan_blocks(blocks, ops, bumps,
                                                          top):
-    j = JordanStructure.from_blocks(blocks)
+    j = _from_blocks(blocks)
     field = _field(top)
     expected = [field.monomial(0)]
     for root, size in blocks:
@@ -474,7 +479,7 @@ def _exact_outcome(m: CycloMatrix, candidates: list[UnitRoot],
                       max_size=2))
 def test_charpoly_route_matches_the_exact_route(blocks, ops, order, drop,
                                                 extra, bumps):
-    j = JordanStructure.from_blocks(blocks)
+    j = _from_blocks(blocks)
     candidates = sorted({alpha for xi in j.spectrum()
                          for alpha in mth_roots(xi, order)})
     candidates = candidates[drop:] + extra
