@@ -39,6 +39,7 @@ from .jordan import JordanStructure, Runs
 from .oracle import (
     DEFAULT_LEVEL_CAP,
     SpectrumNotCovered,
+    cyclic_level,
     verify_cyclic_agreement,
 )
 
@@ -233,18 +234,25 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if max_dim < 1 or max_m < 2 or args.trials < 1:
         raise InstanceError(
             "oracle needs --max-dim >= 1, --max-m >= 2 and --trials >= 1")
-    cases = []
-    if exhaustive:
-        for structure in _exhaustive_structures(mth_roots(ONE, 6), max_dim):
-            for m in range(2, max_m + 1):
-                cases.append((structure, m))
-    else:
-        rng = random.Random(args.seed)
-        for _ in range(args.trials):
-            cases.append((_random_structure(rng, max_dim, [1, 2, 3, 4, 6, 12]),
-                          rng.randint(2, max_m)))
+
+    def cases():
+        # (structure, m) in sweep order, generated afresh on each call
+        if exhaustive:
+            for structure in _exhaustive_structures(mth_roots(ONE, 6), max_dim):
+                for m in range(2, max_m + 1):
+                    yield structure, m
+        else:
+            rng = random.Random(args.seed)
+            for _ in range(args.trials):
+                yield (_random_structure(rng, max_dim, [1, 2, 3, 4, 6, 12]),
+                       rng.randint(2, max_m))
+    # every field level is checked before the first comparison runs
+    comparisons = 0
+    for structure, m in cases():
+        cyclic_level(structure, m, args.oracle_level_cap)
+        comparisons += 1
     counterexamples = []
-    for structure, m in cases:
+    for structure, m in cases():
         try:
             expected, actual = verify_cyclic_agreement(
                 structure, m, level_cap=args.oracle_level_cap)
@@ -257,7 +265,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     lines = []
     if exhaustive:
         lines.append(
-            f"oracle: exhaustive sweep, {len(cases)} comparisons "
+            f"oracle: exhaustive sweep, {comparisons} comparisons "
             f"(dimension <= {max_dim}, eigenvalue orders dividing 6, "
             f"m in 2..{max_m})")
     else:
@@ -289,7 +297,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "max_m": max_m,
         "seed": args.seed,
         "trials": None if exhaustive else args.trials,
-        "comparisons": len(cases),
+        "comparisons": comparisons,
         "counterexamples": rows,
     }
     _emit(args, "\n".join(lines), doc)

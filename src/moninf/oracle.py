@@ -18,18 +18,28 @@ size exactly l at alpha is 2*n_l - n_(l-1) - n_(l+1).
 
 Route.  (1) M is split into the connected components K of its symmetric
 sparsity pattern: a permutation similarity, so Jordan types add over
-components.  (2) With L the level the candidates need, the exact traces
-tr(K^j), j = 1 .. dim K, give det(x - K) over Z[zeta_L] by Newton's
-identities; their division by k is exact on each coefficient, because
-the power basis is an integral basis.  (3) Synthetic division by
-x - alpha gives the multiplicity a(alpha) of each candidate, so the sum
-of the a(alpha) decides SpectrumNotCovered with no rank.  Since
-1 <= n_1 <= a(alpha), a(alpha) = 1 is one block of size 1, again with
-no rank.  (4) If a(alpha) > 1, K - alpha is reduced mod a prime
-p = 1 (mod L) by the ring map zeta_L -> omega, omega of order L mod p,
-and eliminated by modp.eliminate; a minor nonzero mod p is nonzero, so
-the nullity mod p is >= n_1.  If it is 1, so is n_1: one block, of size
-a(alpha).  Otherwise the exact nullities run until they reach a(alpha).
+components.  (2) With L the level of M, the exact traces p_j = tr(K^j),
+j = 1 .. dim K, give det(x - K) over Z[zeta_L] by Newton's identities;
+their division by k is exact on each coefficient, because the power
+basis is an integral basis.  (3) With T the level the candidates need, a
+prime p = 1 (mod T) and omega of order T mod p, the ring map
+zeta_L -> omega^(T/L) sends det(x - K) to F_p, where synthetic division
+gives each candidate alpha a multiplicity a_p(alpha) >= a(alpha): a ring
+map can only raise a multiplicity, and distinct T-th roots of unity stay
+distinct mod p.  (4) Certificate: if the a_p(alpha) add up to dim K and
+p_j = sum a_p(alpha)*alpha^j in Z[zeta_T] for j = 1 .. dim K, then
+a = a_p, since over a field of characteristic 0 the power sums
+p_1 .. p_dim fix a monic polynomial of degree dim.  The check only adds
+monomials, and it passes exactly when the candidates cover K.  Where it
+fails, det(x - K) is lifted to Z[zeta_T] and divided exactly by x - alpha,
+at most a_p(alpha) times.  Either way the sum of the a(alpha) decides
+SpectrumNotCovered with no rank.  (5) Since 1 <= n_1 <= a(alpha),
+a(alpha) = 1 is one block of size 1, again with no rank.  If
+a(alpha) > 1, the image of K over F_p, made once per component, is
+shifted by the image of alpha and eliminated by modp.eliminate; a minor
+nonzero mod p is nonzero, so the nullity mod p is >= n_1.  If it is 1,
+so is n_1: one block, of size a(alpha).  Otherwise the exact nullities
+run until they reach a(alpha).
 """
 
 from __future__ import annotations
@@ -149,20 +159,22 @@ class _Field:
                         out[idx] += ct * rv
         return tuple(out)
 
+    def combine(self, terms: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+        """The sum of c*x^e mod Phi_level over the pairs (e, c)."""
+        out = [0] * self.degree
+        for e, c in terms:
+            if c:
+                for idx, mv in enumerate(self.monomial(e)):
+                    if mv:
+                        out[idx] += c * mv
+        return tuple(out)
+
     def lift(self, vec: Sequence[int], target: _Field) -> tuple[int, ...]:
         """Rewrite a vector at this level as one at a multiple level."""
         if target.level % self.level:
             raise ValueError("target level must be a multiple")
         ratio = target.level // self.level
-        out = [0] * target.degree
-        for i, c in enumerate(vec):
-            if c:
-                mono = target.monomial(i * ratio)
-                for idx in range(target.degree):
-                    mv = mono[idx]
-                    if mv:
-                        out[idx] += c * mv
-        return tuple(out)
+        return target.combine((i * ratio, c) for i, c in enumerate(vec))
 
 
 @lru_cache(maxsize=None)
@@ -307,13 +319,13 @@ def _int_rank(rows: list[dict[int, tuple[int, ...]]], ncols: int,
 def _sparse_matmul(a: list[dict[int, tuple[int, ...]]],
                    b: list[dict[int, tuple[int, ...]]],
                    field: _Field) -> list[dict[int, tuple[int, ...]]]:
-    vmul = field.vmul
+    vmul, one = field.vmul, field.monomial(0)
     out: list[dict[int, tuple[int, ...]]] = []
     for row in a:
         acc: dict[int, list[int]] = {}
         for k, a_ik in row.items():
             for j, b_kj in b[k].items():
-                prod = vmul(a_ik, b_kj)
+                prod = a_ik if b_kj == one else vmul(a_ik, b_kj)
                 cur = acc.get(j)
                 if cur is None:
                     acc[j] = list(prod)
@@ -374,10 +386,10 @@ def _components(rows: list[dict[int, tuple[int, ...]]]) -> list[list[int]]:
 
 
 def _char_poly(rows: list[dict[int, tuple[int, ...]]], level: int,
-               top: int) -> list[tuple[int, ...]]:
-    """det(x - K) over Z[zeta_top], coefficients c_0 = 1, c_1, ..., c_dim
-    by descending power of x, from the exact traces p_j = tr(K^j) by
-    Newton's identities k*c_k = -sum_(i <= k) c_(k-i)*p_i."""
+               ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """det(x - K) over Z[zeta_level], coefficients c_0 = 1, c_1, ..., c_dim
+    by descending power of x, and the exact traces p_j = tr(K^j) that give
+    it by Newton's identities k*c_k = -sum_(i <= k) c_(k-i)*p_i."""
     field = _field(level)
     zero = (0,) * field.degree
     coeffs, traces, power = [field.monomial(0)], [], rows
@@ -392,24 +404,16 @@ def _char_poly(rows: list[dict[int, tuple[int, ...]]], level: int,
                 acc[idx] -= v
         # exact: the power basis is an integral basis of Z[zeta_level]
         coeffs.append(tuple(v // k for v in acc))
-    target = _field(top)
-    return [field.lift(c, target) for c in coeffs]
+    return coeffs, traces
 
 
-def _nullity_mod_p(rows: list[dict[int, tuple[int, ...]]], level: int,
-                   alpha: UnitRoot, top: int) -> int:
-    """Nullity of K - alpha mod p under zeta_top -> omega: at least the
-    exact nullity, since a minor nonzero mod p is nonzero."""
-    prime, omega = _prime_for_level(top)
-    powers = [pow(omega, top // level * i, prime)
-              for i in range(_field(level).degree)]
-    image = pow(omega, top // alpha.den * alpha.num, prime)
-    dense = [[0] * len(rows) for _ in rows]
-    for i, row in enumerate(rows):
-        for j, vec in row.items():
-            dense[i][j] = sum(map(int.__mul__, vec, powers)) % prime
-        dense[i][i] = (dense[i][i] - image) % prime
-    return len(rows) - len(eliminate(dense, prime)[0])
+def _nullity_mod_p(image: list[list[int]], alpha: int, prime: int) -> int:
+    """Nullity of K - alpha mod p, from the image of K over F_p: at least
+    the exact nullity, since a minor nonzero mod p is nonzero."""
+    shifted = [row[:] for row in image]
+    for i, row in enumerate(shifted):
+        row[i] = (row[i] - alpha) % prime
+    return len(shifted) - len(eliminate(shifted, prime)[0])
 
 
 def _exact_nullities(rows: list[dict[int, tuple[int, ...]]], level: int,
@@ -441,18 +445,19 @@ def _exact_nullities(rows: list[dict[int, tuple[int, ...]]], level: int,
     return nullities
 
 
-def _component_nullities(rows: list[dict[int, tuple[int, ...]]], level: int,
-                         roots: list[UnitRoot], top: int,
-                         ) -> list[tuple[UnitRoot, list[int]]]:
-    """(alpha, exact nullities of (K - alpha)^k) for the eigenvalues of K;
-    det(x - K) keeps only the factors no candidate has taken yet."""
-    field = _field(top)
-    poly = _char_poly(rows, level, top)
-    out = []
-    for alpha in roots:
+def _exact_multiplicities(coeffs: list[tuple[int, ...]], level: int,
+                          bounds: dict[UnitRoot, int], top: int,
+                          ) -> dict[UnitRoot, int]:
+    """The multiplicity of each alpha in det(x - K), from its coefficients
+    over Z[zeta_level]: at most bounds[alpha] synthetic divisions by
+    x - alpha over Z[zeta_top], on what the earlier candidates left."""
+    base, field = _field(level), _field(top)
+    poly = [base.lift(c, field) for c in coeffs]
+    mults = {}
+    for alpha, bound in bounds.items():
         mult, value = 0, field.embed_root(alpha)
-        while len(poly) > 1:
-            # synthetic division by x - alpha; the last entry is the remainder
+        while mult < bound:
+            # the last entry of the quotient is the remainder
             quotient = [poly[0]]
             for c in poly[1:]:
                 quotient.append(tuple(map(int.__add__, c,
@@ -460,12 +465,61 @@ def _component_nullities(rows: list[dict[int, tuple[int, ...]]], level: int,
             if any(quotient.pop()):
                 break
             poly, mult = quotient, mult + 1
-        if not mult:
-            continue
-        if mult == 1 or _nullity_mod_p(rows, level, alpha, top) == 1:
-            out.append((alpha, list(range(mult + 1))))
-        else:
+        mults[alpha] = mult
+    return mults
+
+
+def _component_nullities(rows: list[dict[int, tuple[int, ...]]], level: int,
+                         roots: list[UnitRoot], top: int,
+                         ) -> list[tuple[UnitRoot, list[int]]]:
+    """(alpha, exact nullities of (K - alpha)^k) for the eigenvalues of K.
+
+    The multiplicities a(alpha) are read off det(x - K) mod p, where they
+    can only grow, and are certified by the exact power sums; where the
+    certificate fails, exact division decides them."""
+    prime, omega = _prime_for_level(top)
+    powers = [pow(omega, top // level * i, prime)
+              for i in range(_field(level).degree)]
+
+    def mod_p(vec: Sequence[int]) -> int:
+        return sum(map(int.__mul__, vec, powers)) % prime
+
+    coeffs, traces = _char_poly(rows, level)
+    poly, exponent, mults = [mod_p(c) for c in coeffs], {}, {}
+    for alpha in roots:
+        exponent[alpha] = top // alpha.den * alpha.num
+        mult, value = 0, pow(omega, exponent[alpha], prime)
+        while len(poly) > 1:
+            # synthetic division by x - alpha; the last entry is the remainder
+            quotient = [poly[0]]
+            for c in poly[1:]:
+                quotient.append((c + value * quotient[-1]) % prime)
+            if quotient.pop():
+                break
+            poly, mult = quotient, mult + 1
+        if mult:
+            mults[alpha] = mult
+    # the certificate, step (4) of the route in the module docstring
+    field, ratio = _field(top), top // level
+    terms = [(exponent[alpha], mult) for alpha, mult in mults.items()]
+    certified = sum(mults.values()) == len(rows) and not any(
+        any(field.combine([*((j * e, mult) for e, mult in terms),
+                           *((i * ratio, -c) for i, c in enumerate(trace))]))
+        for j, trace in enumerate(traces, 1))
+    if not certified:
+        mults = _exact_multiplicities(coeffs, level, mults, top)
+    image = [[0] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        for j, vec in row.items():
+            image[i][j] = mod_p(vec)
+    out = []
+    for alpha, mult in mults.items():
+        # 1 <= n_1 <= a(alpha), and n_1 is at most the nullity mod p
+        if mult > 1 and _nullity_mod_p(
+                image, pow(omega, exponent[alpha], prime), prime) > 1:
             out.append((alpha, _exact_nullities(rows, level, alpha, mult)))
+        elif mult:
+            out.append((alpha, list(range(mult + 1))))
     return out
 
 
@@ -505,6 +559,21 @@ def jordan_type(m: CycloMatrix, candidates: Iterable[UnitRoot], *,
     return JordanStructure(blocks)
 
 
+def cyclic_level(structure: JordanStructure, order: int, level_cap: int,
+                 ) -> int:
+    """The field level of `structure`'s spectrum.  Raises
+    :class:`LevelCapExceeded` when its order-`order` cyclic operator needs
+    a level above `level_cap`: the m-th roots of a root p/q have lcm
+    denominator m*q, so the candidates need `order` times that level."""
+    level = 1
+    for root in structure.spectrum():
+        level = math.lcm(level, root.den)
+    if structure and order * level > level_cap:
+        raise LevelCapExceeded(
+            f"required field level {order * level} exceeds the cap {level_cap}")
+    return level
+
+
 def verify_cyclic_agreement(structure: JordanStructure, order: int, *,
                             level_cap: int = DEFAULT_LEVEL_CAP,
                             ) -> tuple[JordanStructure, JordanStructure]:
@@ -517,14 +586,7 @@ def verify_cyclic_agreement(structure: JordanStructure, order: int, *,
     check.  Raises :class:`LevelCapExceeded` before either is computed
     when the field level they need exceeds `level_cap`.
     """
-    level = 1
-    for root in structure.spectrum():
-        level = math.lcm(level, root.den)
-    # the m-th roots of a root p/q have lcm denominator m*q, so the
-    # candidates below need level order*level: refuse it before any work
-    if structure and order * level > level_cap:
-        raise LevelCapExceeded(
-            f"required field level {order * level} exceeds the cap {level_cap}")
+    level = cyclic_level(structure, order, level_cap)
     expected = cyclic_power(structure, order)
     base = build_jordan_matrix(structure, level)
     cyclic_matrix = build_cyclic_matrix(base, order)

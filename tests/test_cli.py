@@ -473,6 +473,23 @@ def test_oracle_level_cap_exits_1_before_any_work(monkeypatch, capsys):
         "error: required field level 1366496 exceeds the cap 360\n"
 
 
+@pytest.mark.parametrize("flags, level", [
+    # the first structure of the sweep has level 6, so m = 61 is refused
+    (["--max-m", "400"], 366),
+    (["--seed", "1", "--trials", "100", "--max-m", "100"], 432),
+])
+def test_oracle_level_cap_is_checked_before_the_first_comparison(
+        monkeypatch, capsys, flags, level):
+    # the cases below the cap come first in the sweep, yet none is compared
+    calls = []
+    monkeypatch.setattr("moninf.oracle.jordan_type",
+                        lambda *args, **kwargs: calls.append(args))
+    assert main(["oracle", *flags]) == 1
+    assert capsys.readouterr().err == \
+        f"error: required field level {level} exceeds the cap 360\n"
+    assert calls == []
+
+
 def test_usage_errors_exit_1(capsys):
     assert main(["compute"]) == 1
     assert main(["no-such-command"]) == 1

@@ -357,6 +357,39 @@ def test_uncovered_spectrum_needs_no_rank(monkeypatch, entry):
     assert eliminations == exact == []
 
 
+@pytest.mark.parametrize("coupling", [{}, {1: (1,)}])
+def test_a_multiplicity_mod_p_above_the_exact_one_fails_the_certificate(
+        monkeypatch, coupling):
+    # K = [1] + [1 + p], alone or coupled into one component: mod p both
+    # eigenvalues are 1, so the power sums reject the count mod p and exact
+    # division finds a(1) = 1
+    p = _prime_for_level(1)[0]
+    m = CycloMatrix(1, [{0: (1,), **coupling}, {1: (1 + p,)}], 2)
+    eliminations = _spy(monkeypatch, "eliminate")
+    exact = _spy(monkeypatch, "_exact_multiplicities")
+    with pytest.raises(SpectrumNotCovered, match="cover 1 of 2 dimensions"):
+        jordan_type(m, [ONE])
+    assert eliminations == []
+    assert [result for _, _, result in exact] == (
+        [{ONE: 1}] if coupling else [{ONE: 0}])
+
+
+def test_random_oracle_certifies_every_component(monkeypatch, capsys):
+    # neither the exact division nor the lift of det(x - K) to the
+    # candidates' level runs: the certificate held on every component
+    exact = _spy(monkeypatch, "_exact_multiplicities")
+    lifts = []
+    lift = oracle._Field.lift
+
+    def spy(self, *args):
+        lifts.append(args)
+        return lift(self, *args)
+    monkeypatch.setattr(oracle._Field, "lift", spy)
+    assert main(["oracle", "--seed", "7", "--trials", "20", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["counterexamples"] == []
+    assert exact == lifts == []
+
+
 def test_shuffled_block_diagonal_matrix_keeps_its_type():
     j = JordanStructure({ONE: {3: 1, 1: 1}, MINUS_ONE: {2: 2},
                          UnitRoot(1, 3): {1: 1}})
@@ -422,7 +455,8 @@ def test_char_poly_is_the_product_over_the_jordan_blocks(blocks, ops, bumps,
         for _ in range(size):
             expected = _poly_mul(expected, [field.monomial(0), minus_root], field)
     for m in (build_jordan_matrix(j, 6), _conjugated(j, ops, bumps)):
-        assert oracle._char_poly(m.rows, 6, top) == expected
+        coeffs = oracle._char_poly(m.rows, 6)[0]
+        assert [_field(6).lift(c, field) for c in coeffs] == expected
 
 
 def _multiplicity_bound(m: CycloMatrix, alpha: UnitRoot, avoid: int) -> int:
