@@ -8,9 +8,10 @@ Representation.  Every entry the oracle builds is 0, 1 or a root of
 unity, so matrices live over Z[zeta_N]: an element is an integer
 coefficient vector of length phi(N) in the power basis 1, x, ...,
 x^(phi(N)-1) modulo the N-th cyclotomic polynomial, and a matrix is a
-list of sparse rows mapping a column to such a vector.  Exact ranks come
-from fraction-free row elimination (cross-multiplication with content
-stripping), so no rational number ever appears.
+list of sparse rows mapping a column to such a vector.  No rational
+number ever appears, and every rank is a rank over F_p from
+modp.eliminate: for a prime p = 1 (mod N) the maps zeta_N -> w, w of
+order N mod p, are the phi(N) prime ideals above p, each of norm p.
 
 The Jordan structure of a matrix M at an eigenvalue alpha comes from the
 nullities n_k of (M - alpha*I)^k: with n_0 = 0, the number of blocks of
@@ -31,22 +32,22 @@ p_j = sum a_p(alpha)*alpha^j in Z[zeta_T] for j = 1 .. dim K, then
 a = a_p, since over a field of characteristic 0 the power sums
 p_1 .. p_dim fix a monic polynomial of degree dim.  The check only adds
 monomials, and it passes exactly when the candidates cover K.  Where it
-fails, det(x - K) is lifted to Z[zeta_T] and divided exactly by x - alpha,
-at most a_p(alpha) times.  Either way the sum of the a(alpha) decides
-SpectrumNotCovered with no rank.  (5) Since 1 <= n_1 <= a(alpha),
+fails, a(alpha) is the least a_P(alpha) over enough prime ideals P (see
+_exact_multiplicities), and the sum of the a(alpha) over all components
+raises SpectrumNotCovered before any rank.  (5) Since 1 <= n_1 <= a(alpha),
 a(alpha) = 1 is one block of size 1, again with no rank.  If
 a(alpha) > 1, the image of K over F_p, made once per component, is
-shifted by the image of alpha and eliminated by modp.eliminate; a minor
-nonzero mod p is nonzero, so the nullity mod p is >= n_1.  If it is 1,
-so is n_1: one block, of size a(alpha).  Otherwise the exact nullities
-run until they reach a(alpha).
+shifted by the image of alpha; its nullity mod p is >= n_1, so if it is
+1, so is n_1: one block, of size a(alpha).  Otherwise the nullities of
+the exact powers run until they reach a(alpha), each from the ranks mod
+enough prime ideals (see _rank).
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .cyclic import cyclic_power
 from .cyclo import UnitRoot
@@ -253,69 +254,6 @@ def build_cyclic_matrix(m: CycloMatrix, order: int) -> CycloMatrix:
     return CycloMatrix(m.level, rows, order * dim)
 
 
-def _strip_content(row: dict[int, tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
-    g = 0
-    for vec in row.values():
-        for c in vec:
-            if c:
-                g = math.gcd(g, c)
-                if g == 1:
-                    return row
-    if g > 1:
-        return {col: tuple(c // g for c in vec) for col, vec in row.items()}
-    return row
-
-
-def _int_rank(rows: list[dict[int, tuple[int, ...]]], ncols: int,
-              field: _Field) -> int:
-    """Fraction-free elimination rank of sparse integer-vector rows."""
-    work = [row for row in rows if row]
-    rank = 0
-    vmul = field.vmul
-    for col in range(ncols):
-        piv_index = None
-        for i in range(rank, len(work)):
-            if col in work[i]:
-                piv_index = i
-                break
-        if piv_index is None:
-            continue
-        work[rank], work[piv_index] = work[piv_index], work[rank]
-        piv_row = work[rank]
-        piv_val = piv_row[col]
-        survivors = work[:rank + 1]
-        for i in range(rank + 1, len(work)):
-            row = work[i]
-            coeff = row.get(col)
-            if coeff is None:
-                survivors.append(row)
-                continue
-            new_row: dict[int, tuple[int, ...]] = {}
-            for c2, val in row.items():
-                if c2 == col:
-                    continue
-                piv_entry = piv_row.get(c2)
-                if piv_entry is None:
-                    prod = vmul(piv_val, val)
-                else:
-                    prod = tuple(map(int.__sub__, vmul(piv_val, val),
-                                     vmul(coeff, piv_entry)))
-                if any(prod):
-                    new_row[c2] = prod
-            for c2, piv_entry in piv_row.items():
-                if c2 != col and c2 not in row:
-                    prod = vmul(coeff, piv_entry)
-                    if any(prod):
-                        new_row[c2] = tuple(-c for c in prod)
-            if new_row:
-                survivors.append(_strip_content(new_row))
-        work = survivors
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
-
-
 def _sparse_matmul(a: list[dict[int, tuple[int, ...]]],
                    b: list[dict[int, tuple[int, ...]]],
                    field: _Field) -> list[dict[int, tuple[int, ...]]]:
@@ -350,19 +288,73 @@ def _is_prime(n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _prime_for_level(level: int) -> tuple[int, int]:
-    """The largest prime p <= PRIME with p = 1 (mod level), and an omega of
+def _prime_for_level(level: int, below: int = PRIME + 1) -> tuple[int, int]:
+    """The largest prime p < below with p = 1 (mod level), and an omega of
     exact order level mod p: zeta_level -> omega is a ring map
     Z[zeta_level] -> F_p, since Phi_level(omega) = 0 mod p."""
-    p = (PRIME - 1) // level * level + 1
+    p = (below - 2) // level * level + 1
     while p > 1 and not _is_prime(p):
         p -= level
     if p < 2:
-        raise ValueError(f"no prime p = 1 (mod {level}) below {PRIME}")
+        raise ValueError(f"no prime p = 1 (mod {level}) below {below}")
     factors = [q for q in range(2, level + 1) if level % q == 0 and _is_prime(q)]
-    omega = next(w for w in (pow(g, (p - 1) // level, p) for g in range(2, p))
+    omega = next(w for w in (pow(g, (p - 1) // level, p) for g in range(1, p))
                  if all(pow(w, level // q, p) != 1 for q in factors))
     return p, omega
+
+
+def _ideals(level: int, bound: int) -> Iterator[tuple[int, int]]:
+    """(p, w) for every prime ideal of Z[zeta_level] above the primes
+    p = 1 (mod level), from the largest down, until their product exceeds
+    `bound`.  zeta_level -> w runs over the phi(level) ring maps onto F_p,
+    one per ideal above p, and each ideal has norm p."""
+    product, below = 1, PRIME + 1
+    while product <= bound:
+        prime, omega = _prime_for_level(level, below)
+        for e in range(1, level + 1):
+            if math.gcd(e, level) == 1:
+                yield prime, pow(omega, e, prime)
+        product, below = product * prime, prime
+
+
+def _ring_map(level: int, prime: int,
+              root: int) -> Callable[[Sequence[int]], int]:
+    """The map zeta_level -> root on coefficient vectors, onto F_p."""
+    powers = [pow(root, i, prime) for i in range(_field(level).degree)]
+    return lambda vec: sum(map(int.__mul__, vec, powers)) % prime
+
+
+def _image(rows: list[dict[int, tuple[int, ...]]], ncols: int,
+           to_p: Callable[[Sequence[int]], int]) -> list[list[int]]:
+    """The dense image over F_p of sparse rows, entry by entry."""
+    image = [[0] * ncols for _ in rows]
+    for i, row in enumerate(rows):
+        for j, vec in row.items():
+            image[i][j] = to_p(vec)
+    return image
+
+
+def _rank(rows: list[dict[int, tuple[int, ...]]], ncols: int, field: _Field,
+          most: int) -> int:
+    """The rank of sparse rows over Z[zeta_level], given `most` >= it.
+
+    The rank mod a prime ideal P is at most the rank, so the largest one
+    found is exact once it reaches `most`.  Otherwise every ideal above
+    primes whose product exceeds H is tested, where H^2 is Hadamard's
+    bound, the product over rows of max(1, sum of ||entry||_1^2): it bounds
+    every minor in every complex embedding.  A larger rank would put a
+    nonzero minor into every tested ideal, so its norm, at most
+    H^phi(level), would be divisible by prod p^phi(level), which is more."""
+    square = 1
+    for row in rows:
+        square *= max(1, sum(sum(map(abs, vec)) ** 2 for vec in row.values()))
+    rank = 0
+    for prime, root in _ideals(field.level, math.isqrt(square)):
+        if rank >= most:
+            break
+        image = _image(rows, ncols, _ring_map(field.level, prime, root))
+        rank = max(rank, len(eliminate(image, prime)[0]))
+    return rank
 
 
 def _components(rows: list[dict[int, tuple[int, ...]]]) -> list[list[int]]:
@@ -407,6 +399,25 @@ def _char_poly(rows: list[dict[int, tuple[int, ...]]], level: int,
     return coeffs, traces
 
 
+def _divide_out(poly: list[int], values: Iterable[int], prime: int,
+                ) -> list[int]:
+    """The multiplicity of each value as a root of poly over F_p,
+    coefficients by descending power, each value divided out in turn."""
+    mults = []
+    for value in values:
+        mult = 0
+        while len(poly) > 1:
+            # synthetic division by x - value; the last entry is the remainder
+            quotient = [poly[0]]
+            for c in poly[1:]:
+                quotient.append((c + value * quotient[-1]) % prime)
+            if quotient.pop():
+                break
+            poly, mult = quotient, mult + 1
+        mults.append(mult)
+    return mults
+
+
 def _nullity_mod_p(image: list[list[int]], alpha: int, prime: int) -> int:
     """Nullity of K - alpha mod p, from the image of K over F_p: at least
     the exact nullity, since a minor nonzero mod p is nonzero."""
@@ -418,8 +429,9 @@ def _nullity_mod_p(image: list[list[int]], alpha: int, prime: int) -> int:
 
 def _exact_nullities(rows: list[dict[int, tuple[int, ...]]], level: int,
                      alpha: UnitRoot, stop: int) -> list[int]:
-    """Exact nullities of (K - alpha)^k for k = 0, 1, ... until they stop
-    growing or reach `stop`."""
+    """Exact nullities of (K - alpha)^k for k = 0, 1, ... until they reach
+    `stop`, which must be the multiplicity a(alpha) >= 1: until then each
+    n_k is at least n_(k-1) + 1, which bounds the rank for _rank."""
     dim = len(rows)
     field = _field(math.lcm(level, alpha.den))
     if field.level != level:
@@ -427,8 +439,6 @@ def _exact_nullities(rows: list[dict[int, tuple[int, ...]]], level: int,
         rows = [{j: base.lift(vec, field) for j, vec in row.items()}
                 for row in rows]
     alpha_vec, zero = field.embed_root(alpha), (0,) * field.degree
-    # the shift itself must keep exact entries: it is the right-hand
-    # factor of every power, so row scaling here would corrupt B^k
     shifted: list[dict[int, tuple[int, ...]]] = []
     for i, row in enumerate(rows):
         new_row = dict(row)
@@ -436,69 +446,53 @@ def _exact_nullities(rows: list[dict[int, tuple[int, ...]]], level: int,
         if not any(new_row[i]):
             del new_row[i]
         shifted.append(new_row)
-    nullities = [0, dim - _int_rank(shifted, dim, field)]
-    power = shifted
-    while nullities[-1] not in (nullities[-2], stop):
-        power = [_strip_content(row)
-                 for row in _sparse_matmul(power, shifted, field)]
-        nullities.append(dim - _int_rank(power, dim, field))
+    nullities, power = [0], shifted
+    while nullities[-1] < stop:
+        if len(nullities) > 1:
+            power = _sparse_matmul(power, shifted, field)
+        nullities.append(dim - _rank(power, dim, field,
+                                     dim - nullities[-1] - 1))
     return nullities
 
 
 def _exact_multiplicities(coeffs: list[tuple[int, ...]], level: int,
                           bounds: dict[UnitRoot, int], top: int,
                           ) -> dict[UnitRoot, int]:
-    """The multiplicity of each alpha in det(x - K), from its coefficients
-    over Z[zeta_level]: at most bounds[alpha] synthetic divisions by
-    x - alpha over Z[zeta_top], on what the earlier candidates left."""
-    base, field = _field(level), _field(top)
-    poly = [base.lift(c, field) for c in coeffs]
-    mults = {}
-    for alpha, bound in bounds.items():
-        mult, value = 0, field.embed_root(alpha)
-        while mult < bound:
-            # the last entry of the quotient is the remainder
-            quotient = [poly[0]]
-            for c in poly[1:]:
-                quotient.append(tuple(map(int.__add__, c,
-                                          field.vmul(value, quotient[-1]))))
-            if any(quotient.pop()):
-                break
-            poly, mult = quotient, mult + 1
-        mults[alpha] = mult
+    """The multiplicity of each alpha in f = det(x - K), from its
+    coefficients over Z[zeta_level]: the least multiplicity mod an ideal
+    of Z[zeta_top], at most bounds[alpha], over the ideals above primes
+    whose product exceeds B = 2^dim * sum of ||c_i||_1.  With
+    f = (x - alpha)^a * g, a multiplicity mod P above a puts g(alpha) into
+    P, and by Landau's inequality B bounds g(alpha) in every complex
+    embedding, so no nonzero g(alpha) lies in all the tested ideals."""
+    dim = len(coeffs) - 1
+    bound = 2 ** dim * sum(abs(c) for vec in coeffs for c in vec)
+    mults = dict(bounds)
+    for prime, root in _ideals(top, bound):
+        to_p = _ring_map(level, prime, pow(root, top // level, prime))
+        found = _divide_out([to_p(c) for c in coeffs], [
+            pow(root, top // alpha.den * alpha.num, prime) for alpha in mults],
+            prime)
+        mults = {alpha: min(mult, new)
+                 for (alpha, mult), new in zip(mults.items(), found)}
     return mults
 
 
-def _component_nullities(rows: list[dict[int, tuple[int, ...]]], level: int,
-                         roots: list[UnitRoot], top: int,
-                         ) -> list[tuple[UnitRoot, list[int]]]:
-    """(alpha, exact nullities of (K - alpha)^k) for the eigenvalues of K.
+def _multiplicities(rows: list[dict[int, tuple[int, ...]]], level: int,
+                    roots: list[UnitRoot], top: int) -> dict[UnitRoot, int]:
+    """The multiplicities a(alpha) of the candidates in det(x - K), with
+    no zeros where the certificate holds.
 
-    The multiplicities a(alpha) are read off det(x - K) mod p, where they
-    can only grow, and are certified by the exact power sums; where the
-    certificate fails, exact division decides them."""
+    They are read off det(x - K) mod p, where they can only grow, and are
+    certified by the exact power sums; where the certificate fails, the
+    candidates do not cover K, and _exact_multiplicities decides them."""
     prime, omega = _prime_for_level(top)
-    powers = [pow(omega, top // level * i, prime)
-              for i in range(_field(level).degree)]
-
-    def mod_p(vec: Sequence[int]) -> int:
-        return sum(map(int.__mul__, vec, powers)) % prime
-
     coeffs, traces = _char_poly(rows, level)
-    poly, exponent, mults = [mod_p(c) for c in coeffs], {}, {}
-    for alpha in roots:
-        exponent[alpha] = top // alpha.den * alpha.num
-        mult, value = 0, pow(omega, exponent[alpha], prime)
-        while len(poly) > 1:
-            # synthetic division by x - alpha; the last entry is the remainder
-            quotient = [poly[0]]
-            for c in poly[1:]:
-                quotient.append((c + value * quotient[-1]) % prime)
-            if quotient.pop():
-                break
-            poly, mult = quotient, mult + 1
-        if mult:
-            mults[alpha] = mult
+    to_p = _ring_map(level, prime, pow(omega, top // level, prime))
+    exponent = {alpha: top // alpha.den * alpha.num for alpha in roots}
+    found = _divide_out([to_p(c) for c in coeffs], [
+        pow(omega, exponent[alpha], prime) for alpha in roots], prime)
+    mults = {alpha: mult for alpha, mult in zip(roots, found) if mult}
     # the certificate, step (4) of the route in the module docstring
     field, ratio = _field(top), top // level
     terms = [(exponent[alpha], mult) for alpha, mult in mults.items()]
@@ -508,19 +502,7 @@ def _component_nullities(rows: list[dict[int, tuple[int, ...]]], level: int,
         for j, trace in enumerate(traces, 1))
     if not certified:
         mults = _exact_multiplicities(coeffs, level, mults, top)
-    image = [[0] * len(rows) for _ in rows]
-    for i, row in enumerate(rows):
-        for j, vec in row.items():
-            image[i][j] = mod_p(vec)
-    out = []
-    for alpha, mult in mults.items():
-        # 1 <= n_1 <= a(alpha), and n_1 is at most the nullity mod p
-        if mult > 1 and _nullity_mod_p(
-                image, pow(omega, exponent[alpha], prime), prime) > 1:
-            out.append((alpha, _exact_nullities(rows, level, alpha, mult)))
-        elif mult:
-            out.append((alpha, list(range(mult + 1))))
-    return out
+    return mults
 
 
 def jordan_type(m: CycloMatrix, candidates: Iterable[UnitRoot], *,
@@ -541,21 +523,33 @@ def jordan_type(m: CycloMatrix, candidates: Iterable[UnitRoot], *,
     if level_needed > level_cap:
         raise LevelCapExceeded(
             f"required field level {level_needed} exceeds the cap {level_cap}")
-    blocks: list[tuple[UnitRoot, dict[int, int]]] = []
-    covered = 0
+    components = []
     for index in _components(m.rows):
         local = {g: i for i, g in enumerate(index)}
         rows = [{local[j]: vec for j, vec in m.rows[g].items()} for g in index]
-        for alpha, nullities in _component_nullities(rows, m.level, roots,
-                                                     level_needed):
-            covered += nullities[-1]
+        components.append((rows, _multiplicities(rows, m.level, roots,
+                                                 level_needed)))
+    covered = sum(sum(mults.values()) for _, mults in components)
+    if covered != m.nrows:
+        raise SpectrumNotCovered(
+            f"candidate eigenvalues cover {covered} of {m.nrows} dimensions")
+    prime, omega = _prime_for_level(level_needed)
+    to_p = _ring_map(m.level, prime,
+                     pow(omega, level_needed // m.level, prime))
+    blocks: list[tuple[UnitRoot, dict[int, int]]] = []
+    for rows, mults in components:
+        image = _image(rows, len(rows), to_p)
+        for alpha, mult in mults.items():
+            nullities = list(range(mult + 1))
+            # 1 <= n_1 <= a(alpha), and n_1 is at most the nullity mod p
+            if mult > 1 and _nullity_mod_p(image, pow(
+                    omega, level_needed // alpha.den * alpha.num, prime),
+                    prime) > 1:
+                nullities = _exact_nullities(rows, m.level, alpha, mult)
             null = nullities + nullities[-1:]
             blocks.append((alpha, {
                 size: 2 * null[size] - null[size - 1] - null[size + 1]
                 for size in range(1, len(nullities))}))
-    if covered != m.nrows:
-        raise SpectrumNotCovered(
-            f"candidate eigenvalues cover {covered} of {m.nrows} dimensions")
     return JordanStructure(blocks)
 
 

@@ -13,7 +13,7 @@ from moninf import oracle
 from moninf.cli import main
 from moninf.cyclo import ONE, MINUS_ONE, UnitRoot, mth_roots
 from moninf.jordan import JordanStructure
-from moninf.modp import eliminate
+from moninf.modp import PRIME, eliminate
 from moninf.oracle import (
     CycloMatrix,
     LevelCapExceeded,
@@ -134,7 +134,8 @@ def test_build_cyclic_matrix_layout():
 
 
 def _rank(m: CycloMatrix) -> int:
-    return oracle._int_rank(m.rows, m.ncols, _field(m.level))
+    return oracle._rank(m.rows, m.ncols, _field(m.level),
+                        most=min(m.nrows, m.ncols))
 
 
 def test_rank_basic_cases():
@@ -201,20 +202,20 @@ def test_jordan_type_recovers_block_matrices():
 
 
 def _conjugated(j: JordanStructure, ops: list[tuple[int, int, int]],
-                bumps: list[tuple[int, int]] = ()) -> CycloMatrix:
+                bumps: list[tuple[int, int]] = (),
+                prime: int = _prime_for_level(6)[0]) -> CycloMatrix:
     """A level-6 realization of j conjugated by elementary matrices: for
     each (i, k, e), row i += zeta_6^e * row k, then the inverse column op.
-    Before that, the prime of level 6 is added to each entry (i, k) of
-    `bumps` with i < k: the matrix stays triangular, with the same
-    characteristic polynomial, and equal to the realization mod p."""
+    Before that, `prime` is added to each entry (i, k) of `bumps` with
+    i < k: the matrix stays triangular, with the same characteristic
+    polynomial, and equal to the realization mod `prime`."""
     field = _field(6)
     grid = _dense(build_jordan_matrix(j, 6))
     n = len(grid)
-    p = _prime_for_level(6)[0]
     for i, k in bumps:
         i, k = sorted((i % n, k % n))
         if i < k:
-            grid[i][k] = _add(grid[i][k], (p, 0))
+            grid[i][k] = _add(grid[i][k], (prime, 0))
     for i, k, e in ops:
         i, k = i % n, k % n
         if i == k:
@@ -328,9 +329,19 @@ def _spy(monkeypatch, name: str) -> list:
 
 def test_prime_for_level_gives_a_primitive_root_of_unity():
     for level in (1, 2, 12, 60, 360):
-        p, omega = _prime_for_level(level)
-        assert (p - 1) % level == 0 and oracle._is_prime(p) and p < 2 ** 31
-        assert [e for e in range(1, level + 1) if pow(omega, e, p) == 1] == [level]
+        below = PRIME + 1
+        for _ in range(3):
+            p, omega = _prime_for_level(level, below)
+            assert (p - 1) % level == 0 and oracle._is_prime(p) and p < below
+            assert not any(oracle._is_prime(q)
+                           for q in range(p + level, below, level))
+            assert [e for e in range(1, level + 1)
+                    if pow(omega, e, p) == 1] == [level]
+            below = p
+    assert _prime_for_level(1, below=3) == (2, 1)
+    for level, below in ((1, 2), (12, 13), (360, 361)):
+        with pytest.raises(ValueError, match=f"below {below}"):
+            _prime_for_level(level, below)
 
 
 def test_two_blocks_mod_p_are_one_block_over_q(monkeypatch):
@@ -484,13 +495,107 @@ def _multiplicity_bound(m: CycloMatrix, alpha: UnitRoot, avoid: int) -> int:
     return nullities[-1]
 
 
+def _strip_content(row: dict[int, tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
+    g = 0
+    for vec in row.values():
+        for c in vec:
+            if c:
+                g = math.gcd(g, c)
+                if g == 1:
+                    return row
+    if g > 1:
+        return {col: tuple(c // g for c in vec) for col, vec in row.items()}
+    return row
+
+
+def _int_rank(rows: list[dict[int, tuple[int, ...]]], ncols: int,
+              field) -> int:
+    """Fraction-free elimination rank of sparse integer-vector rows."""
+    work = [row for row in rows if row]
+    rank = 0
+    vmul = field.vmul
+    for col in range(ncols):
+        piv_index = None
+        for i in range(rank, len(work)):
+            if col in work[i]:
+                piv_index = i
+                break
+        if piv_index is None:
+            continue
+        work[rank], work[piv_index] = work[piv_index], work[rank]
+        piv_row = work[rank]
+        piv_val = piv_row[col]
+        survivors = work[:rank + 1]
+        for i in range(rank + 1, len(work)):
+            row = work[i]
+            coeff = row.get(col)
+            if coeff is None:
+                survivors.append(row)
+                continue
+            new_row: dict[int, tuple[int, ...]] = {}
+            for c2, val in row.items():
+                if c2 == col:
+                    continue
+                piv_entry = piv_row.get(c2)
+                if piv_entry is None:
+                    prod = vmul(piv_val, val)
+                else:
+                    prod = tuple(map(int.__sub__, vmul(piv_val, val),
+                                     vmul(coeff, piv_entry)))
+                if any(prod):
+                    new_row[c2] = prod
+            for c2, piv_entry in piv_row.items():
+                if c2 != col and c2 not in row:
+                    prod = vmul(coeff, piv_entry)
+                    if any(prod):
+                        new_row[c2] = tuple(-c for c in prod)
+            if new_row:
+                survivors.append(_strip_content(new_row))
+        work = survivors
+        rank += 1
+        if rank == len(work):
+            break
+    return rank
+
+
+def _fraction_free_nullities(rows: list[dict[int, tuple[int, ...]]],
+                             level: int, alpha: UnitRoot,
+                             stop: int) -> list[int]:
+    """Exact nullities of (K - alpha)^k for k = 0, 1, ... until they stop
+    growing or reach `stop`, by fraction-free elimination over
+    Z[zeta_level]: the reference for the oracle's ranks mod prime ideals.
+    Its cost has no bound; on dense conjugates a rank has taken minutes."""
+    dim = len(rows)
+    field = _field(math.lcm(level, alpha.den))
+    if field.level != level:
+        rows = [{j: _field(level).lift(vec, field) for j, vec in row.items()}
+                for row in rows]
+    alpha_vec, zero = field.embed_root(alpha), (0,) * field.degree
+    # the shift itself must keep exact entries: it is the right-hand
+    # factor of every power, so row scaling here would corrupt B^k
+    shifted: list[dict[int, tuple[int, ...]]] = []
+    for i, row in enumerate(rows):
+        new_row = dict(row)
+        new_row[i] = tuple(x - y for x, y in zip(row.get(i, zero), alpha_vec))
+        if not any(new_row[i]):
+            del new_row[i]
+        shifted.append(new_row)
+    nullities = [0, dim - _int_rank(shifted, dim, field)]
+    power = shifted
+    while nullities[-1] not in (nullities[-2], stop):
+        power = [_strip_content(row)
+                 for row in oracle._sparse_matmul(power, shifted, field)]
+        nullities.append(dim - _int_rank(power, dim, field))
+    return nullities
+
+
 def _exact_outcome(m: CycloMatrix, candidates: list[UnitRoot],
                    avoid: int) -> object:
     """jordan_type's answer from exact nullities of every candidate.  Each
     chain stops at the bound mod q; where it stops below, it stagnated."""
     blocks, covered = [], 0
     for alpha in sorted(set(candidates)):
-        nullities = oracle._exact_nullities(
+        nullities = _fraction_free_nullities(
             m.rows, m.level, alpha, _multiplicity_bound(m, alpha, avoid))
         covered += nullities[-1]
         null = nullities + nullities[-1:]
@@ -532,7 +637,69 @@ def test_charpoly_route_matches_the_exact_route(blocks, ops, order, drop,
 
 
 def test_random_oracle_needs_no_exact_rank(monkeypatch, capsys):
-    int_ranks = _spy(monkeypatch, "_int_rank")
-    assert main(["oracle", "--seed", "23", "--trials", "20", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["counterexamples"] == []
-    assert int_ranks == []
+    ranks = _spy(monkeypatch, "_rank")
+    for argv in (["oracle", "--seed", "23", "--trials", "20", "--json"],
+                 ["oracle", "--max-dim", "3", "--max-m", "3", "--json"]):
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["counterexamples"] == []
+    assert ranks == []
+
+
+def test_a_dense_conjugate_whose_bumps_merge_two_blocks(monkeypatch):
+    # the prime p of level 18 added above the diagonal is invisible mod p,
+    # where each cube root of 1/6 keeps blocks 3 and 2 and so a nullity
+    # of 2; over Q the bump at (2, 3) joins them into one block of 5, so
+    # each chain runs to k = 5 on a dense 30 x 30 matrix.
+    # The fraction-free elimination that ranked these chains took minutes
+    j = JordanStructure({UnitRoot(1, 6): {3: 1, 2: 1}, UnitRoot(1, 3): {2: 1},
+                         UnitRoot(1, 2): {3: 1}})
+    rng = random.Random(13)
+    bumps = [tuple(sorted(rng.sample(range(10), 2))) for _ in range(2)]
+    ops = [(*rng.sample(range(10), 2), rng.randrange(6)) for _ in range(12)]
+    m = build_cyclic_matrix(
+        _conjugated(j, ops, bumps, _prime_for_level(18)[0]), 3)
+    eliminations = _spy(monkeypatch, "eliminate")
+    candidates = [alpha for xi in j.spectrum() for alpha in mth_roots(xi, 3)]
+    assert jordan_type(m, candidates) == JordanStructure(
+        {UnitRoot(k, 18): {5: 1} for k in (1, 7, 13)}
+        | {UnitRoot(k, 9): {2: 1} for k in (1, 4, 7)}
+        | {UnitRoot(k, 6): {3: 1} for k in (1, 3, 5)})
+    assert len(eliminations) < 200
+
+
+@pytest.mark.parametrize("bits, primes", [(0, 1), (40, 2), (70, 3)])
+def test_a_rank_below_its_bound_tests_every_ideal_of_enough_primes(
+        monkeypatch, bits, primes):
+    # K - 1 = N with N e_1 = e_0 and N e_3 = e_2 + c*e_0, c = 2^bits*zeta_6:
+    # two blocks of size 2 at 1 in one component.  The chain bounds the
+    # ranks of N and N^2 by 3 and 1, but they are 2 and 0, so _rank tests
+    # all phi(6) = 2 ideals above each prime until the product of the
+    # primes exceeds Hadamard's bound: about 2^bits for N, 1 for N^2
+    field = _field(6)
+    one, c = field.monomial(0), (0, 2 ** bits)
+    m = CycloMatrix(6, [{0: one, 1: one, 3: c}, {1: one},
+                        {2: one, 3: one}, {3: one}], 4)
+    assert len(oracle._components(m.rows)) == 1
+    eliminations = _spy(monkeypatch, "eliminate")
+    ranks = _spy(monkeypatch, "_rank")
+    assert jordan_type(m, [ONE]) == JordanStructure({ONE: {2: 2}})
+    assert [(args[3], result) for args, _, result in ranks] == [(3, 2), (1, 0)]
+    # one elimination is the nullity mod p that sent 1 to the chain
+    assert len(eliminations) == 1 + 2 * primes + 2 * 1
+
+
+def test_an_uncovered_component_runs_no_chain(monkeypatch):
+    # the first component, two blocks of size 2 at 1, would need a chain;
+    # the second, [-1], is not covered by the candidate 1, and the count
+    # of the multiplicities alone raises before any rank
+    one = (1,)
+    m = CycloMatrix(1, [{0: one, 1: one, 3: (2,)}, {1: one},
+                        {2: one, 3: one}, {3: one}, {4: (-1,)}], 5)
+    eliminations = _spy(monkeypatch, "eliminate")
+    with pytest.raises(SpectrumNotCovered, match="cover 4 of 5 dimensions"):
+        jordan_type(m, [ONE])
+    assert eliminations == []
+    assert jordan_type(m, [ONE, MINUS_ONE]) == JordanStructure(
+        {ONE: {2: 2}, MINUS_ONE: {1: 1}})
+    # the nullity mod p, then one prime for each of N and N^2 = 0
+    assert len(eliminations) == 3
