@@ -9,8 +9,7 @@ Its Jordan structure is determined by T alone: a block of size l at the
 eigenvalue xi of phi contributes one block of size l at every m-th root
 of xi.  Equivalently, the number of size-l blocks of the cyclic operator
 at alpha equals the number of size-l blocks of phi at alpha**m.  The
-assembler builds its off-torsion layer from cyclic_power(T^-1, d-1) and the
-charpoly formula's det(x^(d-1) - T) from cyclic_power(T, d-1).
+assembler's copied layer and charpoly formula read one cyclic_power(T, d-1).
 """
 
 from __future__ import annotations

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,6 +55,10 @@ from .modp import PRIME, eliminate
 
 MAX_MATRIX_CELLS = 500_000
 """Largest evaluation matrix, in entries, that defect_of_system builds."""
+
+_RATIONAL_RE = re.compile(r"\s*-?\d+(/\d+)?\s*")
+"""A coordinate string: an integer or p/q, with an optional minus sign.
+Fraction alone would also take "1e30000000" and form 10^30000000."""
 
 
 @dataclass(frozen=True)
@@ -105,7 +110,8 @@ class ProjectivePointSet:
                 raise ValueError("each point must be a nonempty coordinate list")
             coords = []
             for c in entry:
-                if isinstance(c, bool) or not isinstance(c, (str, int)):
+                if type(c) is not int and not (
+                        isinstance(c, str) and _RATIONAL_RE.fullmatch(c)):
                     raise ValueError(f"invalid rational coordinate {c!r}")
                 try:
                     coords.append(Fraction(c))

@@ -20,9 +20,9 @@ The assembled Jordan structure is built in two independent layers:
       size l+1:  #_l(T)_alpha             (l >= 2)
   Negative counts mean the beta vector is inadmissible and raise an
   error naming the violated bound.
-* eigenvalues with alpha^d != 1: the blocks of T at alpha^(1-d) are
-  copied to alpha, which is ``cyclic_power(T^-1, d-1)`` at alpha^d != 1;
-  the charpoly formula's det(x^(d-1) - T) comes from ``cyclic_power(T, d-1)``.
+* eigenvalues with alpha^d != 1: T's blocks at alpha^(1-d) are copied
+  to alpha, read at conj(alpha) from S = ``cyclic_power(T, d-1)``, whose
+  char poly is the formula's det(x^(d-1) - T); S is built once.
 
 Cross-checks accompany every assembly: the degree identity, the block
 size limits, the bound check on beta, the local product formula for the
@@ -85,13 +85,17 @@ BetaSpec = Union[GivenBeta, FromNodes, EnumerateBeta]
 
 def _check_size(n: int, d: int,
                 counts: Iterable[tuple[SingularityModel, int]]) -> int:
-    """Reject n or d below 2, n and d that make chi too large to print,
-    and (model, count) pairs whose total Milnor number exceeds
-    (d-1)^(n+1); return that total."""
+    """Reject n or d below 2, d above MAX_REPORT_ENTRIES, n and d that
+    make chi too large to print, and (model, count) pairs whose total
+    Milnor number exceeds (d-1)^(n+1); return that total."""
     if not isinstance(n, int) or n < 2:
         raise InstanceError("n must be >= 2")
     if not isinstance(d, int) or d < 2:
         raise InstanceError("d must be >= 2")
+    if d > MAX_REPORT_ENTRIES:
+        raise InstanceError(
+            f"d = {d} is above the limit of {MAX_REPORT_ENTRIES}: every "
+            "report lists the d entries of chi")
     total_mu = sum(count * milnor_number(model) for model, count in counts)
     # ((d-1)^(n+1) + (-1)^n)/d >= 2^((n+1)(bitlen(d-1) - 1) - bitlen(d))
     # = 2^(bits+1), so total_mu < 2^(bits-1) makes every chi_s >= 2^bits;
@@ -329,21 +333,21 @@ def beta_bounds(spec: ProblemSpec) -> list[tuple[int, int]]:
             for s, alpha in enumerate(mth_roots(ONE, spec.d))]
 
 
-def _assembler(spec: ProblemSpec, bounds: list[tuple[int, int]]
+def _assembler(spec: ProblemSpec, bounds: list[tuple[int, int]],
+               spread: JordanStructure
                ) -> Callable[[tuple[int, ...]], JordanStructure]:
     """The assembled structure as a function of beta.  The blocks no beta
-    changes, shifted (size l+1 >= 3) and off-torsion, are built once."""
+    changes, shifted (size l+1 >= 3) and copied, are built once; the rule
+    per beta replaces the copies at the d-th roots of unity."""
     d, t, chi = spec.d, spec.local_sum, spec.chi
     torsion = [(alpha, {size + 1: count
                         for size, count in t.blocks_at(alpha).items() if size >= 2})
                for alpha in mth_roots(ONE, d)]
-    spread = cyclic_power(JordanStructure(
-        (xi.conjugate(), t.blocks_at(xi)) for xi in t.spectrum()), d - 1)
-    off_torsion = {alpha: spread.blocks_at(alpha)
-                   for alpha in spread.spectrum() if alpha ** d != ONE}
+    copied = {gamma.conjugate(): spread.blocks_at(gamma)
+              for gamma in spread.spectrum()}
 
     def structure(beta: tuple[int, ...]) -> JordanStructure:
-        blocks = dict(off_torsion)
+        blocks = dict(copied)
         for s, (alpha, shifted) in enumerate(torsion):
             count_1 = chi[s] + 2 * beta[s] - t.block_count(alpha)
             count_2 = -beta[s] + t.sharp(alpha, 1)
@@ -363,17 +367,17 @@ def _assembler(spec: ProblemSpec, bounds: list[tuple[int, int]]
     return structure
 
 
-def charpoly_local_formula(spec: ProblemSpec) -> RootExponentVector:
+def charpoly_local_formula(spec: ProblemSpec,
+                           spread: JordanStructure) -> RootExponentVector:
     """Characteristic polynomial of the assembled operator, from local data.
 
     zeta_of_top_form(spec) * det(x^(d-1) * Id - T)
 
-    The determinant is the characteristic polynomial of cyclic_power(T, d-1).
-    Raises when the final exponent vector has a negative entry, which
-    signals local data inconsistent with any actual hypersurface.
+    The determinant is the characteristic polynomial of the spread
+    cyclic_power(T, d-1).  Raises when the final exponent vector has a
+    negative entry: no actual hypersurface has such local data.
     """
-    out = zeta_of_top_form(spec) * \
-        cyclic_power(spec.local_sum, spec.d - 1).char_poly()
+    out = zeta_of_top_form(spec) * spread.char_poly()
     if not out.is_polynomial():
         bad = [str(r) for r, e in out.items() if e < 0]
         raise InstanceError(
@@ -390,7 +394,7 @@ def zeta_of_top_form(spec: ProblemSpec) -> RootExponentVector:
     :func:`check_zeta_two_forms` compares it with the product over chi.
     """
     n, d = spec.n, spec.d
-    exponent = _top_form_exponent(n, d) - spec.local_sum.total_dim
+    exponent = _top_form_exponent(n, d) - spec.total_mu
     return RootExponentVector.linear(ONE, -(-1) ** n) * \
         RootExponentVector.power_minus_one(d, exponent)
 
@@ -469,16 +473,17 @@ def assemble(spec: ProblemSpec, *,
         raise InstanceError(f"enumerate cap must be >= 1, got {enumerate_cap}")
     bounds = beta_bounds(spec)
     mode, vectors, truncated = _resolve_beta(spec, bounds, enumerate_cap)
+    spread = cyclic_power(spec.local_sum, spec.d - 1)
     formula: RootExponentVector | None = None
-    formula_error: str | None = None
+    formula_error = ""
     try:
-        formula = charpoly_local_formula(spec)
+        formula = charpoly_local_formula(spec, spread)
     except InstanceError as exc:
         formula_error = str(exc)
+    structure_of = _assembler(spec, bounds, spread)
+    del spread  # the loop reads only the copied layer; S is not kept
     zeta = zeta_of_top_form(spec)
-    global_checks = [check_zeta_two_forms(zeta, spec.chi)]
     expected_dim = (spec.d - 1) ** (spec.n + 1) - spec.total_mu
-    structure_of = _assembler(spec, bounds)
     entries = []
     charpoly = formula
     for beta in vectors:
@@ -509,8 +514,7 @@ def assemble(spec: ProblemSpec, *,
                 "assembly used the stated counting rules unchanged"))
         elif formula is None:
             checks.append(CheckResult(
-                "charpoly_local_formula", "fail",
-                formula_error or "formula unavailable"))
+                "charpoly_local_formula", "fail", formula_error))
         else:
             agrees = poly == formula
             checks.append(CheckResult(
@@ -532,7 +536,7 @@ def assemble(spec: ProblemSpec, *,
         truncated=truncated,
         charpoly=charpoly,
         zeta=zeta,
-        checks=tuple(global_checks),
+        checks=(check_zeta_two_forms(zeta, spec.chi),),
     )
 
 

@@ -153,11 +153,12 @@ def test_assemble_matches_per_copy_rules(given):
         spec = _random_spec(rng, given)
         chi, bounds, structure, charpoly = _reference(spec)
         assert beta_bounds(spec) == bounds
+        spread = cyclic_power(spec.local_sum, spec.d - 1)
         if charpoly.is_polynomial():
-            assert charpoly_local_formula(spec) == charpoly
+            assert charpoly_local_formula(spec, spread) == charpoly
         else:
             with pytest.raises(InstanceError, match="non-polynomial"):
-                charpoly_local_formula(spec)
+                charpoly_local_formula(spec, spread)
         if given and structure(spec.beta.values) is None:
             with pytest.raises(InstanceError, match="negative block count"):
                 assemble(spec)
@@ -221,10 +222,7 @@ def test_local_monodromy_runs_once_per_distinct_germ(monkeypatch, tmp_path,
     assert len(seen) == len(set(seen)) == 4
 
 
-@pytest.mark.parametrize("cap", [1, 2, 4])
-def test_cyclic_power_runs_twice_whatever_the_beta_count(cap, monkeypatch,
-                                                         tmp_path, capsys):
-    # once for the off-torsion layer, once for the charpoly formula
+def _count_cyclic_power(monkeypatch) -> list:
     calls = []
 
     def counting(structure, m):
@@ -232,12 +230,28 @@ def test_cyclic_power_runs_twice_whatever_the_beta_count(cap, monkeypatch,
         return cyclic_power(structure, m)
 
     monkeypatch.setattr(moninf.infinity, "cyclic_power", counting)
+    return calls
+
+
+@pytest.mark.parametrize("cap", [1, 2, 4])
+def test_cyclic_power_runs_once_whatever_the_beta_count(cap, monkeypatch,
+                                                        tmp_path, capsys):
+    # one spread serves the copied layer and the charpoly formula
+    calls = _count_cyclic_power(monkeypatch)
     path = tmp_path / "enumerate.json"
     path.write_text(json.dumps(NON_SEMISIMPLE_ENUMERATE_INSTANCE))
     assert main(["compute", str(path), "--json",
                  "--enumerate-cap", str(cap)]) == 0
     assert len(json.loads(capsys.readouterr().out)["beta_used"]) == cap
-    assert calls == [5, 5]
+    assert calls == [5]
+
+
+def test_cyclic_power_runs_once_for_a_given_beta(monkeypatch, capsys):
+    calls = _count_cyclic_power(monkeypatch)
+    assert main(["compute", str(INSTANCES / "six_cusp_sextic.json"),
+                 "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["mode"] == "given"
+    assert calls == [5]
 
 
 def test_symmetric_sum_of_asymmetric_germs_is_not_applicable():

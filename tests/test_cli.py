@@ -66,6 +66,60 @@ def test_compute_from_nodes(capsys):
     assert doc["beta_used"] == [3, 0, 0, 0]
 
 
+def test_exponent_notation_coordinate_is_rejected_at_once(tmp_path, capsys):
+    # Fraction("1e30000000") would form 10^30000000 before any check
+    points = [["1", "0", "1e30000000"], ["0", "1", "1"], ["1", "1", "1"]]
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps(points))
+    instance = tmp_path / "nodes.json"
+    instance.write_text(json.dumps({
+        "n": 2, "d": 4, "singularities": [{"type": "node", "count": 3}],
+        "beta": {"mode": "from_nodes", "points": points}}))
+    for argv in (["defect", str(pts), "--degree", "1"],
+                 ["compute", str(instance)]):
+        start = time.process_time()
+        assert main(argv) == 1
+        assert time.process_time() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: invalid rational coordinate '1e30000000'" in captured.err
+
+
+@pytest.mark.parametrize("coordinate", ["1.5", "1e5", "+1", "1_0", "1 / 2",
+                                        "1/0", True, 1.0])
+def test_coordinates_outside_the_grammar_are_rejected(tmp_path, capsys,
+                                                      coordinate):
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps([[coordinate, "0", "1"], ["0", "1", "1"]]))
+    assert main(["defect", str(pts), "--degree", "1"]) == 1
+    assert "invalid rational coordinate" in capsys.readouterr().err
+
+
+def test_coordinate_grammar(tmp_path, capsys):
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps([[" -3/4 ", 2, "1"], ["0", "1", "1"]]))
+    assert main(["defect", str(pts), "--degree", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["defect"] == 0
+
+
+@pytest.mark.parametrize("d", [10 ** 30, MAX_REPORT_ENTRIES + 1])
+@pytest.mark.parametrize("command", ["zeta", "bounds", "compute"])
+def test_d_above_the_report_limit_is_rejected_before_chi(tmp_path, capsys,
+                                                         command, d):
+    # every report lists the d entries of chi
+    instance = tmp_path / "big_d.json"
+    instance.write_text(json.dumps({
+        "n": 2, "d": d, "singularities": [], "beta": {"mode": "enumerate"}}))
+    start = time.process_time()
+    assert main([command, str(instance)]) == 1
+    assert time.process_time() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert f"d = {d}" in captured.err
+    assert f"limit of {MAX_REPORT_ENTRIES}" in captured.err
+
+
 def test_compute_rejects_small_n(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

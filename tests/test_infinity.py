@@ -8,6 +8,7 @@ import random
 import pytest
 
 from moninf.cli import _json_chunks
+from moninf.cyclic import cyclic_power
 from moninf.cyclo import ONE, RootExponentVector, UnitRoot
 from moninf.defect import ProjectivePointSet
 from moninf.infinity import (
@@ -35,6 +36,11 @@ from moninf.localsing import (
 
 
 CUSP = BrieskornPham((2, 3))
+
+
+def _spread(spec: ProblemSpec) -> JordanStructure:
+    """cyclic_power(T, d-1), which assemble passes to the charpoly formula."""
+    return cyclic_power(spec.local_sum, spec.d - 1)
 
 
 def _sextic_spec(beta) -> ProblemSpec:
@@ -203,7 +209,7 @@ def test_smooth_cubic_curve():
         UnitRoot(2, 3): {1: 3},
     })
     assert report.entries[0].jordan == expected
-    assert charpoly_local_formula(spec) == expected.char_poly()
+    assert charpoly_local_formula(spec, _spread(spec)) == expected.char_poly()
     assert zeta_of_top_form(spec) == expected.char_poly()
 
 
@@ -248,7 +254,7 @@ def test_from_nodes_rejects_bad_input():
 
 def test_part_two_uses_inverse_spectrum():
     # one local size-1 block at e^(2*pi*i/5); its (d-1)-th layer sits at the
-    # square roots of the conjugate 4/5, and both survive the alpha^d != 1 cut
+    # square roots of the conjugate 4/5, neither of them a cube root of unity
     local = ExplicitJordan(JordanStructure({UnitRoot(1, 5): {1: 1}}))
     spec = ProblemSpec(2, 3, ((local, 1),), GivenBeta((0, 0, 0)))
     report = assemble(spec)
@@ -261,7 +267,8 @@ def test_part_two_uses_inverse_spectrum():
     })
     assert report.entries[0].jordan == expected
     # the reported char poly is the assembled operator's, not the formula's
-    assert report.charpoly == expected.char_poly() != charpoly_local_formula(spec)
+    assert report.charpoly == expected.char_poly() != \
+        charpoly_local_formula(spec, _spread(spec))
     statuses = {check.name: check.status for _, check in report.all_checks()}
     assert statuses["charpoly_local_formula"] == "not_applicable"
     assert statuses["degree_identity"] == "pass"
@@ -276,7 +283,7 @@ def test_no_admissible_beta():
     assert report.entries == ()
     assert report.charpoly is None
     with pytest.raises(InstanceError, match="non-polynomial result"):
-        charpoly_local_formula(spec)
+        charpoly_local_formula(spec, _spread(spec))
     with pytest.raises(InstanceError, match="above the upper bound 0"):
         assemble(ProblemSpec(2, 2, ((local, 1),), GivenBeta((1, 0))))
 
