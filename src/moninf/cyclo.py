@@ -132,6 +132,18 @@ class RootExponentVector:
         object.__setattr__(self, "_factors",
                            {r: acc[r] for r in sorted(acc) if acc[r] != 0})
 
+    @classmethod
+    def _canonical(cls, factors: dict[UnitRoot, int]) -> RootExponentVector:
+        """The product of factors, taken as they are, without checks.
+
+        Precondition: factors is already canonical, that is, what the
+        validating constructor would store: roots by increasing angle,
+        every exponent a nonzero int.  The dict is kept, not copied.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "_factors", factors)
+        return self
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RootExponentVector is immutable")
 
@@ -145,7 +157,9 @@ class RootExponentVector:
         """(x^d - 1)^exponent, expanded over all d-th roots of unity."""
         if d < 1:
             raise ValueError(f"degree must be >= 1, got {d}")
-        return cls((UnitRoot(j, d), exponent) for j in range(d))
+        # j/d increases with j, so the factors are in order as built
+        return cls._canonical(
+            {UnitRoot(j, d): exponent for j in range(d)} if exponent else {})
 
     def items(self) -> Iterator[tuple[UnitRoot, int]]:
         """(root, exponent) pairs in increasing angle order."""

@@ -24,6 +24,13 @@ The assembled Jordan structure is built in two independent layers:
   to alpha, read at conj(alpha) from S = ``cyclic_power(T, d-1)``, whose
   char poly is the formula's det(x^(d-1) - T); S is built once.
 
+beta changes only the first layer.  So the second, the base, is built
+once per assembly, already in canonical order, with its multiplicities
+and the places of the d-th roots among its eigenvalues; each beta vector
+then adds its d torsion tables, and its structure and characteristic
+polynomial are filled in one pass in root order.  Every check still runs
+for every beta vector.
+
 Cross-checks accompany every assembly: the degree identity, the block
 size limits, the bound check on beta, the local product formula for the
 characteristic polynomial, and the two-forms identity for the zeta
@@ -35,6 +42,7 @@ germ, never on T, since asymmetric germs can sum to a symmetric T.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, Union
 
@@ -289,10 +297,9 @@ class Report:
         for entry in self.entries:
             lines.append(f"beta = {list(entry.beta)}")
             if entry.jordan:
-                for root in entry.jordan.spectrum():
-                    counts = entry.jordan.blocks_at(root)
-                    part = ", ".join(f"{counts[size]} x size {size}"
-                                     for size in sorted(counts, reverse=True))
+                for root, table in entry.jordan.items():
+                    part = ", ".join([f"{count} x size {size}"
+                                      for size, count in table.items()])
                     lines.append(f"  eigenvalue {root}: {part}")
             else:
                 lines.append("  empty operator (dimension 0)")
@@ -335,22 +342,49 @@ def beta_bounds(spec: ProblemSpec) -> list[tuple[int, int]]:
 
 def _assembler(spec: ProblemSpec, bounds: list[tuple[int, int]],
                spread: JordanStructure
-               ) -> Callable[[tuple[int, ...]], JordanStructure]:
-    """The assembled structure as a function of beta.  The blocks no beta
-    changes, shifted (size l+1 >= 3) and copied, are built once; the rule
-    per beta replaces the copies at the d-th roots of unity."""
+               ) -> Callable[[tuple[int, ...]],
+                             tuple[JordanStructure, RootExponentVector, int]]:
+    """The assembled structure, its characteristic polynomial and its
+    dimension as a function of beta.  The base, the copied layer off the
+    d-th roots of unity, is built once with its multiplicities, cut at
+    the places of the d-th roots; the rule per beta fills only the d
+    torsion tables, and the tables and factors go into one dict each, in
+    root order."""
     d, t, chi = spec.d, spec.local_sum, spec.chi
-    torsion = [(alpha, {size + 1: count
-                        for size, count in t.blocks_at(alpha).items() if size >= 2})
-               for alpha in mth_roots(ONE, d)]
-    copied = {gamma.conjugate(): spread.blocks_at(gamma)
-              for gamma in spread.spectrum()}
+    # conj reverses the angle order on (0, 1), and conj(1) = 1 is a d-th
+    # root, so the copied layer comes out sorted
+    base = [(gamma.conjugate(), table)
+            for gamma, table in reversed(spread.items()) if d % gamma.den]
+    keys = [alpha for alpha, _ in base]
+    roots = mth_roots(ONE, d)
+    cuts = [0, *(bisect_left(keys, alpha) for alpha in roots), len(base)]
+    # segment s holds the base tables between the (s-1)-th and the s-th
+    # d-th root, and segment d those after the last one
+    segments = [dict(base[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    segment_factors = [
+        {alpha: sum(size * count for size, count in table.items())
+         for alpha, table in segment.items()} for segment in segments]
+    base_dim = sum(sum(part.values()) for part in segment_factors)
+    torsion = []
+    for s, alpha in enumerate(roots):
+        shifted = {size + 1: count
+                   for size, count in t.blocks_at(alpha).items() if size >= 2}
+        torsion.append((alpha, shifted,
+                        sum(size * count for size, count in shifted.items()),
+                        chi[s] - t.block_count(alpha), t.sharp(alpha, 1),
+                        segments[s], segment_factors[s]))
 
-    def structure(beta: tuple[int, ...]) -> JordanStructure:
-        blocks = dict(copied)
-        for s, (alpha, shifted) in enumerate(torsion):
-            count_1 = chi[s] + 2 * beta[s] - t.block_count(alpha)
-            count_2 = -beta[s] + t.sharp(alpha, 1)
+    def assembled(beta: tuple[int, ...]
+                  ) -> tuple[JordanStructure, RootExponentVector, int]:
+        blocks: dict[UnitRoot, dict[int, int]] = {}
+        poly: dict[UnitRoot, int] = {}
+        dim = base_dim
+        for s, (alpha, shifted, shifted_dim, free_1, ones, segment,
+                factors) in enumerate(torsion):
+            blocks.update(segment)
+            poly.update(factors)
+            count_1 = free_1 + 2 * beta[s]
+            count_2 = ones - beta[s]
             lower, upper = bounds[s]
             if count_1 < 0:
                 raise InstanceError(
@@ -362,22 +396,34 @@ def _assembler(spec: ProblemSpec, bounds: list[tuple[int, int]],
                     f"negative block count: {count_2} blocks of size 2 at "
                     f"eigenvalue {alpha}; beta[{s}] = {beta[s]} is above the "
                     f"upper bound {upper} (admissible range {lower}..{upper})")
-            blocks[alpha] = {1: count_1, 2: count_2, **shifted}
-        return JordanStructure(blocks)
-    return structure
+            # canonical order: the shifted sizes (>= 3, decreasing), 2, 1
+            table = dict(shifted)
+            if count_2:
+                table[2] = count_2
+            if count_1:
+                table[1] = count_1
+            if table:
+                multiplicity = shifted_dim + 2 * count_2 + count_1
+                blocks[alpha], poly[alpha] = table, multiplicity
+                dim += multiplicity
+        blocks.update(segments[d])
+        poly.update(segment_factors[d])
+        return (JordanStructure._canonical(blocks),
+                RootExponentVector._canonical(poly), dim)
+    return assembled
 
 
-def charpoly_local_formula(spec: ProblemSpec,
+def charpoly_local_formula(zeta: RootExponentVector,
                            spread: JordanStructure) -> RootExponentVector:
     """Characteristic polynomial of the assembled operator, from local data.
 
-    zeta_of_top_form(spec) * det(x^(d-1) * Id - T)
+    zeta * det(x^(d-1) * Id - T), zeta being :func:`zeta_of_top_form`
 
     The determinant is the characteristic polynomial of the spread
     cyclic_power(T, d-1).  Raises when the final exponent vector has a
     negative entry: no actual hypersurface has such local data.
     """
-    out = zeta_of_top_form(spec) * spread.char_poly()
+    out = zeta * spread.char_poly()
     if not out.is_polynomial():
         bad = [str(r) for r, e in out.items() if e < 0]
         raise InstanceError(
@@ -419,15 +465,19 @@ def check_block_size_limits(structure: JordanStructure, n: int,
                             d: int) -> CheckResult:
     """No block may exceed size n+1; size n+1 only at alpha^d = 1, alpha != 1."""
     problems = []
-    for root, size, count in structure.iter_blocks():
-        if size >= n + 2:
-            problems.append(
-                f"{count} blocks of size {size} at eigenvalue {root} exceed "
-                f"the maximum size n+1 = {n + 1}")
-        elif size == n + 1 and (root ** d != ONE or root == ONE):
-            problems.append(
-                f"{count} blocks of size {n + 1} at eigenvalue {root}; size "
-                f"n+1 is only allowed at nontrivial d-th roots of unity")
+    for root, table in structure.items():
+        for size, count in table.items():
+            if size <= n:
+                break  # the sizes decrease
+            if size >= n + 2:
+                problems.append(
+                    f"{count} blocks of size {size} at eigenvalue {root} "
+                    f"exceed the maximum size n+1 = {n + 1}")
+            elif root ** d != ONE or root == ONE:
+                problems.append(
+                    f"{count} blocks of size {n + 1} at eigenvalue {root}; "
+                    "size n+1 is only allowed at nontrivial d-th roots of "
+                    "unity")
     if problems:
         return CheckResult("block_size_limits", "fail", "; ".join(problems))
     return CheckResult(
@@ -474,25 +524,23 @@ def assemble(spec: ProblemSpec, *,
     bounds = beta_bounds(spec)
     mode, vectors, truncated = _resolve_beta(spec, bounds, enumerate_cap)
     spread = cyclic_power(spec.local_sum, spec.d - 1)
+    zeta = zeta_of_top_form(spec)
     formula: RootExponentVector | None = None
     formula_error = ""
     try:
-        formula = charpoly_local_formula(spec, spread)
+        formula = charpoly_local_formula(zeta, spread)
     except InstanceError as exc:
         formula_error = str(exc)
-    structure_of = _assembler(spec, bounds, spread)
-    del spread  # the loop reads only the copied layer; S is not kept
-    zeta = zeta_of_top_form(spec)
+    assembled = _assembler(spec, bounds, spread)
+    del spread  # the loop reads only the base; S is not kept
     expected_dim = (spec.d - 1) ** (spec.n + 1) - spec.total_mu
     entries = []
     charpoly = formula
     for beta in vectors:
-        structure = structure_of(beta)
-        poly = structure.char_poly()
+        structure, poly, got_dim = assembled(beta)
         if not entries:
             charpoly = poly
         checks = []
-        got_dim = structure.total_dim
         checks.append(CheckResult(
             "degree_identity",
             "pass" if got_dim == expected_dim else "fail",

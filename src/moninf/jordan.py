@@ -9,7 +9,7 @@ by increasing angle, block sizes decreasing.
 from __future__ import annotations
 
 from operator import eq, itemgetter
-from typing import Iterable, Iterator, Mapping
+from typing import ItemsView, Iterable, Iterator, Mapping
 
 from .cyclo import RootExponentVector, UnitRoot
 
@@ -81,6 +81,20 @@ class JordanStructure:
             root: dict(sorted(at.items(), reverse=True))
             for root, at in sorted(canon.items(), key=itemgetter(0)) if at})
 
+    @classmethod
+    def _canonical(cls, blocks: dict[UnitRoot, dict[int, int]]
+                   ) -> JordanStructure:
+        """The structure of blocks, taken as they are, without checks.
+
+        Precondition: blocks is already canonical, that is, what the
+        validating constructor would store: roots by increasing angle,
+        each table nonempty, sizes decreasing, every count positive.
+        The dicts are kept, not copied, and must not change afterwards.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "_blocks", blocks)
+        return self
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("JordanStructure is immutable")
 
@@ -110,6 +124,11 @@ class JordanStructure:
     def spectrum(self) -> list[UnitRoot]:
         """Distinct eigenvalues, by increasing angle."""
         return list(self._blocks)
+
+    def items(self) -> ItemsView[UnitRoot, Mapping[int, int]]:
+        """(eigenvalue, size -> count table) pairs in canonical order.
+        The tables are the structure's own, not copies: read them only."""
+        return self._blocks.items()
 
     def iter_blocks(self) -> Iterator[tuple[UnitRoot, int, int]]:
         """(eigenvalue, size, count) triples in canonical order."""

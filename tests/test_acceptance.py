@@ -138,7 +138,7 @@ def test_criterion_2_degree_identity_on_200_specs():
 def test_criterion_3_charpoly_formula_on_200_specs():
     for spec, report in _random_reports():
         formula = charpoly_local_formula(
-            spec, cyclic_power(spec.local_sum, spec.d - 1))
+            zeta_of_top_form(spec), cyclic_power(spec.local_sum, spec.d - 1))
         for entry in report.entries:
             assert entry.jordan.char_poly() == formula, (spec.n, spec.d)
     print("PASS criterion 3: local product formula matches assembled "

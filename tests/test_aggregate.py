@@ -32,6 +32,7 @@ from moninf.infinity import (
     beta_bounds,
     charpoly_local_formula,
     chi_vector,
+    zeta_of_top_form,
 )
 from moninf.jordan import JordanStructure
 from moninf.localsing import (
@@ -153,12 +154,13 @@ def test_assemble_matches_per_copy_rules(given):
         spec = _random_spec(rng, given)
         chi, bounds, structure, charpoly = _reference(spec)
         assert beta_bounds(spec) == bounds
+        zeta = zeta_of_top_form(spec)
         spread = cyclic_power(spec.local_sum, spec.d - 1)
         if charpoly.is_polynomial():
-            assert charpoly_local_formula(spec, spread) == charpoly
+            assert charpoly_local_formula(zeta, spread) == charpoly
         else:
             with pytest.raises(InstanceError, match="non-polynomial"):
-                charpoly_local_formula(spec, spread)
+                charpoly_local_formula(zeta, spread)
         if given and structure(spec.beta.values) is None:
             with pytest.raises(InstanceError, match="negative block count"):
                 assemble(spec)
@@ -252,6 +254,44 @@ def test_cyclic_power_runs_once_for_a_given_beta(monkeypatch, capsys):
                  "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["mode"] == "given"
     assert calls == [5]
+
+
+@pytest.mark.parametrize("cap", [1, 2, 4])
+def test_validated_structures_do_not_grow_with_the_beta_count(cap,
+                                                             monkeypatch):
+    # the base is built once, and each beta vector's structure is wrapped
+    # as canonical, so the validating constructor runs only for the spread
+    calls = []
+    validate = JordanStructure.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        validate(self, *args, **kwargs)
+
+    spec = moninf.infinity.parse_problem(NON_SEMISIMPLE_ENUMERATE_INSTANCE)
+    monkeypatch.setattr(JordanStructure, "__init__", counting)
+    assert len(assemble(spec, enumerate_cap=cap).entries) == cap
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("given", [True, False])
+def test_assembled_structures_are_canonical(given):
+    # dict equality ignores order, so the assembled tables and the first
+    # characteristic polynomial are compared as lists with what the
+    # validating constructors store
+    rng = random.Random(5087 if given else 6121)
+    for _ in range(60):
+        spec = _random_spec(rng, given)
+        try:
+            report = assemble(spec)
+        except InstanceError:
+            continue
+        for entry in report.entries:
+            items = list(entry.jordan.items())
+            assert list(JordanStructure(dict(items)).items()) == items
+        if report.entries:
+            poly = report.entries[0].jordan.char_poly()
+            assert list(report.charpoly.items()) == list(poly.items())
 
 
 def test_symmetric_sum_of_asymmetric_germs_is_not_applicable():

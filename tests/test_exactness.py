@@ -14,10 +14,12 @@ class and method of the package is named somewhere in it outside its own
 definition, so no helper stays that only tests call.  Two oracle reports,
 an oracle report with injected counterexamples in text and in JSON,
 two defect reports, four from_nodes compute reports, one large Brieskorn
-compute report and one enumerate-mode report with a non-semisimple germ
-are pinned by digest, so a change of representation, of rank engine, of
-JSON writer or of what the assembler shares between beta vectors must
-leave their bytes alone.
+compute report, one enumerate-mode report with a non-semisimple germ,
+one enumerate-mode report whose torsion tables change with beta in text
+and in JSON, and the same text report with an injected failure of the
+charpoly check are pinned by digest, so a change of representation, of
+rank engine, of JSON writer or of what the assembler shares between
+beta vectors must leave their bytes alone.
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ from pathlib import Path
 
 import pytest
 
+import moninf.infinity
 from moninf.cli import main
 from moninf.cyclic import cyclic_power
-from moninf.cyclo import ONE, UnitRoot
+from moninf.cyclo import ONE, RootExponentVector, UnitRoot
 from moninf.jordan import JordanStructure
 from moninf.oracle import SpectrumNotCovered
 
@@ -319,6 +322,62 @@ def test_enumerated_non_semisimple_report_is_unchanged(tmp_path, capsys):
     assert len(json.loads(out)["beta_used"]) == 4
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "51b390cd4e1ecc56f7981891d7b2ce7282d61fd07400c9b379b724412c25d419"
+
+
+# n = 2, d = 6: three cusps, five copies of a germ with simple eigenvalues
+# at the 6th roots 1/6 and 5/6, and one germ with a size-2 block at the
+# 6th root 1/2 (size 3 in the operator) and simple eigenvalues 1/7, 6/7
+# off the 6th roots.  The enumeration gives five beta vectors.  The root 1
+# has no blocks in any of them, and at 1/6 and 5/6 the last vector has no
+# size-2 block where the others have one.  No admissible beta empties a
+# d-th root that another admissible beta fills: both of its counts
+# vanish only at beta_s = #_1(T)_alpha, which is then also the lower bound.
+TORSION_CHANGES_INSTANCE = {
+    "n": 2, "d": 6,
+    "singularities": [
+        {"type": "brieskorn", "exponents": [2, 3], "count": 3},
+        {"type": "explicit", "count": 5,
+         "jordan": [{"eigenvalue": "1/6", "blocks": [1]},
+                    {"eigenvalue": "5/6", "blocks": [1]}]},
+        {"type": "explicit", "count": 1,
+         "jordan": [{"eigenvalue": "1/2", "blocks": [2]},
+                    {"eigenvalue": "1/7", "blocks": [1]},
+                    {"eigenvalue": "6/7", "blocks": [1]}]}],
+    "beta": {"mode": "enumerate"}}
+
+
+@pytest.mark.parametrize("flags, digest", [
+    ([], "606fa81c1a0792f2824772db8ea1b1b23709ef0b50e6070301d713a986b638c5"),
+    (["--json"],
+     "8551835f72c0808721630ce7cf53c73e959e6c58a4bc86bcb28e38a338def72c"),
+])
+def test_enumerated_torsion_changes_report_is_unchanged(flags, digest,
+                                                        tmp_path, capsys):
+    instance = tmp_path / "torsion.json"
+    instance.write_text(json.dumps(TORSION_CHANGES_INSTANCE))
+    assert main(["compute", str(instance), *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_failed_charpoly_check_report_is_unchanged(monkeypatch, tmp_path,
+                                                   capsys):
+    # the formula gains (x - 1)^2, so every vector's check fails and its
+    # detail prints both polynomials
+    formula = moninf.infinity.charpoly_local_formula
+
+    def off_by_x_minus_one_squared(*args):
+        return formula(*args) * RootExponentVector.linear(ONE, 2)
+
+    monkeypatch.setattr(moninf.infinity, "charpoly_local_formula",
+                        off_by_x_minus_one_squared)
+    instance = tmp_path / "torsion.json"
+    instance.write_text(json.dumps(TORSION_CHANGES_INSTANCE))
+    assert main(["compute", str(instance)]) == 2
+    out = capsys.readouterr().out
+    assert out.count("[fail] charpoly_local_formula") == 5
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "3a676fb085d41d96f68fb8a2bb694f07f2daed9232c3ad5a64e0575379b5a940"
 
 
 # every dimension-1 structure at m = 3 fails the matrix route; every other

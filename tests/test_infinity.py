@@ -209,7 +209,8 @@ def test_smooth_cubic_curve():
         UnitRoot(2, 3): {1: 3},
     })
     assert report.entries[0].jordan == expected
-    assert charpoly_local_formula(spec, _spread(spec)) == expected.char_poly()
+    assert charpoly_local_formula(zeta_of_top_form(spec), _spread(spec)) \
+        == expected.char_poly()
     assert zeta_of_top_form(spec) == expected.char_poly()
 
 
@@ -268,7 +269,7 @@ def test_part_two_uses_inverse_spectrum():
     assert report.entries[0].jordan == expected
     # the reported char poly is the assembled operator's, not the formula's
     assert report.charpoly == expected.char_poly() != \
-        charpoly_local_formula(spec, _spread(spec))
+        charpoly_local_formula(zeta_of_top_form(spec), _spread(spec))
     statuses = {check.name: check.status for _, check in report.all_checks()}
     assert statuses["charpoly_local_formula"] == "not_applicable"
     assert statuses["degree_identity"] == "pass"
@@ -283,7 +284,7 @@ def test_no_admissible_beta():
     assert report.entries == ()
     assert report.charpoly is None
     with pytest.raises(InstanceError, match="non-polynomial result"):
-        charpoly_local_formula(spec, _spread(spec))
+        charpoly_local_formula(zeta_of_top_form(spec), _spread(spec))
     with pytest.raises(InstanceError, match="above the upper bound 0"):
         assemble(ProblemSpec(2, 2, ((local, 1),), GivenBeta((1, 0))))
 
