@@ -36,12 +36,15 @@ from .infinity import (
     zeta_of_top_form,
 )
 from .jordan import JordanStructure, Runs
-from .oracle import (
-    DEFAULT_LEVEL_CAP,
-    SpectrumNotCovered,
-    cyclic_level,
-    verify_cyclic_agreement,
-)
+from .oracle import SpectrumNotCovered, spectrum_level, verify_cyclic_agreement
+
+# The oracle's limits, each checked for the whole sweep before its first
+# comparison.  A comparison of r rows costs about r^3: one Jordan block of
+# 256 rows takes about 3 s of CPU (2-CPU VM, Python 3.11), and a case of
+# the exhaustive sweep at dimension <= 6 about 1 ms.
+DEFAULT_LEVEL_CAP = 360
+MAX_ORACLE_ROWS = 256
+MAX_EXHAUSTIVE_COMPARISONS = 10000
 
 
 def _load_json(path: str) -> object:
@@ -222,11 +225,6 @@ def _random_structure(rng: random.Random, max_dim: int,
     return JordanStructure(blocks)
 
 
-def _one_line(structure: JordanStructure) -> str:
-    """The structure's JSON form on one line, as json.dumps writes it."""
-    return json.dumps(structure.to_json(), default=list)
-
-
 def cmd_oracle(args: argparse.Namespace) -> int:
     exhaustive = args.seed is None
     max_dim = args.max_dim if args.max_dim is not None else (4 if exhaustive else 6)
@@ -246,22 +244,37 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             for _ in range(args.trials):
                 yield (_random_structure(rng, max_dim, [1, 2, 3, 4, 6, 12]),
                        rng.randint(2, max_m))
-    # every field level is checked before the first comparison runs
+    # every case is checked against the limits before the first comparison
     comparisons = 0
     for structure, m in cases():
-        cyclic_level(structure, m, args.oracle_level_cap)
+        level = m * spectrum_level(structure)
+        if level > args.oracle_level_cap:
+            raise InstanceError(f"required field level {level} exceeds "
+                                f"the cap {args.oracle_level_cap}")
+        rows = m * structure.total_dim
+        if rows > MAX_ORACLE_ROWS:
+            raise InstanceError(
+                f"the case at m = {m} of dimension {structure.total_dim} "
+                f"needs a matrix of {rows} rows, above the limit "
+                f"{MAX_ORACLE_ROWS}")
         comparisons += 1
+        if exhaustive and comparisons > MAX_EXHAUSTIVE_COMPARISONS:
+            raise InstanceError(
+                f"the exhaustive sweep (dimension <= {max_dim}, m in "
+                f"2..{max_m}) has more than {MAX_EXHAUSTIVE_COMPARISONS} "
+                f"comparisons, the limit")
     counterexamples = []
     for structure, m in cases():
         try:
-            expected, actual = verify_cyclic_agreement(
-                structure, m, level_cap=args.oracle_level_cap)
+            expected, actual = verify_cyclic_agreement(structure, m)
+            error = None
         except SpectrumNotCovered as exc:
-            counterexamples.append((structure, m, cyclic_power(structure, m),
-                                    None, str(exc)))
-            continue
-        if expected != actual:
-            counterexamples.append((structure, m, expected, actual, None))
+            expected, actual, error = cyclic_power(structure, m), None, str(exc)
+        if actual is None or expected != actual:
+            counterexamples.append({
+                "m": m, "structure": structure.to_json(),
+                "expected": expected.to_json(), "error": error,
+                "actual": None if actual is None else actual.to_json()})
     lines = []
     if exhaustive:
         lines.append(
@@ -273,22 +286,17 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             f"oracle: {args.trials} random trials, seed {args.seed} "
             f"(dimension <= {max_dim}, eigenvalue orders dividing 12, "
             f"m in 2..{max_m})")
-    rows = []
-    for structure, m, expected, actual, error in counterexamples:
-        lines.append(f"counterexample at m = {m}:")
-        lines.append(f"  structure: {_one_line(structure)}")
-        lines.append(f"  combinatorial rule: {_one_line(expected)}")
-        if actual is not None:
-            lines.append(f"  matrix ranks:       {_one_line(actual)}")
-        if error is not None:
-            lines.append(f"  matrix route failed: {error}")
-        rows.append({
-            "m": m,
-            "structure": structure.to_json(),
-            "expected": expected.to_json(),
-            "actual": None if actual is None else actual.to_json(),
-            "error": error,
-        })
+    for row in counterexamples:
+        # each structure's JSON form on one line, as json.dumps writes it
+        one_line = {key: json.dumps(row[key], default=list)
+                    for key in ("structure", "expected", "actual")}
+        lines.append(f"counterexample at m = {row['m']}:")
+        lines.append(f"  structure: {one_line['structure']}")
+        lines.append(f"  combinatorial rule: {one_line['expected']}")
+        if row["actual"] is not None:
+            lines.append(f"  matrix ranks:       {one_line['actual']}")
+        if row["error"] is not None:
+            lines.append(f"  matrix route failed: {row['error']}")
     lines.append("all comparisons agree" if not counterexamples else
                  f"{len(counterexamples)} disagreements found")
     doc = {
@@ -298,7 +306,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "trials": None if exhaustive else args.trials,
         "comparisons": comparisons,
-        "counterexamples": rows,
+        "counterexamples": counterexamples,
     }
     _emit(args, "\n".join(lines), doc)
     return 2 if counterexamples else 0

@@ -54,15 +54,8 @@ from .cyclo import UnitRoot
 from .jordan import JordanStructure
 from .modp import PRIME, eliminate
 
-DEFAULT_LEVEL_CAP = 360
-
-
 class SpectrumNotCovered(RuntimeError):
     """The candidate eigenvalues fail to account for the whole space."""
-
-
-class LevelCapExceeded(ValueError):
-    """The required cyclotomic field level exceeds the configured cap."""
 
 
 @lru_cache(maxsize=None)
@@ -505,24 +498,16 @@ def _multiplicities(rows: list[dict[int, tuple[int, ...]]], level: int,
     return mults
 
 
-def jordan_type(m: CycloMatrix, candidates: Iterable[UnitRoot], *,
-                level_cap: int = DEFAULT_LEVEL_CAP) -> JordanStructure:
+def jordan_type(m: CycloMatrix, candidates: Iterable[UnitRoot]) -> JordanStructure:
     """Jordan structure of m, assuming its spectrum lies in `candidates`.
 
     Raises :class:`SpectrumNotCovered` when the candidate eigenvalues do
-    not account for the full dimension, and :class:`LevelCapExceeded` when
-    the cyclotomic level needed (the lcm of the matrix level and all
-    candidate orders) exceeds `level_cap`.
+    not account for the full dimension.
     """
     if m.nrows != m.ncols:
         raise ValueError("jordan_type needs a square matrix")
     roots = sorted(set(candidates))
-    level_needed = m.level
-    for root in roots:
-        level_needed = math.lcm(level_needed, root.den)
-    if level_needed > level_cap:
-        raise LevelCapExceeded(
-            f"required field level {level_needed} exceeds the cap {level_cap}")
+    level_needed = math.lcm(m.level, *(root.den for root in roots))
     components = []
     for index in _components(m.rows):
         local = {g: i for i, g in enumerate(index)}
@@ -553,23 +538,14 @@ def jordan_type(m: CycloMatrix, candidates: Iterable[UnitRoot], *,
     return JordanStructure(blocks)
 
 
-def cyclic_level(structure: JordanStructure, order: int, level_cap: int,
-                 ) -> int:
-    """The field level of `structure`'s spectrum.  Raises
-    :class:`LevelCapExceeded` when its order-`order` cyclic operator needs
-    a level above `level_cap`: the m-th roots of a root p/q have lcm
-    denominator m*q, so the candidates need `order` times that level."""
-    level = 1
-    for root in structure.spectrum():
-        level = math.lcm(level, root.den)
-    if structure and order * level > level_cap:
-        raise LevelCapExceeded(
-            f"required field level {order * level} exceeds the cap {level_cap}")
-    return level
+def spectrum_level(structure: JordanStructure) -> int:
+    """The field level of `structure`'s spectrum, the lcm of its orders
+    (1 for the empty structure).  Its order-m cyclic operator needs m
+    times that level: the m-th roots of a root p/q have lcm order m*q."""
+    return math.lcm(*(root.den for root in structure.spectrum()))
 
 
-def verify_cyclic_agreement(structure: JordanStructure, order: int, *,
-                            level_cap: int = DEFAULT_LEVEL_CAP,
+def verify_cyclic_agreement(structure: JordanStructure, order: int,
                             ) -> tuple[JordanStructure, JordanStructure]:
     """Keystone cross-check for the cyclic construction.
 
@@ -577,13 +553,12 @@ def verify_cyclic_agreement(structure: JordanStructure, order: int, *,
     operator built from a realization of `structure`: the first computed by
     :func:`moninf.cyclic.cyclic_power`, the second read off an explicit
     matrix by rank computations.  Agreement of the two is the caller's
-    check.  Raises :class:`LevelCapExceeded` before either is computed
-    when the field level they need exceeds `level_cap`.
+    check.  The ranks are over Q(zeta_L), L = order * spectrum_level, with
+    no cap here: bounding L and the matrix size is the caller's policy.
     """
-    level = cyclic_level(structure, order, level_cap)
     expected = cyclic_power(structure, order)
-    base = build_jordan_matrix(structure, level)
+    base = build_jordan_matrix(structure, spectrum_level(structure))
     cyclic_matrix = build_cyclic_matrix(base, order)
     candidates = sorted(expected.spectrum())
-    actual = jordan_type(cyclic_matrix, candidates, level_cap=level_cap)
+    actual = jordan_type(cyclic_matrix, candidates)
     return expected, actual

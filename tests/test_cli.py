@@ -494,7 +494,7 @@ def test_oracle_random_seeded(capsys):
 def test_oracle_prints_counterexample(monkeypatch, capsys):
     wrong = JordanStructure({})
 
-    def fake(structure, order, *, level_cap):
+    def fake(structure, order):
         from moninf.cyclic import cyclic_power
         return cyclic_power(structure, order), wrong
 
@@ -513,18 +513,62 @@ def test_oracle_rejects_fewer_than_one_trial(capsys, trials):
     assert captured.err.startswith("error: ") and "--trials >= 1" in captured.err
 
 
-def test_oracle_level_cap_exits_1_before_any_work(monkeypatch, capsys):
-    # one trial at m up to 400000: the field level is checked before the
-    # power rule runs or a matrix is built
+@pytest.fixture
+def refuse_oracle_work(monkeypatch):
+    """Fail the test if the power rule runs or a matrix is built."""
     def refuse(*args, **kwargs):
-        raise AssertionError("work done above the level cap")
+        raise AssertionError("work done above an oracle limit")
 
     for name in ("cyclic_power", "build_jordan_matrix", "build_cyclic_matrix"):
         monkeypatch.setattr(f"moninf.oracle.{name}", refuse)
+
+
+def test_oracle_level_cap_exits_1_before_any_work(refuse_oracle_work, capsys):
+    # one trial at m up to 400000: the field level is checked before the
+    # power rule runs or a matrix is built
     assert main(["oracle", "--seed", "1", "--trials", "1",
                  "--max-m", "400000"]) == 1
     assert capsys.readouterr().err == \
         "error: required field level 1366496 exceeds the cap 360\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    # one trial draws a structure of dimension 17612, at m = 3
+    pytest.param(["--seed", "1", "--trials", "1", "--max-dim", "100000"],
+                 "the case at m = 3 of dimension 17612 needs a matrix of "
+                 "52836 rows, above the limit 256", id="rows"),
+    # the pre-pass stops at the first case past the limit
+    pytest.param(["--max-dim", "12"],
+                 "the exhaustive sweep (dimension <= 12, m in 2..3) has more "
+                 "than 10000 comparisons, the limit", id="sweep"),
+])
+def test_oracle_size_limits_exit_1_before_any_work(refuse_oracle_work, capsys,
+                                                  flags, message):
+    start = time.process_time()
+    assert main(["oracle", *flags]) == 1
+    assert time.process_time() - start < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_oracle_random_trials_have_no_sweep_limit(monkeypatch, capsys):
+    # the comparison count is limited in the exhaustive sweep only
+    monkeypatch.setattr("moninf.cli.verify_cyclic_agreement",
+                        lambda structure, order: (structure, structure))
+    assert main(["oracle", "--seed", "1", "--trials", "10001", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["comparisons"] == 10001
+
+
+@pytest.mark.parametrize("cap, code", [("12", 0), ("11", 1)])
+def test_oracle_level_cap_is_the_largest_level_allowed(capsys, cap, code):
+    # dimension 1 at m = 2: the largest level is 2 * 6 = 12
+    assert main(["oracle", "--max-dim", "1", "--max-m", "2",
+                 "--oracle-level-cap", cap]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ("" if code == 0 else
+                            "error: required field level 12 exceeds the cap 11\n")
+    assert ("all comparisons agree" in captured.out) == (code == 0)
 
 
 @pytest.mark.parametrize("flags, level", [

@@ -391,7 +391,7 @@ def test_oracle_counterexample_reports_are_unchanged(flags, digest,
                                                      monkeypatch, capsys):
     wrong = JordanStructure({ONE: {1: 3}, UnitRoot(1, 2): {2: 2, 1: 1}})
 
-    def fake(structure, order, *, level_cap):
+    def fake(structure, order):
         if order == 3 and structure.total_dim == 1:
             raise SpectrumNotCovered("covered 0 of 1 dimensions")
         return cyclic_power(structure, order), wrong

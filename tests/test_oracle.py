@@ -16,7 +16,6 @@ from moninf.jordan import JordanStructure
 from moninf.modp import PRIME, eliminate
 from moninf.oracle import (
     CycloMatrix,
-    LevelCapExceeded,
     SpectrumNotCovered,
     build_cyclic_matrix,
     build_jordan_matrix,
@@ -194,10 +193,9 @@ def _random_structure(rng: random.Random, max_dim: int = 5) -> JordanStructure:
 
 def test_jordan_type_recovers_block_matrices():
     rng = random.Random(606)
-    for _ in range(25):
-        j = _random_structure(rng)
-        level = math.lcm(1, *(root.den for root in j.spectrum())) if j else 1
-        m = build_jordan_matrix(j, level)
+    level_7 = JordanStructure({UnitRoot(1, 7): {1: 1}, UnitRoot(6, 7): {1: 1}})
+    for j in [*(_random_structure(rng) for _ in range(25)), level_7]:
+        m = build_jordan_matrix(j, oracle.spectrum_level(j))
         assert jordan_type(m, j.spectrum()) == j
 
 
@@ -246,14 +244,6 @@ def test_jordan_type_missing_candidate_raises():
         jordan_type(m, [ONE])
     # extra non-eigenvalue candidates are harmless
     assert jordan_type(m, [ONE, MINUS_ONE, UnitRoot(1, 3)]) == j
-
-
-def test_jordan_type_level_cap():
-    j = JordanStructure({UnitRoot(1, 7): {1: 1}, UnitRoot(6, 7): {1: 1}})
-    m = build_jordan_matrix(j, 7)
-    with pytest.raises(LevelCapExceeded):
-        jordan_type(m, j.spectrum(), level_cap=6)
-    assert jordan_type(m, j.spectrum(), level_cap=7) == j
 
 
 def test_verify_cyclic_agreement_small_cases():
