@@ -19,7 +19,7 @@ import json
 import os
 import random
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import chain
 from pathlib import Path
@@ -108,10 +108,11 @@ def _json_chunks(value: object, indent: str = "\n") -> Iterator[str]:
         raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _emit(args: argparse.Namespace, text: str, doc: object) -> None:
-    """Write the report to --output or stdout; a closed stdout is not an error."""
-    chunks = (chain(_json_chunks(doc), ["\n"]) if args.json
-              else [text if text.endswith("\n") else text + "\n"])
+def _emit(args: argparse.Namespace, text: Iterable[str], doc: object) -> None:
+    """Write the report to --output or stdout, piece by piece: the JSON of
+    doc with --json, else the pieces of text.  A closed stdout is not an
+    error."""
+    chunks = chain(_json_chunks(doc), ["\n"]) if args.json else text
     if args.output:
         with open(args.output, "w") as out:
             out.writelines(chunks)
@@ -132,9 +133,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
     report = assemble(spec, enumerate_cap=args.enumerate_cap)
     # render only the format asked for; on a large report the other is costly
     if args.json:
-        _emit(args, "", report.to_json())
+        _emit(args, (), report.to_json())
     else:
-        _emit(args, report.to_text(), None)
+        _emit(args, report.text_chunks(), None)
     return 2 if report.has_failures() else 0
 
 
@@ -150,7 +151,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         lines.append(f"  s = {row['s']} (eigenvalue {row['eigenvalue']}): "
                      f"{row['lower']}..{row['upper']}")
     doc = {"n": spec.n, "d": spec.d, "chi": chi, "bounds": rows}
-    _emit(args, "\n".join(lines), doc)
+    _emit(args, ["\n".join(lines) + "\n"], doc)
     return 0
 
 
@@ -162,7 +163,7 @@ def cmd_zeta(args: argparse.Namespace) -> int:
             f"chi = {chi}")
     doc = {"n": spec.n, "d": spec.d, "chi": chi,
            "zeta": zeta.to_json(), "zeta_display": str(zeta)}
-    _emit(args, text, doc)
+    _emit(args, [text + "\n"], doc)
     return 0
 
 
@@ -180,7 +181,7 @@ def cmd_defect(args: argparse.Namespace) -> int:
         text = (f"defect = {value} "
                 f"(k = {len(points)} points, degree q = {args.degree})")
         doc = {"q": args.degree, "points": len(points), "defect": value}
-    _emit(args, text, doc)
+    _emit(args, [text + "\n"], doc)
     return 0
 
 
@@ -308,7 +309,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "comparisons": comparisons,
         "counterexamples": counterexamples,
     }
-    _emit(args, "\n".join(lines), doc)
+    _emit(args, ["\n".join(lines) + "\n"], doc)
     return 2 if counterexamples else 0
 
 

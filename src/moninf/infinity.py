@@ -22,14 +22,23 @@ The assembled Jordan structure is built in two independent layers:
   error naming the violated bound.
 * eigenvalues with alpha^d != 1: T's blocks at alpha^(1-d) are copied
   to alpha, read at conj(alpha) from S = ``cyclic_power(T, d-1)``, whose
-  char poly is the formula's det(x^(d-1) - T); S is built once.
+  char poly is the formula's det(x^(d-1) - T); S is built once.  When
+  every germ is conjugation-symmetric, so are T and S, and S is read at
+  alpha itself.
 
-beta changes only the first layer.  So the second, the base, is built
-once per assembly, already in canonical order, with its multiplicities
-and the places of the d-th roots among its eigenvalues; each beta vector
-then adds its d torsion tables, and its structure and characteristic
-polynomial are filled in one pass in root order.  Every check still runs
-for every beta vector.
+beta changes only the first layer.  So the second, the base, is laid out
+once per assembly, already in canonical order, with an empty slot at
+each d-th root, and so are its multiplicities; each beta vector copies
+the layout and fills its d slots, deleting those left empty.  The table
+at a d-th root is built once per value of beta_s and shared by every
+vector with that value.  Where the charpoly formula is compared, the
+layout's roots are its own objects, so the per-vector comparison finds
+them by identity.  Every check still runs for every beta vector, but a
+report keeps only each vector's beta and checks and rebuilds its
+structure when read.  The text report is written piece by piece: the
+base runs between the d-th roots are rendered once per report and a
+d-th root's line once per value of beta_s, so a vector's text is joined
+from 2d + 1 rendered pieces.
 
 Cross-checks accompany every assembly: the degree identity, the block
 size limits, the bound check on beta, the local product formula for the
@@ -44,7 +53,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .cyclic import cyclic_power
 from .cyclo import ONE, RootExponentVector, UnitRoot, mth_roots
@@ -63,6 +72,8 @@ DEFAULT_ENUMERATE_CAP = 1024
 MAX_REPORT_ENTRIES = 10**8
 """Largest number of Jordan blocks and Milnor numbers a --json report
 lists, and of Milnor numbers a text report lists."""
+
+_MU_SLICE = 4096  # copies per piece of a run in the text report's mu list
 
 MAX_CHI_BITS = 14285
 """2^14285 > 10^4300, and by default Python prints no int of more than
@@ -195,8 +206,15 @@ class CheckResult:
 @dataclass(frozen=True)
 class BetaEntry:
     beta: tuple[int, ...]
-    jordan: JordanStructure
     checks: tuple[CheckResult, ...]
+    # the layers every vector of one assembly shares
+    assembler: _Assembler = field(repr=False)
+
+    @property
+    def jordan(self) -> JordanStructure:
+        """The assembled structure, rebuilt from the shared layers on each
+        read, so that a report keeps O(d) per vector."""
+        return self.assembler.structure(self.beta)
 
 
 @dataclass(frozen=True)
@@ -235,9 +253,10 @@ class Report:
         InstanceError when they would list more than MAX_REPORT_ENTRIES
         numbers, counted from the runs before any list is written."""
         listed_mu = sum(count for _, count in self.mu)
+        structures = [entry.jordan for entry in self.entries]
         entries = listed_mu + sum(
-            count for entry in self.entries
-            for _, _, count in entry.jordan.iter_blocks())
+            count for structure in structures
+            for _, _, count in structure.iter_blocks())
         if entries > MAX_REPORT_ENTRIES:
             # the text report lists mu too, so it helps only when mu fits
             hint = ("; the text report gives the same blocks as counts"
@@ -249,10 +268,10 @@ class Report:
         single = self.mode in ("given", "from_nodes")
         if single:
             beta_used: object = list(self.entries[0].beta)
-            jordan: object = self.entries[0].jordan.to_json()
+            jordan: object = structures[0].to_json()
         else:
             beta_used = [list(entry.beta) for entry in self.entries]
-            jordan = [entry.jordan.to_json() for entry in self.entries]
+            jordan = [structure.to_json() for structure in structures]
         checks = []
         for beta, check in self.all_checks():
             row = check.to_json()
@@ -276,44 +295,52 @@ class Report:
             "truncated": self.truncated,
         }
 
-    def to_text(self) -> str:
-        """The text report; blocks are counts, but mu lists every copy.
-        Raises InstanceError when mu has more than MAX_REPORT_ENTRIES."""
+    def text_chunks(self) -> Iterator[str]:
+        """The text report, in pieces: blocks are counts, mu lists every
+        copy.  Raises InstanceError when mu has more than
+        MAX_REPORT_ENTRIES entries; that check runs on the call, so before
+        the first piece is asked for."""
         listed = sum(count for _, count in self.mu)
         if listed > MAX_REPORT_ENTRIES:
             raise InstanceError(
                 f"the text report would list {listed} Milnor numbers, "
                 f"above the limit of {MAX_REPORT_ENTRIES}")
-        lines = [
-            f"monodromy at infinity: n = {self.n}, d = {self.d}",
-            "local Milnor numbers: ["
-            + "".join(f"{mu}, " * count for mu, count in self.mu)[:-2]
-            + f"] (total {self.total_mu}); "
-            f"operator dimension {self.total_dim}",
-            f"chi = {list(self.chi)}",
-            f"beta mode: {self.mode}"
-            + (" (truncated)" if self.truncated else ""),
-        ]
+        return self._text_pieces()
+
+    def _text_pieces(self) -> Iterator[str]:
+        # one piece per slice of a run of mu, per beta vector and per
+        # vector's checks; each vector's beta text is rendered once
+        yield (f"monodromy at infinity: n = {self.n}, d = {self.d}\n"
+               "local Milnor numbers: [")
+        sep = ""
+        for mu, count in self.mu:
+            while count:
+                take = min(count, _MU_SLICE)
+                yield sep + f"{mu}, " * (take - 1) + str(mu)
+                sep, count = ", ", count - take
+        yield (f"] (total {self.total_mu}); operator dimension "
+               f"{self.total_dim}\nchi = {list(self.chi)}\nbeta mode: "
+               f"{self.mode}{' (truncated)' if self.truncated else ''}\n")
+        labels = []
         for entry in self.entries:
-            lines.append(f"beta = {list(entry.beta)}")
-            if entry.jordan:
-                for root, table in entry.jordan.items():
-                    part = ", ".join([f"{count} x size {size}"
-                                      for size, count in table.items()])
-                    lines.append(f"  eigenvalue {root}: {part}")
-            else:
-                lines.append("  empty operator (dimension 0)")
-        if not self.entries:
-            lines.append("no admissible beta vector")
+            labels.append(str(list(entry.beta)))
+            yield f"beta = {labels[-1]}\n"
+            yield (entry.assembler.text(entry.beta)
+                   or "  empty operator (dimension 0)\n")
+        tail = ["no admissible beta vector\n"] if not self.entries else []
         if self.charpoly is not None:
-            lines.append(f"char poly: {self.charpoly}")
-        lines.append(f"zeta of top form: {self.zeta}")
-        lines.append("checks:")
-        for beta, check in self.all_checks():
-            where = "" if beta is None or len(self.entries) <= 1 \
-                else f" [beta = {list(beta)}]"
-            lines.append(f"  [{check.status}] {check.name}{where}: {check.detail}")
-        return "\n".join(lines) + "\n"
+            tail.append(f"char poly: {self.charpoly}\n")
+        tail.append(f"zeta of top form: {self.zeta}\nchecks:\n")
+        tail.extend(_check_line(check, "") for check in self.checks)
+        yield "".join(tail)
+        many = len(self.entries) > 1
+        for label, entry in zip(labels, self.entries):
+            where = f" [beta = {label}]" if many else ""
+            yield "".join(_check_line(check, where) for check in entry.checks)
+
+
+def _check_line(check: CheckResult, where: str) -> str:
+    return f"  [{check.status}] {check.name}{where}: {check.detail}\n"
 
 
 def _top_form_exponent(n: int, d: int) -> int:
@@ -340,77 +367,161 @@ def beta_bounds(spec: ProblemSpec) -> list[tuple[int, int]]:
             for s, alpha in enumerate(mth_roots(ONE, spec.d))]
 
 
-def _assembler(spec: ProblemSpec, bounds: list[tuple[int, int]],
-               spread: JordanStructure
-               ) -> Callable[[tuple[int, ...]],
-                             tuple[JordanStructure, RootExponentVector, int]]:
-    """The assembled structure, its characteristic polynomial and its
-    dimension as a function of beta.  The base, the copied layer off the
-    d-th roots of unity, is built once with its multiplicities, cut at
-    the places of the d-th roots; the rule per beta fills only the d
-    torsion tables, and the tables and factors go into one dict each, in
-    root order."""
-    d, t, chi = spec.d, spec.local_sum, spec.chi
-    # conj reverses the angle order on (0, 1), and conj(1) = 1 is a d-th
-    # root, so the copied layer comes out sorted
-    base = [(gamma.conjugate(), table)
-            for gamma, table in reversed(spread.items()) if d % gamma.den]
-    keys = [alpha for alpha, _ in base]
-    roots = mth_roots(ONE, d)
-    cuts = [0, *(bisect_left(keys, alpha) for alpha in roots), len(base)]
-    # segment s holds the base tables between the (s-1)-th and the s-th
-    # d-th root, and segment d those after the last one
-    segments = [dict(base[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
-    segment_factors = [
-        {alpha: sum(size * count for size, count in table.items())
-         for alpha, table in segment.items()} for segment in segments]
-    base_dim = sum(sum(part.values()) for part in segment_factors)
-    torsion = []
-    for s, alpha in enumerate(roots):
-        shifted = {size + 1: count
-                   for size, count in t.blocks_at(alpha).items() if size >= 2}
-        torsion.append((alpha, shifted,
-                        sum(size * count for size, count in shifted.items()),
-                        chi[s] - t.block_count(alpha), t.sharp(alpha, 1),
-                        segments[s], segment_factors[s]))
+class _Assembler:
+    """The assembled operator as a function of beta.
 
-    def assembled(beta: tuple[int, ...]
-                  ) -> tuple[JordanStructure, RootExponentVector, int]:
-        blocks: dict[UnitRoot, dict[int, int]] = {}
-        poly: dict[UnitRoot, int] = {}
-        dim = base_dim
-        for s, (alpha, shifted, shifted_dim, free_1, ones, segment,
-                factors) in enumerate(torsion):
-            blocks.update(segment)
-            poly.update(factors)
-            count_1 = free_1 + 2 * beta[s]
-            count_2 = ones - beta[s]
-            lower, upper = bounds[s]
-            if count_1 < 0:
-                raise InstanceError(
-                    f"negative block count: {count_1} blocks of size 1 at "
-                    f"eigenvalue {alpha}; beta[{s}] = {beta[s]} is below the "
-                    f"lower bound {lower} (admissible range {lower}..{upper})")
-            if count_2 < 0:
-                raise InstanceError(
-                    f"negative block count: {count_2} blocks of size 2 at "
-                    f"eigenvalue {alpha}; beta[{s}] = {beta[s]} is above the "
-                    f"upper bound {upper} (admissible range {lower}..{upper})")
-            # canonical order: the shifted sizes (>= 3, decreasing), 2, 1
-            table = dict(shifted)
-            if count_2:
-                table[2] = count_2
-            if count_1:
-                table[1] = count_1
+    The base, the copied layer off the d-th roots of unity, is laid out
+    once in root order with an empty slot at each d-th root; a beta
+    vector copies the layout and fills or deletes its d slots.  The table
+    at the s-th root is built once per value of beta_s, so vectors with
+    equal beta_s share one table object.  When every germ is
+    conjugation-symmetric, the one case in which the charpoly formula is
+    compared, the layout's roots are the formula's own UnitRoot objects,
+    so the comparison finds every key by identity.  A vector's text joins
+    the base runs between the d-th roots, each rendered once, and one
+    line per d-th root, rendered once per value of beta_s.
+    """
+
+    def __init__(self, spec: ProblemSpec, bounds: list[tuple[int, int]],
+                 spread: JordanStructure,
+                 formula: RootExponentVector | None) -> None:
+        d, t, chi = spec.d, spec.local_sum, spec.chi
+        off = [(gamma, table) for gamma, table in spread.items()
+               if d % gamma.den]
+        if spec.locally_symmetric:
+            # then T and S are conjugation-symmetric: the copied layer is S
+            # itself off the d-th roots, with S's roots, which are the
+            # formula's own objects
+            base = off
+        else:
+            # conj reverses the angle order on (0, 1), so the copied layer
+            # comes out sorted
+            base = [(gamma.conjugate(), table)
+                    for gamma, table in reversed(off)]
+        keys = [alpha for alpha, _ in base]
+        # the d-th roots as the formula's own objects, where it has them
+        same = {} if formula is None else {
+            root: root for root, _ in formula.items() if not d % root.den}
+        torsion_roots = [same.get(alpha, alpha) for alpha in mth_roots(ONE, d)]
+        self.blocks: dict[UnitRoot, dict[int, int]] = {}
+        start = 0
+        for alpha in torsion_roots:
+            cut = bisect_left(keys, alpha)
+            self.blocks.update(base[start:cut])
+            self.blocks[alpha] = {}  # the slot of the d-th root
+            start = cut
+        self.blocks.update(base[start:])
+        self.bounds = bounds
+        # per d-th root: its shifted sizes (>= 3, decreasing) and their
+        # dimension, chi_s - #(T)_alpha and #_1(T)_alpha
+        self.rules = []
+        for s, alpha in enumerate(torsion_roots):
+            shifted = {size + 1: count for size, count in
+                       t.blocks_at(alpha).items() if size >= 2}
+            self.rules.append((
+                alpha, shifted,
+                sum(size * count for size, count in shifted.items()),
+                chi[s] - t.block_count(alpha), t.sharp(alpha, 1)))
+        self.parts: list[dict[int, tuple[UnitRoot, dict[int, int], int]]] = [
+            {} for _ in range(d)]
+        self.run_text: list[str] = []
+        self.lines: list[dict[int, str]] = [{} for _ in range(d)]
+
+    def _part(self, s: int, value: int
+              ) -> tuple[UnitRoot, dict[int, int], int]:
+        """The s-th root, its table (empty when it has no blocks) and its
+        multiplicity at beta_s = value."""
+        parts = self.parts[s]
+        if value in parts:
+            return parts[value]
+        alpha, shifted, shifted_dim, free_1, ones = self.rules[s]
+        count_1 = free_1 + 2 * value
+        count_2 = ones - value
+        lower, upper = self.bounds[s]
+        if count_1 < 0:
+            raise InstanceError(
+                f"negative block count: {count_1} blocks of size 1 at "
+                f"eigenvalue {alpha}; beta[{s}] = {value} is below the "
+                f"lower bound {lower} (admissible range {lower}..{upper})")
+        if count_2 < 0:
+            raise InstanceError(
+                f"negative block count: {count_2} blocks of size 2 at "
+                f"eigenvalue {alpha}; beta[{s}] = {value} is above the "
+                f"upper bound {upper} (admissible range {lower}..{upper})")
+        # canonical order: the shifted sizes (>= 3, decreasing), 2, 1
+        table = dict(shifted)
+        if count_2:
+            table[2] = count_2
+        if count_1:
+            table[1] = count_1
+        parts[value] = part = (alpha, table,
+                               shifted_dim + 2 * count_2 + count_1)
+        return part
+
+    def assembled(self, vectors: Iterable[tuple[int, ...]]
+                  ) -> Iterator[tuple[JordanStructure, RootExponentVector,
+                                      int]]:
+        """Per beta vector: the structure, its characteristic polynomial
+        and its dimension.  The multiplicities are laid out like the
+        tables, and only while the vectors are assembled."""
+        factors = {alpha: sum(size * count for size, count in table.items())
+                   for alpha, table in self.blocks.items()}
+        base_dim = sum(factors.values())
+        for beta in vectors:
+            blocks, poly, dim = self.blocks.copy(), factors.copy(), base_dim
+            for s, value in enumerate(beta):
+                alpha, table, multiplicity = self._part(s, value)
+                if table:
+                    blocks[alpha], poly[alpha] = table, multiplicity
+                    dim += multiplicity
+                else:
+                    del blocks[alpha], poly[alpha]
+            yield (JordanStructure._canonical(blocks),
+                   RootExponentVector._canonical(poly), dim)
+
+    def structure(self, beta: tuple[int, ...]) -> JordanStructure:
+        """The structure at beta, as assembled() gives it."""
+        blocks = self.blocks.copy()
+        for s, value in enumerate(beta):
+            alpha, table, _ = self._part(s, value)
             if table:
-                multiplicity = shifted_dim + 2 * count_2 + count_1
-                blocks[alpha], poly[alpha] = table, multiplicity
-                dim += multiplicity
-        blocks.update(segments[d])
-        poly.update(segment_factors[d])
-        return (JordanStructure._canonical(blocks),
-                RootExponentVector._canonical(poly), dim)
-    return assembled
+                blocks[alpha] = table
+            else:
+                del blocks[alpha]
+        return JordanStructure._canonical(blocks)
+
+    def text(self, beta: tuple[int, ...]) -> str:
+        """One line per eigenvalue of the structure at beta, in root order;
+        empty for the empty operator."""
+        if not self.run_text:
+            # the base runs between the slots, whose tables are empty
+            runs: list[list[tuple[UnitRoot, dict[int, int]]]] = [[]]
+            for alpha, table in self.blocks.items():
+                if table:
+                    runs[-1].append((alpha, table))
+                else:
+                    runs.append([])
+            self.run_text = [_eigenvalue_lines(run) for run in runs]
+        pieces = []
+        for s, value in enumerate(beta):
+            pieces.append(self.run_text[s])
+            lines = self.lines[s]
+            if value not in lines:
+                alpha, table, _ = self._part(s, value)
+                lines[value] = (_eigenvalue_lines([(alpha, table)])
+                                if table else "")
+            pieces.append(lines[value])
+        pieces.append(self.run_text[-1])
+        return "".join(pieces)
+
+
+def _eigenvalue_lines(items: Iterable[tuple[UnitRoot, Mapping[int, int]]]
+                      ) -> str:
+    return "".join(
+        f"  eigenvalue {root}: "
+        + ", ".join([f"{count} x size {size}"
+                     for size, count in table.items()])
+        + "\n" for root, table in items)
 
 
 def charpoly_local_formula(zeta: RootExponentVector,
@@ -531,13 +642,13 @@ def assemble(spec: ProblemSpec, *,
         formula = charpoly_local_formula(zeta, spread)
     except InstanceError as exc:
         formula_error = str(exc)
-    assembled = _assembler(spec, bounds, spread)
+    assembler = _Assembler(spec, bounds, spread, formula)
     del spread  # the loop reads only the base; S is not kept
     expected_dim = (spec.d - 1) ** (spec.n + 1) - spec.total_mu
     entries = []
     charpoly = formula
-    for beta in vectors:
-        structure, poly, got_dim = assembled(beta)
+    for beta, (structure, poly, got_dim) in zip(
+            vectors, assembler.assembled(vectors)):
         if not entries:
             charpoly = poly
         checks = []
@@ -572,7 +683,7 @@ def assemble(spec: ProblemSpec, *,
                 "polynomial" if agrees else
                 f"product formula gives {formula}, assembled operator has "
                 f"{poly}"))
-        entries.append(BetaEntry(beta, structure, tuple(checks)))
+        entries.append(BetaEntry(beta, tuple(checks), assembler))
     return Report(
         n=spec.n,
         d=spec.d,

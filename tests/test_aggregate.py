@@ -42,7 +42,10 @@ from moninf.localsing import (
     local_monodromy,
     milnor_number,
 )
-from test_exactness import NON_SEMISIMPLE_ENUMERATE_INSTANCE
+from test_exactness import (
+    MULTI_VECTOR_INSTANCE,
+    NON_SEMISIMPLE_ENUMERATE_INSTANCE,
+)
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -272,6 +275,53 @@ def test_validated_structures_do_not_grow_with_the_beta_count(cap,
     monkeypatch.setattr(JordanStructure, "__init__", counting)
     assert len(assemble(spec, enumerate_cap=cap).entries) == cap
     assert len(calls) == 1
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    calls = []
+    method = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return method(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_charpoly_comparison_compares_no_roots(monkeypatch):
+    # the assembled roots are the formula's own objects, so the per-vector
+    # comparison finds each key by identity: the count of UnitRoot.__eq__
+    # calls does not grow with the vectors (it grew by about 2d per vector)
+    spec = moninf.infinity.parse_problem(
+        json.loads((INSTANCES / "six_cusp_sextic_enumerate.json").read_text()))
+    calls = _count_calls(monkeypatch, UnitRoot, "__eq__")
+    counts = []
+    for cap in (1, 7):
+        calls.clear()
+        report = assemble(spec, enumerate_cap=cap)
+        assert len(report.entries) == cap
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+    assert {check.status for _, check in report.all_checks()
+            if check.name == "charpoly_local_formula"} == {"pass"}
+
+
+def test_text_renders_each_eigenvalue_line_once(monkeypatch):
+    # the nine vectors differ only in beta_0, so each extra vector adds
+    # one line to render; the lines of the base are rendered once
+    report = assemble(moninf.infinity.parse_problem(MULTI_VECTOR_INSTANCE))
+    first = assemble(moninf.infinity.parse_problem(MULTI_VECTOR_INSTANCE),
+                     enumerate_cap=1)
+    calls = _count_calls(monkeypatch, UnitRoot, "__str__")
+    counts = []
+    for got in (first, report):
+        calls.clear()
+        text = "".join(got.text_chunks())
+        counts.append(len(calls))
+    assert len(report.entries) == 9
+    assert text.count("  eigenvalue ") > 9 * 3000
+    assert counts[1] - counts[0] == 8
 
 
 @pytest.mark.parametrize("given", [True, False])

@@ -23,7 +23,7 @@ from moninf.infinity import (
 )
 from moninf.jordan import JordanStructure
 from moninf.localsing import milnor_number
-from test_exactness import LARGE_REPORT_INSTANCE
+from test_exactness import LARGE_REPORT_INSTANCE, MULTI_VECTOR_INSTANCE
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
@@ -233,6 +233,47 @@ def test_oversized_mu_list_exits_1_in_both_formats(tmp_path, capsys, flags):
     assert f"limit of {MAX_REPORT_ENTRIES}" in captured.err
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_oversized_mu_list_leaves_the_output_file_alone(tmp_path, capsys,
+                                                        flags):
+    # the cap is checked before --output is opened, so the file keeps
+    # what an earlier run wrote
+    count = MAX_REPORT_ENTRIES + 1
+    instance = tmp_path / "nodes.json"
+    instance.write_text(json.dumps({
+        "n": 2, "d": 500, "singularities": [{"type": "node", "count": count}],
+        "beta": {"mode": "enumerate"}}))
+    target = tmp_path / "report.txt"
+    target.write_text("an earlier report\n")
+    assert main(["compute", str(instance), "--enumerate-cap", "1",
+                 "--output", str(target), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"report would list {count} " in captured.err
+    assert target.read_text() == "an earlier report\n"
+
+
+def test_text_report_memory_does_not_grow_with_the_vectors(tmp_path):
+    # ROADMAP Case 6 scaled down: each vector's text is written as it is
+    # made and its structure is not kept, so an extra vector adds less to
+    # the peak than its own text (keeping both made it about 5 times that)
+    instance = tmp_path / "case6.json"
+    instance.write_text(json.dumps(MULTI_VECTOR_INSTANCE))
+    peaks, sizes = {}, {}
+    for cap in (9, 1):
+        target = tmp_path / f"report{cap}.txt"
+        tracemalloc.start()
+        try:
+            assert main(["compute", str(instance), "--enumerate-cap",
+                         str(cap), "--output", str(target)]) == 0
+            peaks[cap] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sizes[cap] = target.stat().st_size
+    assert sizes[9] > 1_000_000
+    assert peaks[9] - peaks[1] < sizes[9] - sizes[1]
+
+
 @pytest.mark.parametrize("data, hinted", [
     ({"n": 100, "d": 3, "singularities": [],
       "beta": {"mode": "given", "values": [0, 0, 0]}}, True),
@@ -314,24 +355,31 @@ def test_output_flag_leaves_stdout_empty(tmp_path, capsys):
 
 
 def test_closed_stdout_is_not_an_error(tmp_path):
-    # `moninf compute ... --json | head -c 100`: the reader leaves early
-    instance = tmp_path / "large.json"
-    instance.write_text(json.dumps(LARGE_REPORT_INSTANCE))
+    # `moninf compute ... | head -c 100`: the reader leaves early, from a
+    # --json report and from a text report of nine vectors; both are
+    # larger than a pipe's buffer
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "moninf.cli", "compute", str(instance), "--json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    try:
-        head = proc.stdout.read(100)
-        proc.stdout.close()
-        err = proc.stderr.read()
-        code = proc.wait(timeout=60)
-    finally:
-        proc.kill()
-        proc.stderr.close()
-    assert head.startswith(b'{\n  "beta_used": [')
-    assert (code, err) == (0, b"")
+    for data, flags, start in [
+            (LARGE_REPORT_INSTANCE, ["--json"], b'{\n  "beta_used": ['),
+            (MULTI_VECTOR_INSTANCE, [],
+             b"monodromy at infinity: n = 2, d = 60\n")]:
+        instance = tmp_path / "large.json"
+        instance.write_text(json.dumps(data))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "moninf.cli", "compute", str(instance),
+             *flags],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert head.startswith(start)
+        assert (code, err) == (0, b""), flags
 
 
 def test_closed_stdout_keeps_the_reports_exit_code(monkeypatch, capsys):
@@ -383,7 +431,7 @@ def test_bounds_and_zeta_read_the_count_not_the_copies(monkeypatch, tmp_path,
 
 
 @pytest.mark.parametrize("flags, unused", [([], "to_json"),
-                                           (["--json"], "to_text")])
+                                           (["--json"], "text_chunks")])
 def test_compute_renders_only_the_requested_format(monkeypatch, capsys,
                                                    flags, unused):
     expected = main(["compute", SEXTIC, *flags]), capsys.readouterr()

@@ -360,6 +360,65 @@ def test_enumerated_torsion_changes_report_is_unchanged(flags, digest,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# the first two of the five vectors, so the report is truncated
+@pytest.mark.parametrize("flags, digest", [
+    ([], "d2716bf078d9610569a50b8c19ca94b03ebe6f2d27b0f2de2303864ebfa5d2aa"),
+    (["--json"],
+     "85769198bfc3a7d03990d0a29e7220a745e85c8632eafc290f715210765fa6db"),
+])
+def test_truncated_enumerate_report_is_unchanged(flags, digest, tmp_path,
+                                                 capsys):
+    instance = tmp_path / "torsion.json"
+    instance.write_text(json.dumps(TORSION_CHANGES_INSTANCE))
+    assert main(["compute", str(instance), "--enumerate-cap", "2",
+                 *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# n = 2, d = 2, one simple eigenvalue 1/5: chi_0 = -1 forces beta_0 >= 1
+# while its upper bound is 0, so the enumeration is empty
+NO_ADMISSIBLE_BETA_INSTANCE = {
+    "n": 2, "d": 2,
+    "singularities": [{"type": "explicit", "count": 1,
+                       "jordan": [{"eigenvalue": "1/5", "blocks": [1]}]}],
+    "beta": {"mode": "enumerate"}}
+
+
+@pytest.mark.parametrize("flags, digest", [
+    ([], "0eede694653c9ca405a0256dc2c19b3e5a796d0679d0d4ca6be5dfa6a2aa9b58"),
+    (["--json"],
+     "f158e7104419ce02f65bcf0b79c19aa09d3bbf89e9622d3305ab482066379681"),
+])
+def test_no_admissible_beta_report_is_unchanged(flags, digest, tmp_path,
+                                                capsys):
+    instance = tmp_path / "none.json"
+    instance.write_text(json.dumps(NO_ADMISSIBLE_BETA_INSTANCE))
+    assert main(["compute", str(instance), *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# ROADMAP Case 6 at d = 60 instead of 300: three Brieskorn(7,11) germs and
+# 8 nodes.  The nine enumerated vectors differ only in beta_0, and each
+# lists about 3600 eigenvalues: a text report of 1.15 MB
+MULTI_VECTOR_INSTANCE = {
+    "n": 2, "d": 60,
+    "singularities": [{"type": "brieskorn", "exponents": [7, 11], "count": 3},
+                      {"type": "node", "count": 8}],
+    "beta": {"mode": "enumerate"}}
+
+
+def test_multi_vector_text_report_is_unchanged(tmp_path, capsys):
+    instance = tmp_path / "case6.json"
+    instance.write_text(json.dumps(MULTI_VECTOR_INSTANCE))
+    assert main(["compute", str(instance)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\nbeta = [") == 9
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "39d9ad528dec53eb39b6361235844973b2e50732400535a1401ef7aef8dd1e67"
+
+
 def test_failed_charpoly_check_report_is_unchanged(monkeypatch, tmp_path,
                                                    capsys):
     # the formula gains (x - 1)^2, so every vector's check fails and its

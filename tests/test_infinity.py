@@ -242,7 +242,7 @@ def test_mu_lists_the_copies_in_input_order():
     assert report.to_json()["mu"] == [1, 1, 2, 1]
     assert report.total_dim == 120
     assert "local Milnor numbers: [1, 1, 2, 1] (total 5); operator " \
-        "dimension 120" in report.to_text()
+        "dimension 120" in "".join(report.text_chunks())
 
 
 def test_from_nodes_rejects_bad_input():
@@ -393,7 +393,8 @@ def test_report_json_shape():
 
 
 def test_report_text_mentions_eigenvalues():
-    text = assemble(_sextic_spec(GivenBeta((0, 1, 0, 0, 0, 1)))).to_text()
+    report = assemble(_sextic_spec(GivenBeta((0, 1, 0, 0, 0, 1))))
+    text = "".join(report.text_chunks())
     assert "eigenvalue 1/6: 5 x size 2, 5 x size 1" in text
     assert "[pass] zeta_two_forms" in text
 
