@@ -388,3 +388,62 @@ def test_bundled_reports_are_unchanged(command, instance):
         assert main([command, str(INSTANCES / instance), "--json"]) == 0
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert digest == GOLDEN[command, instance]
+
+
+# sha256 and exit code of text and --json compute reports, pinned before
+# the copied layer was streamed from T: an asymmetric germ, failing block
+# size limits from both the copied layer and the d-th roots, many beta
+# vectors, and a product formula that leaves negative exponents
+PINNED_INSTANCES = {
+    "asymmetric": {
+        "n": 2, "d": 7,
+        "singularities": [{"type": "explicit", "jordan": [
+            {"eigenvalue": "1/3", "blocks": [1]},
+            {"eigenvalue": "1/5", "blocks": [1]}]}],
+        "beta": {"mode": "enumerate"}},
+    "failing_checks": {
+        "n": 2, "d": 7,
+        "singularities": [
+            {"type": "explicit", "jordan": [
+                {"eigenvalue": "0/1", "blocks": [2]},
+                {"eigenvalue": "1/7", "blocks": [3]},
+                {"eigenvalue": "1/3", "blocks": [4, 3]},
+                {"eigenvalue": "2/3", "blocks": [3]}]},
+            {"type": "node", "count": 2}],
+        "beta": {"mode": "enumerate"}},
+    "multi_vector": MULTI_VECTOR_INSTANCE,
+    "non_polynomial": {
+        "n": 2, "d": 3, "singularities": [{"type": "node", "count": 4}],
+        "beta": {"mode": "enumerate"}},
+}
+
+PINNED = {
+    ("asymmetric", "json"): (
+        0, "0184f1677c7294136bd0b714d704fe9fea7626284e842e9faec57894c9381b34"),
+    ("asymmetric", "text"): (
+        0, "b6bc2b6d4726d329ad85ae589999aff49178f066fc84281a166bfed8f569f6ce"),
+    ("failing_checks", "json"): (
+        2, "55b3766a36d2ece8d6b3080e5e612b1d7f9f6b76445407de143d837caa526be7"),
+    ("failing_checks", "text"): (
+        2, "acf027a8a5362ca8944a24bea7723baaf3be7f679b76ff2959eee43fa9736f55"),
+    ("multi_vector", "json"): (
+        0, "5aa1e4921c1d64dba2f835bdc43a8b734cbd89769d3c6715800d05b6ea93a1b5"),
+    ("multi_vector", "text"): (
+        0, "39d9ad528dec53eb39b6361235844973b2e50732400535a1401ef7aef8dd1e67"),
+    ("non_polynomial", "json"): (
+        0, "7aeee86bd8d0e18d1217b1adcd920447a28359584a9ae55a0361d6dfcdc6afb7"),
+    ("non_polynomial", "text"): (
+        0, "3fe262f716e6ed72807dd818fd5ade88b02d93ffbbe8ed6b13a36980780eb66d"),
+}
+
+
+@pytest.mark.parametrize("name,fmt", sorted(PINNED))
+def test_pinned_compute_reports_are_unchanged(name, fmt, tmp_path):
+    instance = tmp_path / f"{name}.json"
+    instance.write_text(json.dumps(PINNED_INSTANCES[name]))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["compute", str(instance)]
+                    + (["--json"] if fmt == "json" else []))
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert (code, digest) == PINNED[name, fmt]
