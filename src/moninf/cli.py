@@ -35,7 +35,7 @@ from .infinity import (
     parse_problem,
     zeta_of_top_form,
 )
-from .jordan import JordanStructure, Runs
+from .jordan import JordanStructure, Rows, Runs
 from .oracle import SpectrumNotCovered, spectrum_level, verify_cyclic_agreement
 
 # The oracle's limits, each checked for the whole sweep before its first
@@ -61,25 +61,35 @@ def _load_json(path: str) -> object:
 
 
 _JOIN_SLICE = 4096  # ints per piece of a list: bounds the longest piece
+_encode_key = json.encoder.encode_basestring_ascii  # as json.dumps escapes
 
 
 def _json_chunks(value: object, indent: str = "\n") -> Iterator[str]:
     """The text of json.dumps(value, indent=2, sort_keys=True), in pieces,
-    with each Runs written as the list it expands to.
+    with each Runs written as the list it expands to and each Rows as the
+    list of {"blocks", "eigenvalue"} objects of its rows.
 
     Unlike json.dumps with an indent, which runs in pure Python and builds
-    the whole text, escaping stays in C, int lists are joined in C and a
-    run of k equal ints is one string multiplication.
+    the whole text, escaping stays in C, lists and dicts of ints are
+    joined in C and a run of k equal ints is one string multiplication.
     """
     inner = indent + "  "
     if isinstance(value, dict) and value:
-        lead = "{" + inner
-        for key in sorted(value):
+        keys = sorted(value)
+        for key in keys:
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            yield lead + json.dumps(key) + ": "
-            yield from _json_chunks(value[key], inner)
-            lead = "," + inner
+        lead, sep = "{" + inner, "," + inner
+        if all(type(value[key]) is int for key in keys):
+            for start in range(0, len(keys), _JOIN_SLICE):
+                yield lead + sep.join([f"{_encode_key(key)}: {value[key]}"
+                                       for key in keys[start:start + _JOIN_SLICE]])
+                lead = sep
+        else:
+            for key in keys:
+                yield lead + _encode_key(key) + ": "
+                yield from _json_chunks(value[key], inner)
+                lead = sep
         yield indent + "}"
     elif isinstance(value, (list, tuple)) and value:
         lead, sep = "[" + inner, "," + inner
@@ -102,6 +112,24 @@ def _json_chunks(value: object, indent: str = "\n") -> Iterator[str]:
                 yield lead + text + (sep + text) * (take - 1)
                 lead, count = sep, count - take
         yield indent + "]" if value else "[]"
+    elif isinstance(value, Rows):
+        # one piece per row; the text of each distinct list of at most
+        # _JOIN_SLICE / 2 sizes is rendered once, a longer one every time
+        cell, texts, lead = inner + "  ", {}, "[" + inner
+        for root, blocks in value.make():
+            text = texts.get(blocks.pairs)
+            if text is None:
+                text = "".join(_json_chunks(blocks, cell)) if sum(
+                    count for _, count in blocks.pairs) <= _JOIN_SLICE // 2 else ""
+                texts[blocks.pairs] = text
+            tail = f',{cell}"eigenvalue": "{root}"{inner}}}'
+            if text:
+                yield f'{lead}{{{cell}"blocks": {text}{tail}'
+            else:
+                yield from chain([f'{lead}{{{cell}"blocks": '],
+                                 _json_chunks(blocks, cell), [tail])
+            lead = "," + inner
+        yield "[]" if lead[0] == "[" else indent + "]"
     elif value is None or isinstance(value, (str, int, dict, list, tuple)):
         yield json.dumps(value)  # a scalar, or an empty container
     else:

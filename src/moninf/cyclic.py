@@ -8,19 +8,57 @@ order m built from phi acts on m stacked copies of the underlying space by
 Its Jordan structure is determined by T alone: a block of size l at the
 eigenvalue xi of phi contributes one block of size l at every m-th root
 of xi.  Equivalently, the number of size-l blocks of the cyclic operator
-at alpha equals the number of size-l blocks of phi at alpha**m.  The
-assembler's copied layer and charpoly formula read one cyclic_power(T, d-1).
+at alpha equals the number of size-l blocks of phi at alpha**m.
+:func:`lifts` streams that rule in root order; the assembler reads it
+through :func:`lifted_runs` and never builds the power.
 """
 
 from __future__ import annotations
 
-from .cyclo import mth_roots
+import itertools
+from bisect import bisect_left
+from typing import Iterable, Iterator, TypeVar
+
+from .cyclo import ONE, UnitRoot, mth_roots
 from .jordan import JordanStructure
+
+V = TypeVar("V")
+
+
+def lifts(pairs: Iterable[tuple[UnitRoot, V]], m: int
+          ) -> Iterator[tuple[UnitRoot, V]]:
+    """(alpha, value) for every m-th root alpha of each xi of pairs, which
+    holds (xi, value) in root order, the xi distinct.  The j-th m-th root
+    of xi, (xi + j)/m, lies in [j/m, (j+1)/m), so the stream is in root
+    order with j in the outer loop and xi in the inner one."""
+    if m < 1:
+        raise ValueError(f"cyclic order must be >= 1, got {m}")
+    pairs = list(pairs)
+    return ((UnitRoot(xi.num + j * xi.den, m * xi.den), value)
+            for j in range(m) for xi, value in pairs)
 
 
 def cyclic_power(t: JordanStructure, m: int) -> JordanStructure:
     """Jordan structure of the order-m cyclic operator built from t."""
-    if m < 1:
-        raise ValueError(f"cyclic order must be >= 1, got {m}")
-    return JordanStructure((alpha, t.blocks_at(xi))
-                           for xi in t.spectrum() for alpha in mth_roots(xi, m))
+    return JordanStructure(lifts(t.items(), m))
+
+
+def lifted_runs(pairs: list[tuple[UnitRoot, V]], m: int
+                ) -> Iterator[list[tuple[UnitRoot, V]]]:
+    """The lifts of pairs, in the m + 2 runs before, between and after the
+    (m+1)-th roots of unity.  The root s/(m+1) lies in the range of
+    j = max(s-1, 0), where the lift of its conjugate would: when pairs
+    has that eigenvalue, its lift is s/(m+1) itself, and it is left out."""
+    roots = [root for root, _ in pairs]
+    stream = lifts(pairs, m)
+    done = 0
+    for s, root in enumerate(mth_roots(ONE, m + 1)):
+        mirror = root.conjugate()
+        at = bisect_left(roots, mirror)
+        end = max(s - 1, 0) * len(roots) + at
+        yield list(itertools.islice(stream, end - done))
+        done = end
+        if at < len(roots) and roots[at] == mirror:
+            next(stream)
+            done += 1
+    yield list(stream)

@@ -165,9 +165,6 @@ class RootExponentVector:
         """(root, exponent) pairs in increasing angle order."""
         return iter(self._factors.items())
 
-    def is_polynomial(self) -> bool:
-        return all(e > 0 for e in self._factors.values())
-
     def __mul__(self, other: RootExponentVector) -> RootExponentVector:
         merged = dict(self._factors)
         for root, exp in other._factors.items():

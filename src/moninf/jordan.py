@@ -9,7 +9,7 @@ by increasing angle, block sizes decreasing.
 from __future__ import annotations
 
 from operator import eq, itemgetter
-from typing import ItemsView, Iterable, Iterator, Mapping
+from typing import Callable, ItemsView, Iterable, Iterator, Mapping
 
 from .cyclo import RootExponentVector, UnitRoot
 
@@ -56,6 +56,18 @@ class Runs:
         return f"Runs({list(self.pairs)!r})"
 
 
+class Rows:
+    """A JordanStructure.to_json list, made only while the --json writer
+    writes it: make() yields (eigenvalue, Runs of its sizes) in root
+    order, anew on each call."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[], Iterable[tuple[UnitRoot, Runs]]]
+                 ) -> None:
+        self.make = make
+
+
 class JordanStructure:
     """Multiset of Jordan blocks, keyed by eigenvalue then block size."""
 
@@ -80,20 +92,6 @@ class JordanStructure:
         object.__setattr__(self, "_blocks", {
             root: dict(sorted(at.items(), reverse=True))
             for root, at in sorted(canon.items(), key=itemgetter(0)) if at})
-
-    @classmethod
-    def _canonical(cls, blocks: dict[UnitRoot, dict[int, int]]
-                   ) -> JordanStructure:
-        """The structure of blocks, taken as they are, without checks.
-
-        Precondition: blocks is already canonical, that is, what the
-        validating constructor would store: roots by increasing angle,
-        each table nonempty, sizes decreasing, every count positive.
-        The dicts are kept, not copied, and must not change afterwards.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "_blocks", blocks)
-        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("JordanStructure is immutable")

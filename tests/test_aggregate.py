@@ -19,9 +19,11 @@ from pathlib import Path
 
 import pytest
 
+import moninf.cli
+import moninf.cyclic
 import moninf.infinity
-from moninf.cli import main
-from moninf.cyclic import cyclic_power
+from moninf.cli import _json_chunks, main
+from moninf.cyclic import lifts
 from moninf.cyclo import ONE, RootExponentVector, UnitRoot, mth_roots
 from moninf.infinity import (
     EnumerateBeta,
@@ -158,12 +160,12 @@ def test_assemble_matches_per_copy_rules(given):
         chi, bounds, structure, charpoly = _reference(spec)
         assert beta_bounds(spec) == bounds
         zeta = zeta_of_top_form(spec)
-        spread = cyclic_power(spec.local_sum, spec.d - 1)
-        if charpoly.is_polynomial():
-            assert charpoly_local_formula(zeta, spread) == charpoly
+        if all(e > 0 for _, e in charpoly.items()):
+            assert charpoly_local_formula(zeta, spec.local_sum, spec.d) \
+                == charpoly
         else:
             with pytest.raises(InstanceError, match="non-polynomial"):
-                charpoly_local_formula(zeta, spread)
+                charpoly_local_formula(zeta, spec.local_sum, spec.d)
         if given and structure(spec.beta.values) is None:
             with pytest.raises(InstanceError, match="negative block count"):
                 assemble(spec)
@@ -191,7 +193,8 @@ def test_shuffled_singularities_give_the_same_report():
         rng.shuffle(models)
         shuffled = ProblemSpec(spec.n, spec.d, _pairs(models), spec.beta)
         try:
-            docs = [assemble(s).to_json() for s in (spec, shuffled)]
+            docs = [json.loads("".join(_json_chunks(assemble(s).to_json())))
+                    for s in (spec, shuffled)]
         except InstanceError as exc:
             with pytest.raises(InstanceError, match=re.escape(str(exc))):
                 assemble(shuffled)
@@ -227,54 +230,65 @@ def test_local_monodromy_runs_once_per_distinct_germ(monkeypatch, tmp_path,
     assert len(seen) == len(set(seen)) == 4
 
 
-def _count_cyclic_power(monkeypatch) -> list:
-    calls = []
+def _forbid_cyclic_power(monkeypatch) -> list:
+    """Make cyclic_power raise wherever it is bound, and count the lifting
+    streams that compute opens instead."""
+    def forbidden(structure, m):
+        raise AssertionError("compute built a cyclic power")
 
-    def counting(structure, m):
-        calls.append(m)
-        return cyclic_power(structure, m)
+    for module in (moninf.cyclic, moninf.cli):
+        monkeypatch.setattr(module, "cyclic_power", forbidden)
+    streams = []
 
-    monkeypatch.setattr(moninf.infinity, "cyclic_power", counting)
-    return calls
+    def counting(pairs, m):
+        streams.append(m)
+        return lifts(pairs, m)
+
+    monkeypatch.setattr(moninf.cyclic, "lifts", counting)
+    return streams
 
 
 @pytest.mark.parametrize("cap", [1, 2, 4])
-def test_cyclic_power_runs_once_whatever_the_beta_count(cap, monkeypatch,
-                                                        tmp_path, capsys):
-    # one spread serves the copied layer and the charpoly formula
-    calls = _count_cyclic_power(monkeypatch)
+def test_compute_never_calls_cyclic_power_whatever_the_beta_count(
+        cap, monkeypatch, tmp_path, capsys):
+    # the copied layer and the charpoly are streamed from T by the lifting
+    # generator that cyclic_power is built on; the power itself never is
+    streams = _forbid_cyclic_power(monkeypatch)
     path = tmp_path / "enumerate.json"
     path.write_text(json.dumps(NON_SEMISIMPLE_ENUMERATE_INSTANCE))
     assert main(["compute", str(path), "--json",
                  "--enumerate-cap", str(cap)]) == 0
     assert len(json.loads(capsys.readouterr().out)["beta_used"]) == cap
-    assert calls == [5]
+    assert streams and set(streams) == {5}
 
 
-def test_cyclic_power_runs_once_for_a_given_beta(monkeypatch, capsys):
-    calls = _count_cyclic_power(monkeypatch)
-    assert main(["compute", str(INSTANCES / "six_cusp_sextic.json"),
-                 "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["mode"] == "given"
-    assert calls == [5]
+def test_compute_never_calls_cyclic_power_for_a_given_beta(monkeypatch,
+                                                           capsys):
+    streams = _forbid_cyclic_power(monkeypatch)
+    for flags in ([], ["--json"]):
+        assert main(["compute", str(INSTANCES / "six_cusp_sextic.json"),
+                     *flags]) == 0
+        assert "given" in capsys.readouterr().out
+    assert streams and set(streams) == {5}
 
 
 @pytest.mark.parametrize("cap", [1, 2, 4])
 def test_validated_structures_do_not_grow_with_the_beta_count(cap,
                                                              monkeypatch):
-    # the base is built once, and each beta vector's structure is wrapped
-    # as canonical, so the validating constructor runs only for the spread
-    calls = []
-    validate = JordanStructure.__init__
-
-    def counting(self, *args, **kwargs):
-        calls.append(args)
-        validate(self, *args, **kwargs)
-
+    # the base is streamed from T and each vector adds only its d slots, so
+    # assembling builds no Jordan structure and as many validated exponent
+    # vectors (those of zeta) whatever the number of vectors
     spec = moninf.infinity.parse_problem(NON_SEMISIMPLE_ENUMERATE_INSTANCE)
-    monkeypatch.setattr(JordanStructure, "__init__", counting)
-    assert len(assemble(spec, enumerate_cap=cap).entries) == cap
-    assert len(calls) == 1
+    calls = [_count_calls(monkeypatch, cls, "__init__")
+             for cls in (JordanStructure, RootExponentVector)]
+    counts = []
+    for vectors in (1, cap):
+        for seen in calls:
+            seen.clear()
+        assert len(assemble(spec, enumerate_cap=vectors).entries) == vectors
+        counts.append([len(seen) for seen in calls])
+    assert counts[0] == counts[1]
+    assert counts[0][0] == 0
 
 
 def _count_calls(monkeypatch, owner, name) -> list:
@@ -290,9 +304,10 @@ def _count_calls(monkeypatch, owner, name) -> list:
 
 
 def test_charpoly_comparison_compares_no_roots(monkeypatch):
-    # the assembled roots are the formula's own objects, so the per-vector
-    # comparison finds each key by identity: the count of UnitRoot.__eq__
-    # calls does not grow with the vectors (it grew by about 2d per vector)
+    # off the d-th roots the comparison is one pass over T, and each vector
+    # compares its d slot multiplicities as ints: the count of
+    # UnitRoot.__eq__ calls does not grow with the vectors (it grew by about
+    # 2d per vector when whole polynomials were compared)
     spec = moninf.infinity.parse_problem(
         json.loads((INSTANCES / "six_cusp_sextic_enumerate.json").read_text()))
     calls = _count_calls(monkeypatch, UnitRoot, "__eq__")
@@ -326,9 +341,9 @@ def test_text_renders_each_eigenvalue_line_once(monkeypatch):
 
 @pytest.mark.parametrize("given", [True, False])
 def test_assembled_structures_are_canonical(given):
-    # dict equality ignores order, so the assembled tables and the first
-    # characteristic polynomial are compared as lists with what the
-    # validating constructors store
+    # the --json rows and the first characteristic polynomial are streamed,
+    # never sorted; dict equality ignores order, so they are compared as
+    # lists with what the validating constructors store
     rng = random.Random(5087 if given else 6121)
     for _ in range(60):
         spec = _random_spec(rng, given)
@@ -337,8 +352,10 @@ def test_assembled_structures_are_canonical(given):
         except InstanceError:
             continue
         for entry in report.entries:
-            items = list(entry.jordan.items())
-            assert list(JordanStructure(dict(items)).items()) == items
+            streamed = [(root, list(blocks))
+                        for root, blocks in entry.assembler.rows(entry.beta)]
+            assert streamed == [(root, entry.jordan.sizes_at(root))
+                                for root in entry.jordan.spectrum()]
         if report.entries:
             poly = report.entries[0].jordan.char_poly()
             assert list(report.charpoly.items()) == list(poly.items())
@@ -393,7 +410,8 @@ def test_bundled_reports_are_unchanged(command, instance):
 # sha256 and exit code of text and --json compute reports, pinned before
 # the copied layer was streamed from T: an asymmetric germ, failing block
 # size limits from both the copied layer and the d-th roots, many beta
-# vectors, and a product formula that leaves negative exponents
+# vectors (its text report is pinned in test_exactness.py), and a product
+# formula that leaves negative exponents, so no beta vector is admissible
 PINNED_INSTANCES = {
     "asymmetric": {
         "n": 2, "d": 7,
@@ -428,8 +446,6 @@ PINNED = {
         2, "acf027a8a5362ca8944a24bea7723baaf3be7f679b76ff2959eee43fa9736f55"),
     ("multi_vector", "json"): (
         0, "5aa1e4921c1d64dba2f835bdc43a8b734cbd89769d3c6715800d05b6ea93a1b5"),
-    ("multi_vector", "text"): (
-        0, "39d9ad528dec53eb39b6361235844973b2e50732400535a1401ef7aef8dd1e67"),
     ("non_polynomial", "json"): (
         0, "7aeee86bd8d0e18d1217b1adcd920447a28359584a9ae55a0361d6dfcdc6afb7"),
     ("non_polynomial", "text"): (

@@ -1,10 +1,12 @@
-"""Property tests for the canonical constructors.
+"""Property tests for what is built in canonical order without sorting.
 
-`JordanStructure._canonical` and `RootExponentVector._canonical` take a
-dict that is already in canonical order and keep it without checks or
-sorting.  On such a dict each must give exactly what its validating
-constructor gives, order included: dict equality ignores order, so the
-items are also compared as lists.
+`RootExponentVector._canonical` takes a dict that is already in
+canonical order and keeps it without checks or sorting; on such a dict
+it must give exactly what the validating constructor gives.
+`cyclic.lifts` streams the lifted pairs in root order, which the
+assembler relies on; they must come as the validating constructor of
+the cyclic power stores them.  Order is included: dict equality ignores
+order, so the items are also compared as lists.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
+from moninf.cyclic import cyclic_power, lifts  # noqa: E402
 from moninf.cyclo import RootExponentVector, UnitRoot  # noqa: E402
 from moninf.jordan import JordanStructure  # noqa: E402
 
@@ -30,18 +33,15 @@ def _by_angle(raw: dict) -> dict:
                        key=lambda item: Fraction(item[0].num, item[0].den)))
 
 
-@given(raw=st.dictionaries(ROOTS, TABLES, max_size=12))
-def test_canonical_structure_equals_the_validated_one(raw):
-    blocks = {root: dict(sorted(table.items(), reverse=True))
-              for root, table in _by_angle(raw).items()}
-    fast, slow = JordanStructure._canonical(blocks), JordanStructure(blocks)
-    assert fast == slow
-    assert hash(fast) == hash(slow)
-    assert list(fast.items()) == list(slow.items())
-    assert fast.to_json() == slow.to_json()
-    assert repr(fast) == repr(slow)
-    assert fast.char_poly() == slow.char_poly()
-    assert list(fast.char_poly().items()) == list(slow.char_poly().items())
+@given(raw=st.dictionaries(ROOTS, TABLES, max_size=12), m=st.integers(1, 6))
+def test_canonical_structure_equals_the_validated_one(raw, m):
+    t = JordanStructure(raw)
+    streamed = [(root, list(table.items())) for root, table in lifts(t.items(), m)]
+    power = cyclic_power(t, m)
+    assert streamed == [(root, list(table.items())) for root, table in power.items()]
+    angles = [Fraction(root.num, root.den) for root, _ in streamed]
+    assert angles == sorted(set(angles))
+    assert len(streamed) == m * len(t.spectrum())
 
 
 @given(raw=st.dictionaries(ROOTS, st.integers(-9, 9).filter(bool),

@@ -36,7 +36,7 @@ import pytest
 import moninf.infinity
 from moninf.cli import main
 from moninf.cyclic import cyclic_power
-from moninf.cyclo import ONE, RootExponentVector, UnitRoot
+from moninf.cyclo import ONE, UnitRoot
 from moninf.jordan import JordanStructure
 from moninf.oracle import SpectrumNotCovered
 
@@ -421,14 +421,16 @@ def test_multi_vector_text_report_is_unchanged(tmp_path, capsys):
 
 def test_failed_charpoly_check_report_is_unchanged(monkeypatch, tmp_path,
                                                    capsys):
-    # the formula gains (x - 1)^2, so every vector's check fails and its
-    # detail prints both polynomials
-    formula = moninf.infinity.charpoly_local_formula
+    # the formula gains (x - 1)^2 at its exponents on the d-th roots, which
+    # the check compares, so every vector's check fails and its detail
+    # prints both polynomials
+    formula_at = moninf.infinity._formula_at_roots
 
     def off_by_x_minus_one_squared(*args):
-        return formula(*args) * RootExponentVector.linear(ONE, 2)
+        exps = formula_at(*args)
+        return [exps[0] + 2] + exps[1:]
 
-    monkeypatch.setattr(moninf.infinity, "charpoly_local_formula",
+    monkeypatch.setattr(moninf.infinity, "_formula_at_roots",
                         off_by_x_minus_one_squared)
     instance = tmp_path / "torsion.json"
     instance.write_text(json.dumps(TORSION_CHANGES_INSTANCE))

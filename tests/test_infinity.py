@@ -8,7 +8,6 @@ import random
 import pytest
 
 from moninf.cli import _json_chunks
-from moninf.cyclic import cyclic_power
 from moninf.cyclo import ONE, RootExponentVector, UnitRoot
 from moninf.defect import ProjectivePointSet
 from moninf.infinity import (
@@ -38,9 +37,10 @@ from moninf.localsing import (
 CUSP = BrieskornPham((2, 3))
 
 
-def _spread(spec: ProblemSpec) -> JordanStructure:
-    """cyclic_power(T, d-1), which assemble passes to the charpoly formula."""
-    return cyclic_power(spec.local_sum, spec.d - 1)
+def _formula(spec: ProblemSpec):
+    """The charpoly formula zeta * det(x^(d-1) - T) of spec."""
+    return charpoly_local_formula(zeta_of_top_form(spec), spec.local_sum,
+                                  spec.d)
 
 
 def _sextic_spec(beta) -> ProblemSpec:
@@ -209,8 +209,7 @@ def test_smooth_cubic_curve():
         UnitRoot(2, 3): {1: 3},
     })
     assert report.entries[0].jordan == expected
-    assert charpoly_local_formula(zeta_of_top_form(spec), _spread(spec)) \
-        == expected.char_poly()
+    assert _formula(spec) == expected.char_poly()
     assert zeta_of_top_form(spec) == expected.char_poly()
 
 
@@ -268,8 +267,7 @@ def test_part_two_uses_inverse_spectrum():
     })
     assert report.entries[0].jordan == expected
     # the reported char poly is the assembled operator's, not the formula's
-    assert report.charpoly == expected.char_poly() != \
-        charpoly_local_formula(zeta_of_top_form(spec), _spread(spec))
+    assert report.charpoly == expected.char_poly() != _formula(spec)
     statuses = {check.name: check.status for _, check in report.all_checks()}
     assert statuses["charpoly_local_formula"] == "not_applicable"
     assert statuses["degree_identity"] == "pass"
@@ -284,7 +282,7 @@ def test_no_admissible_beta():
     assert report.entries == ()
     assert report.charpoly is None
     with pytest.raises(InstanceError, match="non-polynomial result"):
-        charpoly_local_formula(zeta_of_top_form(spec), _spread(spec))
+        _formula(spec)
     with pytest.raises(InstanceError, match="above the upper bound 0"):
         assemble(ProblemSpec(2, 2, ((local, 1),), GivenBeta((1, 0))))
 
@@ -365,13 +363,13 @@ def test_zeta_two_forms_check():
 
 def test_block_size_limit_check():
     ok = JordanStructure({UnitRoot(1, 6): {3: 2}})
-    assert check_block_size_limits(ok, 2, 6).status == "pass"
+    assert check_block_size_limits(ok.items(), 2, 6).status == "pass"
     too_big = JordanStructure({UnitRoot(1, 6): {4: 1}})
-    assert check_block_size_limits(too_big, 2, 6).status == "fail"
+    assert check_block_size_limits(too_big.items(), 2, 6).status == "fail"
     at_one = JordanStructure({UnitRoot(0, 1): {3: 1}})
-    assert check_block_size_limits(at_one, 2, 6).status == "fail"
+    assert check_block_size_limits(at_one.items(), 2, 6).status == "fail"
     off_torsion = JordanStructure({UnitRoot(1, 5): {3: 1}})
-    result = check_block_size_limits(off_torsion, 2, 6)
+    result = check_block_size_limits(off_torsion.items(), 2, 6)
     assert result.status == "fail"
     assert "1/5" in result.detail
 
@@ -383,9 +381,11 @@ def test_report_json_shape():
                         "beta_used", "jordan", "charpoly", "charpoly_display",
                         "zeta", "zeta_display", "checks", "truncated"}
     assert doc["beta_used"] == [0, 1, 0, 0, 0, 1]
-    assert isinstance(doc["jordan"], list)  # eigenvalue table
-    assert doc["jordan"][0] == {"eigenvalue": "0/1", "blocks": [1] * 8}
-    assert json.loads("".join(_json_chunks(doc)))["jordan"] == doc["jordan"]
+    # the eigenvalue table is streamed as it is written
+    written = json.loads("".join(_json_chunks(doc)))["jordan"]
+    assert isinstance(written, list)
+    assert written[0] == {"eigenvalue": "0/1", "blocks": [1] * 8}
+    assert written == report.entries[0].jordan.to_json()
     multi = assemble(_sextic_spec(EnumerateBeta())).to_json()
     assert len(multi["beta_used"]) == 7
     assert multi["beta_used"][1] == [0, 1, 0, 0, 0, 1]

@@ -92,7 +92,7 @@ def test_char_poly_matches_multiplicities():
     for _ in range(50):
         j = _random_structure(rng)
         p = j.char_poly()
-        assert p.is_polynomial() or not j
+        assert all(e > 0 for _, e in p.items())
         assert _degree(p) == j.total_dim
         assert dict(p.items()) == \
             {root: j.multiplicity(root) for root in j.spectrum()}

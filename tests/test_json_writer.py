@@ -10,7 +10,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from moninf.cli import _JOIN_SLICE, _json_chunks  # noqa: E402
-from moninf.jordan import Runs  # noqa: E402
+from moninf.cyclo import UnitRoot  # noqa: E402
+from moninf.jordan import Rows, Runs  # noqa: E402
 
 # keys and strings that exercise every escape json.dumps makes
 KEYS = st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\té \U0001f600')
@@ -29,6 +30,13 @@ LEAF_LISTS = st.lists(INTS) | st.lists(INTS | st.booleans()) | LONG_INT_LISTS
 RUN_COUNTS = st.integers(0, 3) | st.sampled_from(
     [1, _JOIN_SLICE - 1, _JOIN_SLICE, _JOIN_SLICE + 1, 2 * _JOIN_SLICE + 1])
 RUNS = st.lists(st.tuples(INTS, RUN_COUNTS), max_size=4).map(Runs)
+# Jordan table rows as the assembler streams them: rows share Runs objects
+ROOTS = st.builds(lambda den, num: UnitRoot(num, den),
+                  st.integers(1, 12), st.integers(0, 11))
+ROWS = st.builds(
+    lambda picks, tables: Rows(lambda: [(root, tables[k]) for root, k in picks]),
+    st.lists(st.tuples(ROOTS, st.integers(0, 2)), max_size=6),
+    st.lists(RUNS, min_size=3, max_size=3))
 
 
 def _documents(children):
@@ -37,7 +45,7 @@ def _documents(children):
             | st.dictionaries(KEYS, children, max_size=4))
 
 
-DOCUMENTS = st.recursive(SCALARS | LEAF_LISTS | RUNS, _documents,
+DOCUMENTS = st.recursive(SCALARS | LEAF_LISTS | RUNS | ROWS, _documents,
                          max_leaves=12)
 
 
@@ -45,6 +53,9 @@ def _expanded(doc):
     """The document with every Runs replaced by its plain list."""
     if isinstance(doc, Runs):
         return list(doc)
+    if isinstance(doc, Rows):
+        return [{"eigenvalue": str(root), "blocks": list(blocks)}
+                for root, blocks in doc.make()]
     if isinstance(doc, dict):
         return {key: _expanded(value) for key, value in doc.items()}
     if isinstance(doc, (list, tuple)):
