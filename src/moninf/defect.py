@@ -173,16 +173,35 @@ def _integer_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def _row_mod_p(point: tuple[int, ...], exps: list[tuple[int, ...]],
-               q: int) -> list[int]:
-    """The monomials of `exps` evaluated at `point`, modulo PRIME."""
-    tables = [[pow(c, e, PRIME) for e in range(q + 1)] for c in point]
-    return [math.prod(map(list.__getitem__, tables, exp)) % PRIME
-            for exp in exps]
+def _evaluation_row(point: tuple[int, ...], powers: list[int], q: int,
+                    prime: int | None = None) -> list[int]:
+    """The degree-q monomials at `point`, in monomial_exponents order.
 
+    `powers` are the first exponents of the runs of monomial_exponents:
+    the run of e is x_0^e times the degree-(q - e) monomials of x_1..x_n
+    in their own order.  Those are built for every degree t <= q from
+    x_n back to x_1: the degree-t monomials of x_m..x_n are x_m times
+    those of degree t - 1, then those of x_(m+1)..x_n.  Each entry costs
+    one multiplication; modulo `prime` the coordinates are reduced first
+    and each product after, so every entry lies in [0, prime).
+    """
+    if prime is None:
+        def scaled(f: int, values: list[int]) -> list[int]:
+            return [f * v for v in values]
+    else:
+        point = [c % prime for c in point]
 
-def _exact_row(point: tuple[int, ...], exps: list[tuple[int, ...]]) -> list[int]:
-    return [math.prod(c ** e for c, e in zip(point, exp)) for exp in exps]
+        def scaled(f: int, values: list[int]) -> list[int]:
+            return [f * v % prime for v in values]
+    tails = [[1]] + [[] for _ in range(q)]
+    for x in reversed(point[1:]):
+        for t in range(1, q + 1):
+            tails[t] = scaled(x, tails[t - 1]) + tails[t]
+    row = []
+    for e in powers:
+        f = pow(point[0], e, prime)
+        row += tails[q - e] if f == 1 else scaled(f, tails[q - e])
+    return row
 
 
 def defect_of_system(pts: ProjectivePointSet, q: int) -> int:
@@ -202,17 +221,20 @@ def defect_of_system(pts: ProjectivePointSet, q: int) -> int:
             f"the evaluation matrix of k = {k} points and the {ncols} "
             f"monomials of degree q = {q} has {k * ncols} entries, above "
             f"the limit of {MAX_MATRIX_CELLS}")
-    exps = monomial_exponents(pts.dim, q)
+    powers = [e for e, _ in itertools.groupby(
+        exp[0] for exp in monomial_exponents(pts.dim, q))]
     pivots, supports = eliminate(
-        [_row_mod_p(point, exps, q) for point in pts.points])
+        [_evaluation_row(point, powers, q, PRIME) for point in pts.points])
     rank = len(pivots)
     if rank == k or rank == ncols:
         return k - rank
     checked = set().union(*supports)
-    exact = [_exact_row(pts.points[i], exps) for i in sorted(checked)]
+    exact = [_evaluation_row(pts.points[i], powers, q)
+             for i in sorted(checked)]
     if _integer_rank(exact) == len(checked.intersection(pivots)):
         return k - rank
-    return k - _integer_rank([_exact_row(point, exps) for point in pts.points])
+    return k - _integer_rank([_evaluation_row(point, powers, q)
+                              for point in pts.points])
 
 
 def nodal_beta(pts: ProjectivePointSet, n: int, d: int) -> list[int]:

@@ -222,11 +222,18 @@ def test_conic_defect_is_the_same_in_both_coordinate_orders():
             80 - (2 * 20 + 1)
 
 
+def _run_powers(n: int, q: int) -> list[int]:
+    # the first exponents of the runs of monomial_exponents(n, q)
+    return [e for e, _ in itertools.groupby(
+        exp[0] for exp in monomial_exponents(n, q))]
+
+
 def test_exact_rank_takes_the_columns_by_size(monkeypatch):
     # the monomials come largest power first, so the given columns are in
     # decreasing order of size; the elimination starts from them reordered
-    exps = monomial_exponents(2, 4)
-    rows = [defect._exact_row((t * t, t, 1), exps) for t in range(1, 13)]
+    powers = _run_powers(2, 4)
+    rows = [defect._evaluation_row((t * t, t, 1), powers, 4)
+            for t in range(1, 13)]
     started = []
 
     def spy(row):
@@ -239,6 +246,30 @@ def test_exact_rank_takes_the_columns_by_size(monkeypatch):
     assert largest == sorted(largest)
     assert largest != [max(map(abs, col)) for col in zip(*rows)]
     assert sorted(zip(*started)) == sorted(zip(*rows))
+
+
+def test_monomial_exponents_runs_once_per_matrix(monkeypatch):
+    # the mod-p rows, the rows of the support check and those of the
+    # fallback all come from the runs of one call; a system that needs no
+    # matrix (q >= k - 1) makes none
+    calls = []
+    enumerate_exponents = defect.monomial_exponents
+
+    def spy(n, q):
+        calls.append((n, q))
+        return enumerate_exponents(n, q)
+
+    monkeypatch.setattr(defect, "monomial_exponents", spy)
+    sizes = _spy_on_integer_rank(monkeypatch)
+    general = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)]
+    collinear = [(t, 0, 1) for t in (0, 1, 2)]
+    unlucky = [(1, 0, 0), (1, PRIME, 0), (0, 0, 1)]
+    for points, q, expected in ((general, 2, 0), (collinear, 1, 1),
+                                (unlucky, 1, 0), (general, 4, 0)):
+        pts = ProjectivePointSet(2, tuple(points))
+        assert defect_of_system(pts, q) == expected
+    assert calls == [(2, 2), (2, 1), (2, 1)]
+    assert sizes == [3, 2, 3]
 
 
 def test_defect_invariances():

@@ -10,11 +10,17 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from moninf.defect import ProjectivePointSet, defect_of_system  # noqa: E402
+from moninf import defect  # noqa: E402
+from moninf.defect import (  # noqa: E402
+    ProjectivePointSet,
+    defect_of_system,
+    monomial_exponents,
+)
 from moninf.modp import PRIME  # noqa: E402
 from test_defect import (  # noqa: E402
     _defect_by_fraction_elimination,
     _projectively_equal,
+    _run_powers,
 )
 
 # small numerators and denominators, so collinear and coplanar subsets
@@ -22,6 +28,32 @@ from test_defect import (  # noqa: E402
 RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 NONZERO = st.builds(Fraction, st.integers(1, 50), st.integers(1, 50)) | \
     st.builds(Fraction, st.integers(-50, -1), st.integers(1, 50))
+
+
+# coordinates of every size and sign: small, +-PRIME and its multiples
+# (entries 0 mod PRIME), and beyond 2^64
+COORDINATES = st.integers(-9, 9) | st.sampled_from([-PRIME, PRIME]) | \
+    st.builds(int.__mul__, st.integers(-3, 3), st.just(PRIME)) | \
+    st.builds(int.__add__, st.sampled_from([-2**64, 2**64, 2**70]),
+              st.integers(-PRIME, PRIME))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@given(data=st.data())
+def test_evaluation_rows_are_the_monomials_at_the_point(n, data):
+    point = data.draw(st.tuples(*[COORDINATES] * (n + 1)))
+    for q in range(9):
+        exps = monomial_exponents(n, q)
+        expected = [math.prod(c ** e for c, e in zip(point, exp))
+                    for exp in exps]
+        assert defect._evaluation_row(point, _run_powers(n, q), q) == \
+            expected
+        row = defect._evaluation_row(point, _run_powers(n, q), q, PRIME)
+        assert row == [x % PRIME for x in expected]
+        assert all(type(x) is int and 0 <= x < PRIME for x in row)
+        for x, exp in zip(row, exps):
+            if any(e and not c % PRIME for c, e in zip(point, exp)):
+                assert x == 0
 
 
 @given(point=st.lists(RATIONALS, min_size=2, max_size=5).filter(any),

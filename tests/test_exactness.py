@@ -13,7 +13,8 @@ import; the oracle imports nothing from the defect.  Every function,
 class and method of the package is named somewhere in it outside its own
 definition, so no helper stays that only tests call.  Two oracle reports,
 an oracle report with injected counterexamples in text and in JSON,
-two defect reports, four from_nodes compute reports, one large Brieskorn
+three defect reports (one on coordinates beyond 2^64), eight from_nodes
+compute reports (four of them at the benchmark's sizes), one large Brieskorn
 compute report, one enumerate-mode report with a non-semisimple germ,
 one enumerate-mode report whose torsion tables change with beta in text
 and in JSON, and the same text report with an injected failure of the
@@ -38,6 +39,7 @@ from moninf.cli import main
 from moninf.cyclic import cyclic_power
 from moninf.cyclo import ONE, UnitRoot
 from moninf.jordan import JordanStructure
+from moninf.modp import PRIME
 from moninf.oracle import SpectrumNotCovered
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -219,6 +221,23 @@ def test_defect_reports_are_unchanged(flags, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_defect_report_on_coordinates_beyond_64_bits_is_unchanged(
+        tmp_path, capsys):
+    # seven points on a line and two that are equal mod PRIME, with
+    # coordinates above 2^64: the support check fails and the whole
+    # matrix is ranked exactly
+    points = [[str(2**70 + 3 * t), str(5 * 2**66 - t), "1"] for t in range(7)]
+    points += [["1", str(2**80), "7"], ["1", str(2**80 + PRIME), "7"]]
+    points += [[str(2**65 + 11 * i * i), str(-(2**67) + 13 * i),
+                str(2**64 + i)] for i in range(1, 4)]
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(points))
+    assert main(["defect", str(path), "--degree", "4", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "6755a495c99d83a9db8b91b277746c59c9ec6e9028fbbb6bd3f3970c58371cbe"
+
+
 def _node_points(seed: int, k: int, collinear: int) -> list[list[str]]:
     # k distinct points of P^3 with small rational coordinates, the first
     # `collinear` of them on one line
@@ -251,6 +270,15 @@ def _node_points(seed: int, k: int, collinear: int) -> list[list[str]]:
      "a742bdc919df6fcabd7f56197dbe2806603575d34a1e7c1eb092a2295b50ec57"),
     (10, 16, 14,
      "ecd6b1b9da9dacae38e8490cdbcd1bbda0c7c54c1ccfcfeadbf7a62d8cbfac0f"),
+    # the sizes of the nodal_defect benchmark workload
+    (8, 60, 0,
+     "068a17958a38ac10bb1319be730e239f7a179cafae1cd868c754a2563ac2d288"),
+    (8, 60, 12,
+     "a7dd753c54d6a702b462280491ba13f8c77ec3950e4eaf3c667e8fc067c4a712"),
+    (10, 50, 0,
+     "aa95419a13509b2796cb6de82767f92fc0f8f5c530f29f2433b57584e979d739"),
+    (10, 50, 15,
+     "24afe216d87ba0e7727364180a05104001d0de8fbad5f2b3c33bf806daef5888"),
 ])
 def test_from_nodes_reports_are_unchanged(d, k, collinear, digest, tmp_path,
                                           capsys):
