@@ -40,8 +40,9 @@ from .oracle import SpectrumNotCovered, spectrum_level, verify_cyclic_agreement
 
 # The oracle's limits, each checked for the whole sweep before its first
 # comparison.  A comparison of r rows costs about r^3: one Jordan block of
-# 256 rows takes about 3 s of CPU (2-CPU VM, Python 3.11), and a case of
-# the exhaustive sweep at dimension <= 6 about 1 ms.
+# 128 at m = 2, so 256 rows, takes about 7 s of CPU at field level 360
+# and about 2 s at level 24 (2-CPU VM, Python 3.11), and a case of the
+# exhaustive sweep at dimension <= 6 about 1 ms.
 DEFAULT_LEVEL_CAP = 360
 MAX_ORACLE_ROWS = 256
 MAX_EXHAUSTIVE_COMPARISONS = 10000

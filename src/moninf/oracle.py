@@ -22,12 +22,16 @@ sparsity pattern: a permutation similarity, so Jordan types add over
 components.  (2) With L the level of M, the exact traces p_j = tr(K^j),
 j = 1 .. dim K, give det(x - K) over Z[zeta_L] by Newton's identities;
 their division by k is exact on each coefficient, because the power
-basis is an integral basis.  (3) With T the level the candidates need, a
-prime p = 1 (mod T) and omega of order T mod p, the ring map
-zeta_L -> omega^(T/L) sends det(x - K) to F_p, where synthetic division
-gives each candidate alpha a multiplicity a_p(alpha) >= a(alpha): a ring
-map can only raise a multiplicity, and distinct T-th roots of unity stay
-distinct mod p.  (4) Certificate: if the a_p(alpha) add up to dim K and
+basis is an integral basis.  Only the powers up to h = ceil(dim K / 2)
+are formed, and only two are held: p_(2a-1) = tr(K^a K^(a-1)) and
+p_(2a) = tr(K^a K^a), each a sum over the entries of K^a.  A zero
+trace, as is every p_j with m not dividing j on a cyclic component of
+order m, adds nothing to Newton's identities.  (3) With T the level the
+candidates need, a prime p = 1 (mod T) and omega of order T mod p, the
+ring map zeta_L -> omega^(T/L) sends det(x - K) to F_p, where synthetic
+division gives each candidate alpha a multiplicity a_p(alpha) >=
+a(alpha): a ring map can only raise a multiplicity, and distinct T-th
+roots of unity stay distinct mod p.  (4) Certificate: if the a_p(alpha) add up to dim K and
 p_j = sum a_p(alpha)*alpha^j in Z[zeta_T] for j = 1 .. dim K, then
 a = a_p, since over a field of characteristic 0 the power sums
 p_1 .. p_dim fix a monic polynomial of degree dim.  The check only adds
@@ -35,12 +39,17 @@ monomials, and it passes exactly when the candidates cover K.  Where it
 fails, a(alpha) is the least a_P(alpha) over enough prime ideals P (see
 _exact_multiplicities), and the sum of the a(alpha) over all components
 raises SpectrumNotCovered before any rank.  (5) Since 1 <= n_1 <= a(alpha),
-a(alpha) = 1 is one block of size 1, again with no rank.  If
-a(alpha) > 1, the image of K over F_p, made once per component, is
-shifted by the image of alpha; its nullity mod p is >= n_1, so if it is
-1, so is n_1: one block, of size a(alpha).  Otherwise the nullities of
-the exact powers run until they reach a(alpha), each from the ranks mod
-enough prime ideals (see _rank).
+a(alpha) = 1 is one block of size 1, again with no rank.  Where
+a(alpha) > 1, n_1 is at most the nullity mod p of the image of K over
+F_p, made once per component, shifted by the image of alpha; where that
+is 1, so is n_1: one block, of size a(alpha).  With one such alpha in a
+component, that nullity is one elimination.  With more, one elimination
+bounds them all: if v, Kv, ..., K^(dim-1)v have rank dim K over F_p,
+the image of K is nonderogatory and every shifted nullity mod p is at
+most 1.  Where that rank falls short, each alpha takes its own nullity
+mod p.  Where a nullity mod p exceeds 1, the nullities of the exact
+powers run until they reach a(alpha), each from the ranks mod enough
+prime ideals (see _rank).
 """
 
 from __future__ import annotations
@@ -370,21 +379,46 @@ def _components(rows: list[dict[int, tuple[int, ...]]]) -> list[list[int]]:
     return list(groups.values())
 
 
+def _trace_of_product(a: list[dict[int, tuple[int, ...]]],
+                      b: list[dict[int, tuple[int, ...]]],
+                      field: _Field) -> tuple[int, ...]:
+    """tr(AB) = sum over (i, k) of A_ik * B_ki, with no product formed."""
+    vmul, one = field.vmul, field.monomial(0)
+    acc = [0] * field.degree
+    for i, row in enumerate(a):
+        for k, a_ik in row.items():
+            b_ki = b[k].get(i)
+            if b_ki is not None:
+                prod = a_ik if b_ki == one else vmul(a_ik, b_ki)
+                for idx, value in enumerate(prod):
+                    acc[idx] += value
+    return tuple(acc)
+
+
 def _char_poly(rows: list[dict[int, tuple[int, ...]]], level: int,
                ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """det(x - K) over Z[zeta_level], coefficients c_0 = 1, c_1, ..., c_dim
     by descending power of x, and the exact traces p_j = tr(K^j) that give
-    it by Newton's identities k*c_k = -sum_(i <= k) c_(k-i)*p_i."""
-    field = _field(level)
-    zero = (0,) * field.degree
-    coeffs, traces, power = [field.monomial(0)], [], rows
-    for k in range(1, len(rows) + 1):
-        if k > 1:
-            power = _sparse_matmul(power, rows, field)
-        traces.append(tuple(map(sum, zip(zero, *(
-            row[i] for i, row in enumerate(power) if i in row)))))
+    it by Newton's identities k*c_k = -sum_(i <= k) c_(k-i)*p_i.
+
+    Only K^1 .. K^h, h = ceil(dim/2), are formed, two at a time: with
+    P = K^(a-1) and Q = K^a, p_(2a-1) = tr(QP) and p_(2a) = tr(QQ)."""
+    field, dim = _field(level), len(rows)
+    identity = [{i: field.monomial(0)} for i in range(dim)]
+    traces, previous, power = [], identity, rows
+    for a in range(1, (dim + 1) // 2 + 1):
+        if a > 1:
+            previous, power = power, _sparse_matmul(power, rows, field)
+        traces.append(_trace_of_product(power, previous, field))
+        if 2 * a <= dim:
+            traces.append(_trace_of_product(power, power, field))
+    coeffs = [field.monomial(0)]
+    nonzero = [i for i, trace in enumerate(traces, 1) if any(trace)]
+    for k in range(1, dim + 1):
         acc = [0] * field.degree
-        for i in range(1, k + 1):
+        for i in nonzero:
+            if i > k:
+                break
             for idx, v in enumerate(field.vmul(coeffs[k - i], traces[i - 1])):
                 acc[idx] -= v
         # exact: the power basis is an integral basis of Z[zeta_level]
@@ -418,6 +452,22 @@ def _nullity_mod_p(image: list[list[int]], alpha: int, prime: int) -> int:
     for i, row in enumerate(shifted):
         row[i] = (row[i] - alpha) % prime
     return len(shifted) - len(eliminate(shifted, prime)[0])
+
+
+def _krylov_rank(rows: list[dict[int, tuple[int, ...]]],
+                 image: list[list[int]], prime: int) -> int:
+    """The rank over F_p of v, Kv, ..., K^(dim-1)v, from the image of K
+    over F_p and v_i = 3^i mod p.  If it is dim, the image is
+    nonderogatory: K - alpha has nullity at most 1 mod p for every alpha.
+    (e_0 would not do: on a cyclic component it spans only m dimensions.)"""
+    entries = [[(j, image_row[j]) for j in row]
+               for row, image_row in zip(rows, image)]
+    vectors = [[pow(3, i, prime) for i in range(len(rows))]]
+    while len(vectors) < len(rows):
+        v = vectors[-1]
+        vectors.append([sum(x * v[j] for j, x in row) % prime
+                        for row in entries])
+    return len(eliminate(vectors, prime)[0])
 
 
 def _exact_nullities(rows: list[dict[int, tuple[int, ...]]], level: int,
@@ -524,10 +574,14 @@ def jordan_type(m: CycloMatrix, candidates: Iterable[UnitRoot]) -> JordanStructu
     blocks: list[tuple[UnitRoot, dict[int, int]]] = []
     for rows, mults in components:
         image = _image(rows, len(rows), to_p)
+        # 1 <= n_1 <= a(alpha), and n_1 is at most the nullity mod p:
+        # one Krylov rank bounds it for every alpha, one nullity for one
+        repeated = sum(mult > 1 for mult in mults.values())
+        nonderogatory = repeated > 1 and _krylov_rank(
+            rows, image, prime) == len(rows)
         for alpha, mult in mults.items():
             nullities = list(range(mult + 1))
-            # 1 <= n_1 <= a(alpha), and n_1 is at most the nullity mod p
-            if mult > 1 and _nullity_mod_p(image, pow(
+            if mult > 1 and not nonderogatory and _nullity_mod_p(image, pow(
                     omega, level_needed // alpha.den * alpha.num, prime),
                     prime) > 1:
                 nullities = _exact_nullities(rows, m.level, alpha, mult)

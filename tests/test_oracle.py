@@ -693,3 +693,108 @@ def test_an_uncovered_component_runs_no_chain(monkeypatch):
         {ONE: {2: 2}, MINUS_ONE: {1: 1}})
     # the nullity mod p, then one prime for each of N and N^2 = 0
     assert len(eliminations) == 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), order=st.integers(1, 2), bumped=st.booleans())
+@pytest.mark.parametrize("dim", [1, 2, 3, 6, 7])
+def test_traces_from_two_powers_are_the_diagonals_of_all_powers(
+        dim, data, order, bumped):
+    # tr(K^(2a-1)) and tr(K^(2a)) come from K^(a-1) and K^a only; the
+    # reference forms every power K^1 .. K^dim and sums its diagonal
+    cuts = sorted(data.draw(st.sets(st.integers(1, dim - 1)) if dim > 1
+                            else st.just(set()), label="cuts"))
+    roots = data.draw(st.lists(st.sampled_from(mth_roots(ONE, 6)),
+                               min_size=dim, max_size=dim), label="roots")
+    j = _from_blocks((roots[a], b - a)
+                     for a, b in zip([0, *cuts], [*cuts, dim]))
+    ops = data.draw(st.lists(st.tuples(st.integers(0, dim - 1),
+                                       st.integers(0, dim - 1),
+                                       st.integers(0, 5)), max_size=8),
+                    label="ops")
+    bumps = data.draw(st.lists(st.tuples(st.integers(0, dim - 1),
+                                         st.integers(0, dim - 1)),
+                               min_size=bumped, max_size=2 * bumped),
+                      label="bumps")
+    base = _conjugated(j, ops, bumps)
+    m = build_cyclic_matrix(base, order)
+    field = _field(6)
+    zero = (0,) * field.degree
+    expected, power = [], m.rows
+    for k in range(1, m.nrows + 1):
+        if k > 1:
+            power = oracle._sparse_matmul(power, m.rows, field)
+        expected.append(tuple(map(sum, zip(zero, *(
+            row.get(i, zero) for i, row in enumerate(power))))))
+    coeffs, traces = oracle._char_poly(m.rows, 6)
+    assert traces == expected
+    # det(x - C) = det(x^order - K) for the cyclic C of K: Newton's
+    # identities over the zero traces p_j, order not dividing j, agree
+    spread = [zero] * (m.nrows + 1)
+    spread[::order] = oracle._char_poly(base.rows, 6)[0]
+    assert coeffs == spread
+
+
+def test_the_traces_take_half_the_powers_of_each_component(monkeypatch):
+    # the order-3 operator of blocks of sizes 1, 2, 4 and 5: components of
+    # 3, 6, 12 and 15 rows, each with K^2 .. K^ceil(dim/2) and no chain
+    j = JordanStructure({ONE: {1: 1, 4: 1}, UnitRoot(1, 3): {2: 1},
+                         MINUS_ONE: {5: 1}})
+    m = build_cyclic_matrix(build_jordan_matrix(j, 6), 3)
+    dims = sorted(map(len, oracle._components(m.rows)))
+    assert dims == [3, 6, 12, 15]
+    products = _spy(monkeypatch, "_sparse_matmul")
+    exact = _spy(monkeypatch, "_exact_nullities")
+    char_poly, counts = oracle._char_poly, []
+
+    def spy(rows, level):
+        before = len(products)
+        result = char_poly(rows, level)
+        counts.append((len(rows), len(products) - before))
+        return result
+    monkeypatch.setattr(oracle, "_char_poly", spy)
+    expected, actual = verify_cyclic_agreement(j, 3)
+    assert actual == expected
+    assert exact == []
+    assert sorted(counts) == [(3, 1), (6, 2), (12, 5), (15, 7)]
+    assert len(products) == 15
+
+
+def test_random_oracle_runs_no_nullity_mod_p(monkeypatch, capsys):
+    # every component with two or more repeated eigenvalues is certified
+    # nonderogatory by one Krylov rank, and no component has just one
+    krylov = _spy(monkeypatch, "_krylov_rank")
+    nullities = _spy(monkeypatch, "_nullity_mod_p")
+    for argv in (["oracle", "--seed", "23", "--trials", "100", "--json"],
+                 ["oracle", "--json"]):
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["counterexamples"] == []
+    assert nullities == []
+    assert krylov and all(result == len(args[0])
+                          for args, _, result in krylov)
+
+
+def test_a_derogatory_component_takes_the_nullity_of_each_eigenvalue(
+        monkeypatch):
+    # two coupled blocks of size 2 at 1 (rows 0-3) and the same at -1
+    # (rows 4-7), as in the test above; the entry (0, 4) joins the two
+    # into one component, and since it sits above the diagonal between
+    # disjoint spectra it leaves the Jordan type alone.  K has minimal
+    # polynomial (x - 1)^2 (x + 1)^2, so no Krylov space exceeds 4 < 8
+    one, minus = (1,), (-1,)
+    m = CycloMatrix(1, [{0: one, 1: one, 3: (2,), 4: one}, {1: one},
+                        {2: one, 3: one}, {3: one},
+                        {4: minus, 5: one, 7: (2,)}, {5: minus},
+                        {6: minus, 7: one}, {7: minus}], 8)
+    assert len(oracle._components(m.rows)) == 1
+    krylov = _spy(monkeypatch, "_krylov_rank")
+    nullities = _spy(monkeypatch, "_nullity_mod_p")
+    expected = JordanStructure({ONE: {2: 2}, MINUS_ONE: {2: 2}})
+    assert jordan_type(m, [ONE, MINUS_ONE]) == expected
+    assert [result for _, _, result in krylov] == [4]
+    assert [result for _, _, result in nullities] == [2, 2]
+    # the same structure as its block-diagonal realization, which is
+    # four components, each with one eigenvalue and so no Krylov rank
+    assert jordan_type(build_jordan_matrix(expected, 2),
+                       [ONE, MINUS_ONE]) == expected
+    assert len(krylov) == 1
