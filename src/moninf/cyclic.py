@@ -9,8 +9,10 @@ Its Jordan structure is determined by T alone: a block of size l at the
 eigenvalue xi of phi contributes one block of size l at every m-th root
 of xi.  Equivalently, the number of size-l blocks of the cyclic operator
 at alpha equals the number of size-l blocks of phi at alpha**m.
-:func:`lifts` streams that rule in root order; the assembler reads it
-through :func:`lifted_runs` and never builds the power.
+:func:`lifts` streams that rule in root order, making each root with
+:func:`cyclo.reduced_root` since every fraction it forms is already in
+[0, 1); the assembler reads it through :func:`lifted_runs` and never
+builds the power.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import itertools
 from bisect import bisect_left
 from typing import Iterable, Iterator, TypeVar
 
-from .cyclo import ONE, UnitRoot, mth_roots
+from .cyclo import ONE, UnitRoot, mth_roots, reduced_root
 from .jordan import JordanStructure
 
 V = TypeVar("V")
@@ -34,7 +36,7 @@ def lifts(pairs: Iterable[tuple[UnitRoot, V]], m: int
     if m < 1:
         raise ValueError(f"cyclic order must be >= 1, got {m}")
     pairs = list(pairs)
-    return ((UnitRoot(xi.num + j * xi.den, m * xi.den), value)
+    return ((reduced_root(xi.num + j * xi.den, m * xi.den), value)
             for j in range(m) for xi, value in pairs)
 
 

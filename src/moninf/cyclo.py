@@ -13,7 +13,8 @@ over roots of unity alpha with nonzero integer exponents e_alpha.  Negative
 exponents are allowed, so characteristic polynomials and zeta-function
 quotients share one representation.  The product is never expanded into
 coefficient form; its display only regroups full Galois orbits into
-cyclotomic factors Phi_q.
+cyclotomic factors Phi_q, as does a report's characteristic polynomial,
+kept in the closed form ``infinity.CharPoly``.
 """
 
 from __future__ import annotations
@@ -73,6 +74,17 @@ class UnitRoot:
         return cls(int(m.group(1)), int(m.group(2)))
 
 
+def reduced_root(num: int, den: int) -> UnitRoot:
+    """UnitRoot(num, den) for ints 0 <= num < den, which the callers'
+    own roots guarantee: it reduces by the gcd but skips the type and
+    sign checks and the reduction mod 1 of the validating constructor."""
+    g = math.gcd(num, den)
+    root = object.__new__(UnitRoot)
+    fields = root.__dict__
+    fields["num"], fields["den"] = num // g, den // g
+    return root
+
+
 ONE = UnitRoot(0, 1)
 MINUS_ONE = UnitRoot(1, 2)
 
@@ -88,7 +100,7 @@ def mth_roots(xi: UnitRoot, m: int) -> list[UnitRoot]:
     """
     if m < 1:
         raise ValueError(f"root index must be >= 1, got {m}")
-    return [UnitRoot(xi.num + j * xi.den, m * xi.den) for j in range(m)]
+    return [reduced_root(xi.num + j * xi.den, m * xi.den) for j in range(m)]
 
 
 def totient(q: int) -> int:
@@ -132,18 +144,6 @@ class RootExponentVector:
         object.__setattr__(self, "_factors",
                            {r: acc[r] for r in sorted(acc) if acc[r] != 0})
 
-    @classmethod
-    def _canonical(cls, factors: dict[UnitRoot, int]) -> RootExponentVector:
-        """The product of factors, taken as they are, without checks.
-
-        Precondition: factors is already canonical, that is, what the
-        validating constructor would store: roots by increasing angle,
-        every exponent a nonzero int.  The dict is kept, not copied.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "_factors", factors)
-        return self
-
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RootExponentVector is immutable")
 
@@ -157,9 +157,11 @@ class RootExponentVector:
         """(x^d - 1)^exponent, expanded over all d-th roots of unity."""
         if d < 1:
             raise ValueError(f"degree must be >= 1, got {d}")
-        # j/d increases with j, so the factors are in order as built
-        return cls._canonical(
-            {UnitRoot(j, d): exponent for j in range(d)} if exponent else {})
+        # j/d increases with j, so the factors are stored as built
+        self = object.__new__(cls)
+        object.__setattr__(self, "_factors", {
+            reduced_root(j, d): exponent for j in range(d)} if exponent else {})
+        return self
 
     def items(self) -> Iterator[tuple[UnitRoot, int]]:
         """(root, exponent) pairs in increasing angle order."""

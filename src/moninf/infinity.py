@@ -23,6 +23,12 @@ germ.  The assembled Jordan structure has two layers:
   blocks at alpha, which the slot replaces.  The lift of T itself gives
   the charpoly formula's det(x^(d-1) - T); neither power is built.
 
+The report's characteristic polynomial, of the first vector or of the
+formula, is a :class:`CharPoly`: the (eigenvalue, dimension) pairs of
+conj(T) or T, m = d - 1 and the exponents at the d-th roots.  Its
+display reads each full Galois orbit off T, and its JSON is made only
+when a --json report is written, so a text report lifts the base once.
+
 beta changes only the slots, each built once per value of beta_s.  What
 the checks need of the base is read off T once, so they cost O(d) per
 vector: the degree identity, the block size limits, the bound check on
@@ -39,11 +45,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import partial
+from math import gcd
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .cyclic import lifted_runs
-from .cyclo import ONE, RootExponentVector, UnitRoot, mth_roots
+from .cyclo import ONE, RootExponentVector, UnitRoot, mth_roots, totient
 from .defect import ProjectivePointSet, nodal_beta
 from .jordan import JordanStructure, Rows, Runs
 from .localsing import (
@@ -213,7 +220,7 @@ class Report:
     mode: str
     entries: tuple[BetaEntry, ...]
     truncated: bool
-    charpoly: RootExponentVector | None
+    charpoly: CharPoly | None
     zeta: RootExponentVector
     checks: tuple[CheckResult, ...]
 
@@ -446,10 +453,6 @@ class _Assembler:
         return JordanStructure(self._merged(
             [table for _, table in self.conj], beta, itemgetter(1)))
 
-    def char_poly(self, beta: tuple[int, ...]) -> RootExponentVector:
-        return RootExponentVector._canonical(dict(self._merged(
-            [_dim(table) for _, table in self.conj], beta, itemgetter(2))))
-
     def rows(self, beta: tuple[int, ...]) -> Iterator[tuple[UnitRoot, Runs]]:
         """(root, Runs of its sizes) at beta; the lifts of one eigenvalue
         share its Runs."""
@@ -501,21 +504,82 @@ def _formula_at_roots(zeta: RootExponentVector, t: JordanStructure,
     return exps
 
 
+class CharPoly:
+    """The product of (x - alpha)^k over the lifts alpha of each (y, k) of
+    pairs to the m-th roots off the d-th roots, d = m + 1, and of
+    (x - s/d)^(at[s]) over s, every exponent positive; shown and written
+    as the RootExponentVector of the same product."""
+
+    __slots__ = ("pairs", "m", "at")
+
+    def __init__(self, pairs: list[tuple[UnitRoot, int]], m: int,
+                 at: list[int]) -> None:
+        self.pairs, self.m, self.at = pairs, m, at
+
+    def _lifts(self, y: UnitRoot) -> Iterator[tuple[int, int]]:
+        """(q, p) for each lift p/q of y off the d-th roots, reduced."""
+        big, d = self.m * y.den, self.m + 1
+        for a in range(y.num, big, y.den):
+            g = gcd(a, big)
+            if d % (big // g):
+                yield big // g, a // g
+
+    def _slots(self) -> Iterator[tuple[int, int, int]]:
+        """(q, p, exponent) for each d-th root p/q that is a factor."""
+        d = self.m + 1
+        for s, k in enumerate(self.at):
+            if k:
+                g = gcd(s, d)
+                yield d // g, s // g, k
+
+    def __str__(self) -> str:
+        """Phi_q to the least exponent of its orbit when full, by q, then
+        the rest by q and angle.  For q not dividing d, Phi_e(x^m) is the
+        product of the Phi_q with q / gcd(q, m) = e, each met by the lifts
+        of one primitive e-th root: q's orbit is full when pairs hold all
+        primitive e-th roots, with the least value, and only the rest lift."""
+        slots: dict[int, list[tuple[int, int]]] = {}
+        for q, p, k in self._slots():
+            slots.setdefault(q, []).append((p, k))
+        orbits: dict[int, list[tuple[UnitRoot, int]]] = {}
+        for y, k in self.pairs:
+            orbits.setdefault(y.den, []).append((y, k))
+        phis: dict[int, int] = {}
+        loose: list[tuple[int, int, int]] = []  # (q, p, exponent)
+        for q, orbit in slots.items():
+            low = min(k for _, k in orbit) if len(orbit) == totient(q) else 0
+            if low:
+                phis[q] = low
+            loose += [(q, p, k - low) for p, k in orbit if k > low]
+        for e, orbit in orbits.items():
+            low = min(k for _, k in orbit) if len(orbit) == totient(e) else 0
+            if low:
+                phis.update((q, low) for q, _ in self._lifts(orbit[0][0]))
+            loose += [(q, p, k - low) for y, k in orbit if k > low
+                      for q, p in self._lifts(y)]
+        factors = [({1: "(x - 1)", 2: "(x + 1)"}.get(q, f"Phi_{q}"), k)
+                   for q, k in sorted(phis.items())]
+        factors += [(f"(x - zeta({p}/{q}))", k) for q, p, k in sorted(loose)]
+        return " * ".join(base if k == 1 else f"{base}^{k}"
+                          for base, k in factors) or "1"
+
+    def to_json(self) -> dict[str, int]:
+        """{"num/den": exponent} over every root, the slots first; the
+        --json writer sorts the keys."""
+        out = {f"{p}/{q}": k for q, p, k in self._slots()}
+        for y, k in self.pairs:
+            out.update((f"{p}/{q}", k) for q, p in self._lifts(y))
+        return out
+
+
 def charpoly_local_formula(zeta: RootExponentVector, t: JordanStructure,
-                           d: int) -> RootExponentVector:
+                           d: int) -> CharPoly:
     """Characteristic polynomial of the assembled operator, from local data:
-    zeta * det(x^(d-1) * Id - T), zeta being :func:`zeta_of_top_form`,
-    with the lifts of T in root order.  Raises when an exponent is
-    negative: no actual hypersurface has such local data."""
-    exps = _formula_at_roots(zeta, t, d)
-    runs = lifted_runs([(x, _dim(table)) for x, table in t.items()], d - 1)
-    factors: dict[UnitRoot, int] = {}
-    for alpha, exp in zip(mth_roots(ONE, d), exps):
-        factors.update(next(runs))
-        if exp:
-            factors[alpha] = exp
-    factors.update(next(runs))
-    return RootExponentVector._canonical(factors)
+    zeta * det(x^(d-1) * Id - T), zeta being :func:`zeta_of_top_form`.
+    Raises when an exponent is negative: no actual hypersurface has such
+    local data."""
+    return CharPoly([(x, _dim(table)) for x, table in t.items()], d - 1,
+                    _formula_at_roots(zeta, t, d))
 
 
 def zeta_of_top_form(spec: ProblemSpec) -> RootExponentVector:
@@ -533,13 +597,18 @@ def zeta_of_top_form(spec: ProblemSpec) -> RootExponentVector:
 def check_zeta_two_forms(zeta: RootExponentVector,
                          chi: Sequence[int]) -> CheckResult:
     """Compare the (x^d - 1) form of the zeta function with
-    prod_s (x - e^(2*pi*i*s/d))^(chi_s)."""
+    prod_s (x - e^(2*pi*i*s/d))^(chi_s), exponent by exponent at the
+    d-th roots as integers; the product is built only to report a
+    failure."""
     d = len(chi)
-    product = RootExponentVector((UnitRoot(s, d), chi[s]) for s in range(d))
-    if product == zeta:
+    # zeta's exponents by s, a root off the d-th roots under the key -1
+    exps = {root.num * d // root.den if d % root.den == 0 else -1: exp
+            for root, exp in zeta.items()}
+    if exps == {s: c for s, c in enumerate(chi) if c}:
         return CheckResult(
             "zeta_two_forms", "pass",
             "both closed forms of the zeta function agree: " + str(zeta))
+    product = RootExponentVector((UnitRoot(s, d), chi[s]) for s in range(d))
     return CheckResult(
         "zeta_two_forms", "fail",
         f"the (x^d - 1) form gives {zeta}, "
@@ -669,7 +738,9 @@ def assemble(spec: ProblemSpec, *,
                 f"{assembler.structure(beta).char_poly()}"))
         entries.append(BetaEntry(beta, tuple(checks), assembler))
     if vectors:
-        charpoly = assembler.char_poly(vectors[0])
+        charpoly = CharPoly(
+            [(y, _dim(table)) for y, table in assembler.conj], d - 1,
+            [assembler.part(s, value)[2] for s, value in enumerate(vectors[0])])
     else:
         charpoly = None if formula_at is None else \
             charpoly_local_formula(zeta, t, d)

@@ -295,6 +295,49 @@ def test_json_report_memory_does_not_grow_with_the_vectors(tmp_path):
     assert peaks[9] - peaks[1] < (sizes[9] - sizes[1]) / 10
 
 
+# ROADMAP's Mid instance: about 2.1 * 10^8 Jordan blocks at about 90000
+# lifted roots of conj(T) and 600 slots; a 3.5 MB text report
+MID_INSTANCE = {
+    "n": 2, "d": 600,
+    "singularities": [{"type": "brieskorn", "exponents": [150, 150]}],
+    "beta": {"mode": "given", "values": [0] * 600}}
+
+
+def test_mid_text_report_holds_no_lifted_charpoly(tmp_path):
+    # the char poly is read off T in closed form; holding it as one factor
+    # per lifted root took the tracemalloc peak to 30.4 MB (11.6 MB
+    # without it, Python 3.11)
+    instance = tmp_path / "mid.json"
+    instance.write_text(json.dumps(MID_INSTANCE))
+    target = tmp_path / "report.txt"
+    tracemalloc.start()
+    try:
+        assert main(["compute", str(instance), "--output", str(target)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert target.stat().st_size > 3_000_000
+    assert peak < 20_000_000
+
+
+def test_refused_json_report_lifts_nothing(tmp_path, monkeypatch, capsys):
+    # the entry cap is counted from T and the slots, so a refused report
+    # neither lifts a root nor renders its characteristic polynomial
+    def forbidden(*args):
+        raise AssertionError("a refused --json report made its charpoly")
+
+    monkeypatch.setattr(moninf.infinity.CharPoly, "to_json", forbidden)
+    monkeypatch.setattr(moninf.infinity.CharPoly, "__str__", forbidden)
+    monkeypatch.setattr("moninf.cyclic.lifts", forbidden)
+    instance = tmp_path / "mid.json"
+    instance.write_text(json.dumps(MID_INSTANCE))
+    assert main(["compute", str(instance), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the --json report would list "
+                                   "214877398 Jordan blocks")
+
+
 @pytest.mark.parametrize("data, hinted", [
     ({"n": 100, "d": 3, "singularities": [],
       "beta": {"mode": "given", "values": [0, 0, 0]}}, True),

@@ -17,10 +17,12 @@ three defect reports (one on coordinates beyond 2^64), eight from_nodes
 compute reports (four of them at the benchmark's sizes), one large Brieskorn
 compute report, one enumerate-mode report with a non-semisimple germ,
 one enumerate-mode report whose torsion tables change with beta in text
-and in JSON, and the same text report with an injected failure of the
-charpoly check are pinned by digest, so a change of representation, of
-rank engine, of JSON writer or of what the assembler shares between
-beta vectors must leave their bytes alone.
+and in JSON, the same text report with an injected failure of the
+charpoly check, four reports whose characteristic polynomial mixes
+cyclotomic and linear factors, and one with an injected failure of the
+zeta check are pinned by digest, so a change of representation, of rank
+engine, of JSON writer or of what the assembler shares between beta
+vectors must leave their bytes alone.
 """
 
 from __future__ import annotations
@@ -489,3 +491,53 @@ def test_oracle_counterexample_reports_are_unchanged(flags, digest,
     assert main(["oracle", "--max-dim", "2", "--max-m", "3", *flags]) == 2
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# one germ that is not Galois stable: a size-2 block at 1/4 and simple
+# eigenvalues at 3/4 and 1/8, n = 2, beta = 0.  Each char poly mixes Phi_q
+# with loose factors, on the slots and on the lifts; at d = 4 it is
+# (x - 1)^2 * (x + 1)^3 * Phi_4^4 * Phi_12 * (x - zeta(1/4)) * ...
+@pytest.mark.parametrize("d, flags, digest", [
+    (4, [], "a5ddf22ea618abe2b7555b34fe0b71f734e5e9e7a37d29fee90b86e38abcba2e"),
+    (4, ["--json"],
+     "7572fb00fca6ea7abf130cf48504eea622d17b90d805ff2ac859f5551c0909e6"),
+    (6, [], "8fb9d5bdcb2bd4088732216295f150f768226cff5567ace47831d8472f08c00b"),
+    (6, ["--json"],
+     "26f9544d5ba29dd76b4d55bc3e58548a7cfa8adeb521b0673fe80efa50ab2de7"),
+])
+def test_mixed_factor_reports_are_unchanged(d, flags, digest, tmp_path,
+                                            capsys):
+    instance = tmp_path / "mixed.json"
+    instance.write_text(json.dumps({
+        "n": 2, "d": d,
+        "singularities": [{"type": "explicit", "jordan": [
+            {"eigenvalue": "1/4", "blocks": [2]},
+            {"eigenvalue": "3/4", "blocks": [1]},
+            {"eigenvalue": "1/8", "blocks": [1]}]}],
+        "beta": {"mode": "given", "values": [0] * d}}))
+    assert main(["compute", str(instance), *flags]) == 0
+    out = capsys.readouterr().out
+    display = json.loads(out)["charpoly_display"] if flags else \
+        out.split("char poly: ")[1].split("\n")[0]
+    assert "Phi_" in display and "(x - zeta(" in display
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_failed_zeta_check_report_is_unchanged(monkeypatch, capsys):
+    # chi off the zeta function at 1, 1/3 and 1/2: the check compares
+    # exponents, and on failure prints both forms as before
+    chi_vector = moninf.infinity.chi_vector
+
+    def shifted(n, d, total_mu):
+        chi = chi_vector(n, d, total_mu)
+        return [chi[0] + 3, chi[1]] + [c - 1 for c in chi[2:4]] + chi[4:]
+
+    monkeypatch.setattr(moninf.infinity, "chi_vector", shifted)
+    assert main(["compute", str(ROOT / "instances" /
+                                "six_cusp_sextic.json")]) == 2
+    out = capsys.readouterr().out
+    assert "  [fail] zeta_two_forms: the (x^d - 1) form gives (x - 1)^8 * " \
+        "(x + 1)^9 * Phi_3^9 * Phi_6^9, the product over chi gives " \
+        "(x - 1)^11 * (x + 1)^8 * Phi_3^8 * Phi_6^9 * (x - zeta(2/3))\n" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "a80e7bb3afd030d17fb039d34a7a345612c252bd59230766428d9b7225482865"
