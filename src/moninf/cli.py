@@ -187,11 +187,11 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_zeta(args: argparse.Namespace) -> int:
     spec = parse_problem(_load_json(args.instance))
     zeta = zeta_of_top_form(spec)
-    chi = list(spec.chi)
-    text = (f"zeta of the top form for n = {spec.n}, d = {spec.d}: {zeta}\n"
+    chi, shown = list(spec.chi), str(zeta)
+    text = (f"zeta of the top form for n = {spec.n}, d = {spec.d}: {shown}\n"
             f"chi = {chi}")
     doc = {"n": spec.n, "d": spec.d, "chi": chi,
-           "zeta": zeta.to_json(), "zeta_display": str(zeta)}
+           "zeta": zeta.to_json(), "zeta_display": shown}
     _emit(args, [text + "\n"], doc)
     return 0
 

@@ -147,22 +147,6 @@ class RootExponentVector:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RootExponentVector is immutable")
 
-    @classmethod
-    def linear(cls, root: UnitRoot, exponent: int = 1) -> RootExponentVector:
-        """(x - root)^exponent."""
-        return cls([(root, exponent)])
-
-    @classmethod
-    def power_minus_one(cls, d: int, exponent: int = 1) -> RootExponentVector:
-        """(x^d - 1)^exponent, expanded over all d-th roots of unity."""
-        if d < 1:
-            raise ValueError(f"degree must be >= 1, got {d}")
-        # j/d increases with j, so the factors are stored as built
-        self = object.__new__(cls)
-        object.__setattr__(self, "_factors", {
-            reduced_root(j, d): exponent for j in range(d)} if exponent else {})
-        return self
-
     def items(self) -> Iterator[tuple[UnitRoot, int]]:
         """(root, exponent) pairs in increasing angle order."""
         return iter(self._factors.items())

@@ -16,7 +16,10 @@ germ.  The assembled Jordan structure has two layers:
       size 1:    chi_s + 2*beta_s - #(T)_alpha
       size 2:    -beta_s + #_1(T)_alpha
       size l+1:  #_l(T)_alpha             (l >= 2)
-  and a negative count raises an error naming the violated bound;
+  and a negative count raises an error naming the violated bound.  The
+  slots are indexed by s: T's table at num/den with den | d is read off
+  T once as slot s = num * (d / den), and a root is made only to be
+  printed;
 * off the d-th roots, the base: T's blocks at alpha^(1-d) at alpha, that
   is the lift of conj(T) to the (d-1)-th roots, streamed in root order
   by :func:`cyclic.lifts`.  It lands on a d-th root alpha only from T's
@@ -28,6 +31,7 @@ formula, is a :class:`CharPoly`: the (eigenvalue, dimension) pairs of
 conj(T) or T, m = d - 1 and the exponents at the d-th roots.  Its
 display reads each full Galois orbit off T, and its JSON is made only
 when a --json report is written, so a text report lifts the base once.
+The zeta function of the top form is a CharPoly without pairs.
 
 beta changes only the slots, each built once per value of beta_s.  What
 the checks need of the base is read off T once, so they cost O(d) per
@@ -50,7 +54,8 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .cyclic import lifted_runs
-from .cyclo import ONE, RootExponentVector, UnitRoot, mth_roots, totient
+from .cyclo import ONE, UnitRoot, reduced_root, totient
+from .cyclo import mth_roots  # noqa: F401 -- perfbench/spans.py wraps this name
 from .defect import ProjectivePointSet, nodal_beta
 from .jordan import JordanStructure, Rows, Runs
 from .localsing import (
@@ -221,7 +226,7 @@ class Report:
     entries: tuple[BetaEntry, ...]
     truncated: bool
     charpoly: CharPoly | None
-    zeta: RootExponentVector
+    zeta: CharPoly
     checks: tuple[CheckResult, ...]
 
     @property
@@ -317,7 +322,7 @@ class Report:
         for entry in self.entries:
             labels.append(str(list(entry.beta)))
             yield f"beta = {labels[-1]}\n"
-            yield entry.assembler.text(entry.beta)
+            yield from entry.assembler.text(entry.beta)
         tail = ["no admissible beta vector\n"] if not self.entries else []
         if self.charpoly is not None:
             tail.append(f"char poly: {self.charpoly}\n")
@@ -346,6 +351,17 @@ def chi_vector(n: int, d: int, total_mu: int) -> list[int]:
     return [chi_0] + [chi_0 + sign] * (d - 1)
 
 
+def _slot_tables(t: JordanStructure, d: int) -> list[Mapping[int, int]]:
+    """T's size -> count table at each d-th root s/d, s = 0..d-1, empty
+    where T has none, read off T once: num/den with den | d is the slot
+    s = num * (d / den)."""
+    tables: list[Mapping[int, int]] = [{}] * d
+    for x, table in t.items():
+        if d % x.den == 0:
+            tables[x.num * (d // x.den)] = table
+    return tables
+
+
 def beta_bounds(spec: ProblemSpec) -> list[tuple[int, int]]:
     """Admissible range of every beta_s, s = 0..d-1: the block counts at
     alpha = e^(2*pi*i*s/d) stay >= 0.
@@ -353,9 +369,9 @@ def beta_bounds(spec: ProblemSpec) -> list[tuple[int, int]]:
     lower = max(0, ceil((#(T)_alpha - chi_s) / 2)), from the size-1 count;
     upper = #_1(T)_alpha, from the size-2 count.
     """
-    t, chi = spec.local_sum, spec.chi
-    return [(max(0, (t.block_count(alpha) - chi[s] + 1) // 2), t.sharp(alpha, 1))
-            for s, alpha in enumerate(mth_roots(ONE, spec.d))]
+    return [(max(0, (sum(table.values()) - chi_s + 1) // 2), table.get(1, 0))
+            for table, chi_s in zip(_slot_tables(spec.local_sum, spec.d),
+                                    spec.chi)]
 
 
 def _dim(table: Mapping[int, int]) -> int:
@@ -387,20 +403,21 @@ class _Assembler:
         # per d-th root: its shifted sizes (>= 3, decreasing) and their
         # dimension, chi_s - #(T)_alpha and #_1(T)_alpha
         self.rules = []
-        for s, alpha in enumerate(mth_roots(ONE, d)):
-            shifted = {size + 1: count for size, count in
-                       t.blocks_at(alpha).items() if size >= 2}
-            self.rules.append((alpha, shifted, _dim(shifted),
-                               chi[s] - t.block_count(alpha), t.sharp(alpha, 1)))
+        for table, chi_s in zip(_slot_tables(t, d), chi):
+            shifted = {size + 1: count for size, count in table.items()
+                       if size >= 2}
+            self.rules.append((shifted, _dim(shifted),
+                               chi_s - sum(table.values()), table.get(1, 0)))
         # the pieces with a block above size n, in root order, the same for
         # every beta as n >= 2: the lifts of such tables of T (lifted only
         # if there are any) and the slots' shifted sizes
         runs = lifted_runs(self.conj, d - 1) if any(
             next(iter(table)) > n for _, table in items) else iter([[]] * (d + 1))
-        pieces = [piece for alpha, shifted, *_ in self.rules
-                  for piece in next(runs) + [(alpha, shifted)]] + next(runs)
-        self.limit_pieces = [(root, table) for root, table in pieces
-                             if table and next(iter(table)) > n]
+        pieces = [piece for s, (shifted, *_) in enumerate(self.rules)
+                  for piece in next(runs) + (
+                      [(reduced_root(s, d), shifted)] if shifted else [])]
+        self.limit_pieces = [(root, table) for root, table in pieces + next(runs)
+                             if next(iter(table)) > n]
         self.parts: list[dict[int, tuple]] = [{} for _ in range(d)]
         self.lines: list[dict[int, str]] = [{} for _ in range(d)]
         self.run_text: list[str] = []
@@ -411,7 +428,8 @@ class _Assembler:
         parts = self.parts[s]
         if value in parts:
             return parts[value]
-        alpha, shifted, shifted_dim, free_1, ones = self.rules[s]
+        shifted, shifted_dim, free_1, ones = self.rules[s]
+        alpha = reduced_root(s, self.d)
         count_1 = free_1 + 2 * value
         count_2 = ones - value
         lower, upper = self.bounds[s]
@@ -463,40 +481,43 @@ class _Assembler:
         return self.base_blocks + sum(
             sum(self.part(s, value)[1].values()) for s, value in enumerate(beta))
 
-    def text(self, beta: tuple[int, ...]) -> str:
+    def text(self, beta: tuple[int, ...]) -> Iterator[str]:
         """One line per eigenvalue of the structure at beta, in root order,
-        or one line for the empty operator."""
+        yielded as the base runs and the slot lines, or one line for the
+        empty operator."""
         if not self.run_text:
             runs = lifted_runs([(y, _blocks_text(table))
                                 for y, table in self.conj], self.d - 1)
             self.run_text = ["".join([f"  eigenvalue {alpha}: {text}\n"
                                       for alpha, text in run]) for run in runs]
-        pieces = [self.run_text[0]]
+        yield self.run_text[0]
+        empty = not self.run_text[0]
         for s, value in enumerate(beta):
             lines = self.lines[s]
             if value not in lines:
                 alpha, table, _ = self.part(s, value)
                 lines[value] = (f"  eigenvalue {alpha}: {_blocks_text(table)}\n"
                                 if table else "")
-            pieces += (lines[value], self.run_text[s + 1])
-        return "".join(pieces) or "  empty operator (dimension 0)\n"
+            yield lines[value]
+            yield self.run_text[s + 1]
+            empty = empty and not lines[value] and not self.run_text[s + 1]
+        if empty:
+            yield "  empty operator (dimension 0)\n"
 
 
 def _blocks_text(table: Mapping[int, int]) -> str:
     return ", ".join([f"{count} x size {size}" for size, count in table.items()])
 
 
-def _formula_at_roots(zeta: RootExponentVector, t: JordanStructure,
+def _formula_at_roots(zeta: CharPoly, t: JordanStructure,
                       d: int) -> list[int]:
-    """The exponents of zeta * det(x^(d-1) - T) at s/d, s = 0..d-1: zeta's,
-    all at d-th roots as :func:`zeta_of_top_form` gives it, plus T's
-    multiplicity at conj(s/d).  The exponents off the d-th roots are
-    positive; raise when one of these is negative."""
-    own = dict(zeta.items())
-    roots = mth_roots(ONE, d)
-    exps = [own.get(alpha, 0) + t.multiplicity(alpha.conjugate())
-            for alpha in roots]
-    bad = ", ".join(str(alpha) for alpha, e in zip(roots, exps) if e < 0)
+    """The exponents of zeta * det(x^(d-1) - T) at s/d, s = 0..d-1: zeta's
+    plus T's multiplicity at conj(s/d) = (d - s)/d.  The exponents off the
+    d-th roots are positive; raise when one of these is negative."""
+    exps = list(zeta.at)
+    for s, table in enumerate(_slot_tables(t, d)):
+        exps[-s] += _dim(table)
+    bad = ", ".join(str(reduced_root(s, d)) for s, e in enumerate(exps) if e < 0)
     if bad:
         raise InstanceError(
             "non-polynomial result: the local product formula leaves negative "
@@ -506,9 +527,9 @@ def _formula_at_roots(zeta: RootExponentVector, t: JordanStructure,
 
 class CharPoly:
     """The product of (x - alpha)^k over the lifts alpha of each (y, k) of
-    pairs to the m-th roots off the d-th roots, d = m + 1, and of
-    (x - s/d)^(at[s]) over s, every exponent positive; shown and written
-    as the RootExponentVector of the same product."""
+    pairs to the m-th roots off the d-th roots, d = m + 1, every k
+    positive, and of (x - s/d)^(at[s]) over s, at[s] of any sign; shown
+    and written as the RootExponentVector of the same product."""
 
     __slots__ = ("pairs", "m", "at")
 
@@ -537,7 +558,9 @@ class CharPoly:
         the rest by q and angle.  For q not dividing d, Phi_e(x^m) is the
         product of the Phi_q with q / gcd(q, m) = e, each met by the lifts
         of one primitive e-th root: q's orbit is full when pairs hold all
-        primitive e-th roots, with the least value, and only the rest lift."""
+        primitive e-th roots, with the least value, and only the rest lift.
+        A full orbit of slots whose exponents share one sign gives Phi_q
+        the one of least absolute value."""
         slots: dict[int, list[tuple[int, int]]] = {}
         for q, p, k in self._slots():
             slots.setdefault(q, []).append((p, k))
@@ -547,10 +570,12 @@ class CharPoly:
         phis: dict[int, int] = {}
         loose: list[tuple[int, int, int]] = []  # (q, p, exponent)
         for q, orbit in slots.items():
-            low = min(k for _, k in orbit) if len(orbit) == totient(q) else 0
+            ks = [k for _, k in orbit]
+            low = min(ks, key=abs) if len(orbit) == totient(q) and (
+                min(ks) > 0 or max(ks) < 0) else 0
             if low:
                 phis[q] = low
-            loose += [(q, p, k - low) for p, k in orbit if k > low]
+            loose += [(q, p, k - low) for p, k in orbit if k != low]
         for e, orbit in orbits.items():
             low = min(k for _, k in orbit) if len(orbit) == totient(e) else 0
             if low:
@@ -572,7 +597,7 @@ class CharPoly:
         return out
 
 
-def charpoly_local_formula(zeta: RootExponentVector, t: JordanStructure,
+def charpoly_local_formula(zeta: CharPoly, t: JordanStructure,
                            d: int) -> CharPoly:
     """Characteristic polynomial of the assembled operator, from local data:
     zeta * det(x^(d-1) * Id - T), zeta being :func:`zeta_of_top_form`.
@@ -582,37 +607,30 @@ def charpoly_local_formula(zeta: RootExponentVector, t: JordanStructure,
                     _formula_at_roots(zeta, t, d))
 
 
-def zeta_of_top_form(spec: ProblemSpec) -> RootExponentVector:
-    """Zeta function of the degree-d top form, as an exponent vector:
+def zeta_of_top_form(spec: ProblemSpec) -> CharPoly:
+    """Zeta function of the degree-d top form, by its exponents at the d-th
+    roots:
 
     (x - 1)^((-1)^(n+1)) * (x^d - 1)^(((d-1)^(n+1) + (-1)^n)/d - sum mu_i).
     :func:`check_zeta_two_forms` compares it with the product over chi.
     """
     n, d = spec.n, spec.d
     exponent = _top_form_exponent(n, d) - spec.total_mu
-    return RootExponentVector.linear(ONE, -(-1) ** n) * \
-        RootExponentVector.power_minus_one(d, exponent)
+    return CharPoly([], d - 1, [exponent - (-1) ** n] + [exponent] * (d - 1))
 
 
-def check_zeta_two_forms(zeta: RootExponentVector,
-                         chi: Sequence[int]) -> CheckResult:
+def check_zeta_two_forms(zeta: CharPoly, chi: Sequence[int]) -> CheckResult:
     """Compare the (x^d - 1) form of the zeta function with
     prod_s (x - e^(2*pi*i*s/d))^(chi_s), exponent by exponent at the
-    d-th roots as integers; the product is built only to report a
-    failure."""
-    d = len(chi)
-    # zeta's exponents by s, a root off the d-th roots under the key -1
-    exps = {root.num * d // root.den if d % root.den == 0 else -1: exp
-            for root, exp in zeta.items()}
-    if exps == {s: c for s, c in enumerate(chi) if c}:
+    d-th roots as integers; the product is shown only on a failure."""
+    if zeta.at == list(chi):
         return CheckResult(
             "zeta_two_forms", "pass",
             "both closed forms of the zeta function agree: " + str(zeta))
-    product = RootExponentVector((UnitRoot(s, d), chi[s]) for s in range(d))
     return CheckResult(
         "zeta_two_forms", "fail",
         f"the (x^d - 1) form gives {zeta}, "
-        f"the product over chi gives {product}")
+        f"the product over chi gives {CharPoly([], len(chi) - 1, list(chi))}")
 
 
 def check_block_size_limits(pieces: Iterable[tuple[UnitRoot, Mapping[int, int]]],
@@ -632,7 +650,7 @@ def check_block_size_limits(pieces: Iterable[tuple[UnitRoot, Mapping[int, int]]]
                 problems.append(
                     f"{count} blocks of size {size} at eigenvalue {root} "
                     f"exceed the maximum size n+1 = {n + 1}")
-            elif root ** d != ONE or root == ONE:
+            elif d % root.den or root.den == 1:
                 problems.append(
                     f"{count} blocks of size {n + 1} at eigenvalue {root}; "
                     "size n+1 is only allowed at nontrivial d-th roots of "

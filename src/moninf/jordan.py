@@ -96,21 +96,9 @@ class JordanStructure:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("JordanStructure is immutable")
 
-    def sharp(self, alpha: UnitRoot, size: int) -> int:
-        """Number of Jordan blocks of exactly the given size at alpha."""
-        return self._blocks.get(alpha, {}).get(size, 0)
-
-    def block_count(self, alpha: UnitRoot) -> int:
-        """Total number of Jordan blocks at alpha, over all sizes."""
-        return sum(self._blocks.get(alpha, {}).values())
-
     def multiplicity(self, alpha: UnitRoot) -> int:
         """Algebraic multiplicity of alpha: sum of its block sizes."""
         return sum(size * count for size, count in self._blocks.get(alpha, {}).items())
-
-    def blocks_at(self, alpha: UnitRoot) -> dict[int, int]:
-        """Copy of the size -> count table at alpha (empty if absent)."""
-        return dict(self._blocks.get(alpha, {}))
 
     def sizes_at(self, alpha: UnitRoot) -> list[int]:
         """Block sizes at alpha, decreasing, with multiplicity."""

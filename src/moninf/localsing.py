@@ -16,9 +16,10 @@ models are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Union
 
-from .cyclo import UnitRoot
+from .cyclo import UnitRoot, reduced_root
 from .jordan import JordanStructure
 
 
@@ -77,15 +78,16 @@ def local_monodromy(model: SingularityModel, n: int) -> JordanStructure:
             raise ValueError(
                 f"Brieskorn-Pham model has {len(model.exponents)} exponents, "
                 f"expected {n}")
-        counts: dict[UnitRoot, int] = {UnitRoot(0, 1): 1}
+        # the count of each eigenvalue j/L, L = lcm(a_j): adding k/a for
+        # k = 1..a-1 sums the coset of the order-a subgroup, less the entry
+        big = lcm(*model.exponents)
+        counts = [1] + [0] * (big - 1)
         for a in model.exponents:
-            nxt: dict[UnitRoot, int] = {}
-            for root, c in counts.items():
-                for k in range(1, a):
-                    shifted = root * UnitRoot(k, a)
-                    nxt[shifted] = nxt.get(shifted, 0) + c
-            counts = nxt
-        return JordanStructure({root: {1: c} for root, c in counts.items()})
+            step = big // a
+            cosets = [sum(counts[r::step]) for r in range(step)]
+            counts = [total - c for total, c in zip(cosets * a, counts)]
+        return JordanStructure((reduced_root(j, big), {1: c})
+                               for j, c in enumerate(counts) if c)
     if isinstance(model, OrdinaryNode):
         return JordanStructure({UnitRoot(n, 2): {1: 1}})
     if isinstance(model, ExplicitJordan):

@@ -25,6 +25,7 @@ from moninf.infinity import (
     beta_bounds,
     charpoly_local_formula,
     check_block_size_limits,
+    check_zeta_two_forms,
     zeta_of_top_form,
 )
 from moninf.jordan import JordanStructure
@@ -42,9 +43,9 @@ def _from_blocks(pairs):
     return JordanStructure((root, {size: 1}) for root, size in pairs)
 
 
-def _degree(rev):
-    """Sum of the exponents: the degree of a polynomial product."""
-    return sum(e for _, e in rev.items())
+def _table(jordan: JordanStructure, root: UnitRoot) -> dict[int, int]:
+    """The size -> count table of jordan at root, empty if absent."""
+    return dict(dict(jordan.items()).get(root, {}))
 
 
 # structures collected by criteria 1-6, re-checked wholesale by criterion 8
@@ -66,21 +67,21 @@ def test_criterion_1_sextic_reproduction():
                        GivenBeta((0, 1, 0, 0, 0, 1)))
     report = assemble(spec)
     jordan = report.entries[0].jordan
-    assert jordan.blocks_at(UnitRoot(0, 6)) == {1: 8}
+    assert _table(jordan, UnitRoot(0, 6)) == {1: 8}
     for s in (2, 3, 4):
-        assert jordan.blocks_at(UnitRoot(s, 6)) == {1: 9}
+        assert _table(jordan, UnitRoot(s, 6)) == {1: 9}
     for s in (1, 5):
-        assert jordan.blocks_at(UnitRoot(s, 6)) == {1: 5, 2: 5}
+        assert _table(jordan, UnitRoot(s, 6)) == {1: 5, 2: 5}
     off_torsion = [root for root in jordan.spectrum() if root.den > 6]
     assert off_torsion == [UnitRoot(k, 30)
                            for k in (1, 7, 11, 13, 17, 19, 23, 29)]
-    assert all(jordan.blocks_at(root) == {1: 6} for root in off_torsion)
+    assert all(_table(jordan, root) == {1: 6} for root in off_torsion)
     _collect(report)
 
     zero = assemble(ProblemSpec(2, 6, ((BrieskornPham((2, 3)), 6),),
                                 GivenBeta((0,) * 6)))
     for s in (1, 5):
-        assert zero.entries[0].jordan.blocks_at(UnitRoot(s, 6)) == {1: 3, 2: 6}
+        assert _table(zero.entries[0].jordan, UnitRoot(s, 6)) == {1: 3, 2: 6}
     _collect(zero)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -264,13 +265,14 @@ def test_criterion_7_zeta_identity():
             (ExplicitJordan(JordanStructure({UnitRoot(1, 2): {1: mu}})), 1)
             for mu in mus)
         spec = ProblemSpec(n, d, models, EnumerateBeta())
-        zeta = zeta_of_top_form(spec)  # asserts the two closed forms agree
-        assert _degree(zeta) == space - d * sum(mus)
+        zeta = zeta_of_top_form(spec)
+        assert check_zeta_two_forms(zeta, spec.chi).status == "pass"
+        assert sum(zeta.at) == space - d * sum(mus)
     sextic = ProblemSpec(2, 6, ((BrieskornPham((2, 3)), 6),), EnumerateBeta())
     zeta = zeta_of_top_form(sextic)
-    assert dict(zeta.items()) == \
-        {UnitRoot(s, 6): e for s, e in enumerate((8, 9, 9, 9, 9, 9))}
-    assert _degree(zeta) == sum((8, 9, 9, 9, 9, 9))
+    assert zeta.at == [8, 9, 9, 9, 9, 9]
+    assert zeta.to_json() == {"0/1": 8, "1/6": 9, "1/3": 9, "1/2": 9,
+                              "2/3": 9, "5/6": 9}
     print("PASS criterion 7: zeta two-forms identity on 200 random "
           "(n, d, mu) draws; sextic exponents (8,9,9,9,9,9)")
 

@@ -62,6 +62,16 @@ def _pairs(models) -> tuple:
     return tuple((m, len(list(run))) for m, run in itertools.groupby(models))
 
 
+def _table(t: JordanStructure, alpha: UnitRoot) -> dict[int, int]:
+    """The size -> count table of t at alpha, empty if absent."""
+    return dict(dict(t.items()).get(alpha, {}))
+
+
+def _power_minus_one(d: int, exponent: int) -> RootExponentVector:
+    """(x^d - 1)^exponent over the d-th roots, by the validating constructor."""
+    return RootExponentVector((UnitRoot(j, d), exponent) for j in range(d))
+
+
 def _reference(spec: ProblemSpec):
     """Per-copy counting rules: (chi, bounds, structure-of-beta, charpoly)."""
     n, d = spec.n, spec.d
@@ -70,9 +80,9 @@ def _reference(spec: ProblemSpec):
     bounds = []
     for s in range(d):
         alpha = UnitRoot(s, d)
-        total = sum(t.block_count(alpha) for t in copies)
+        total = sum(sum(_table(t, alpha).values()) for t in copies)
         bounds.append((max(0, (total - chi[s] + 1) // 2),
-                       sum(t.sharp(alpha, 1) for t in copies)))
+                       sum(_table(t, alpha).get(1, 0) for t in copies)))
 
     def structure(beta):
         blocks: dict[UnitRoot, Counter] = {}
@@ -80,12 +90,12 @@ def _reference(spec: ProblemSpec):
             alpha = UnitRoot(s, d)
             sizes = Counter({
                 1: chi[s] + 2 * beta[s]
-                - sum(t.block_count(alpha) for t in copies),
-                2: -beta[s] + sum(t.sharp(alpha, 1) for t in copies)})
+                - sum(sum(_table(t, alpha).values()) for t in copies),
+                2: -beta[s] + sum(_table(t, alpha).get(1, 0) for t in copies)})
             if min(sizes.values()) < 0:
                 return None
             for t in copies:
-                for size, count in t.blocks_at(alpha).items():
+                for size, count in _table(t, alpha).items():
                     if size >= 2:
                         sizes[size + 1] += count
             blocks[alpha] = sizes
@@ -94,18 +104,17 @@ def _reference(spec: ProblemSpec):
                 for alpha in mth_roots(xi.conjugate(), d - 1):
                     if alpha ** d != ONE:
                         blocks.setdefault(alpha, Counter()).update(
-                            t.blocks_at(xi))
+                            _table(t, xi))
         return JordanStructure({a: dict(c) for a, c in blocks.items()})
 
     sign = (-1) ** n
-    charpoly = RootExponentVector.linear(ONE, -sign) * \
-        RootExponentVector.power_minus_one(d, (sign + (d - 1) ** (n + 1)) // d)
+    charpoly = RootExponentVector([(ONE, -sign)]) * \
+        _power_minus_one(d, (sign + (d - 1) ** (n + 1)) // d)
     for t in copies:
         charpoly = charpoly * RootExponentVector(
             (alpha, t.multiplicity(xi))
             for xi in t.spectrum() for alpha in mth_roots(xi, d - 1))
-        charpoly = charpoly * RootExponentVector.power_minus_one(
-            d, -t.total_dim)
+        charpoly = charpoly * _power_minus_one(d, -t.total_dim)
     return chi, bounds, structure, charpoly
 
 

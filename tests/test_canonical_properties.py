@@ -1,9 +1,7 @@
 """Property tests for what is built in canonical order without sorting.
 
-`RootExponentVector.power_minus_one` stores the d-th roots as it makes
-them, without checks or sorting, and `cyclo.reduced_root` makes a root
-without the validating constructor's checks; they must give exactly
-what the validating constructor gives.  `cyclic.lifts` streams the
+`cyclo.reduced_root` makes a root without the validating constructor's
+checks; it must give exactly what the validating constructor gives.  `cyclic.lifts` streams the
 lifted pairs in root order, which the assembler relies on; they must
 come as the validating constructor of the cyclic power stores them.
 Order is included: dict equality ignores order, so the items are also
@@ -14,7 +12,10 @@ compared as lists.
 roots; its display and its factor dict must be those of the
 RootExponentVector of the same product, on pairs that are not Galois
 stable, partial orbits, orbits with unequal dimensions and eigenvalues
-at d-th roots, and on both routes of the assembler.
+at d-th roots, and on both routes of the assembler.  The zeta function
+of the top form is the same closed form with no pairs: its exponents at
+the d-th roots, of any sign, are shown by the signed rule of
+RootExponentVector, in the pass and the fail detail of its check.
 """
 
 from __future__ import annotations
@@ -41,10 +42,11 @@ from moninf.infinity import (  # noqa: E402
     ProblemSpec,
     assemble,
     charpoly_local_formula,
+    check_zeta_two_forms,
     zeta_of_top_form,
 )
 from moninf.jordan import JordanStructure  # noqa: E402
-from moninf.localsing import ExplicitJordan  # noqa: E402
+from moninf.localsing import ExplicitJordan, OrdinaryNode  # noqa: E402
 
 ROOTS = st.builds(lambda den, num: UnitRoot(num % den, den),
                   st.integers(1, 24), st.integers(0, 23))
@@ -61,17 +63,6 @@ def test_canonical_structure_equals_the_validated_one(raw, m):
     angles = [Fraction(root.num, root.den) for root, _ in streamed]
     assert angles == sorted(set(angles))
     assert len(streamed) == m * len(t.spectrum())
-
-
-@given(d=st.integers(1, 40), exponent=st.integers(-5, 5))
-def test_power_minus_one_equals_the_validated_product(d, exponent):
-    fast = RootExponentVector.power_minus_one(d, exponent)
-    slow = RootExponentVector((UnitRoot(j, d), exponent) for j in range(d))
-    assert fast == slow
-    assert list(fast.items()) == list(slow.items())
-    assert list(fast.to_json().items()) == list(slow.to_json().items())
-    assert str(fast) == str(slow)
-    assert (fast == RootExponentVector()) == (exponent == 0)
 
 
 @given(den=st.integers(1, 10**6), num=st.integers(0, 10**6))
@@ -157,7 +148,7 @@ def test_both_routes_give_the_products(germs, d):
         assert _forms(report.charpoly) == \
             _forms(report.entries[0].jordan.char_poly())
     zeta, t = zeta_of_top_form(spec), spec.local_sum
-    reference = zeta * RootExponentVector(
+    reference = _zeta_product(2, d, spec.total_mu) * RootExponentVector(
         (alpha, t.multiplicity(y))
         for y in t.spectrum() for alpha in mth_roots(y, d - 1))
     if all(e > 0 for _, e in reference.items()):
@@ -165,3 +156,75 @@ def test_both_routes_give_the_products(germs, d):
         assert _forms(formula) == _forms(reference)
         if not report.entries:
             assert _forms(report.charpoly) == _forms(reference)
+
+
+def _zeta_product(n: int, d: int, total_mu: int) -> RootExponentVector:
+    """(x - 1)^a * (x^d - 1)^b by the validating constructor, with
+    a = (-1)^(n+1) and b = ((d-1)^(n+1) + (-1)^n)/d - total_mu."""
+    b = ((d - 1) ** (n + 1) + (-1) ** n) // d - total_mu
+    return RootExponentVector([(UnitRoot(0, 1), -(-1) ** n)]
+                              + [(UnitRoot(s, d), b) for s in range(d)])
+
+
+def _zeta(n: int, d: int, nodes: int) -> CharPoly:
+    return zeta_of_top_form(ProblemSpec(
+        n, d, ((OrdinaryNode(), nodes),) if nodes else (), EnumerateBeta()))
+
+
+@pytest.mark.parametrize("n, d, nodes, text", [
+    # b = 3 > 0
+    (2, 3, 0, "(x - 1)^2 * Phi_3^3"),
+    # b = 0: only (x - 1)^a is left
+    (2, 3, 3, "(x - 1)^-1"),
+    # a + b = 0: (x - 1) drops out
+    (2, 3, 2, "Phi_3"),
+    (3, 4, 21, "(x + 1)^-1 * Phi_4^-1"),
+    # b < 0: the total Milnor number is above the top exponent
+    (2, 3, 5, "(x - 1)^-3 * Phi_3^-2"),
+    (3, 6, 300, "(x - 1)^-195 * (x + 1)^-196 * Phi_3^-196 * Phi_6^-196"),
+])
+def test_zeta_display_is_signed(n, d, nodes, text):
+    zeta = _zeta(n, d, nodes)
+    assert _forms(zeta) == _forms(_zeta_product(n, d, nodes))
+    assert str(zeta) == text
+
+
+@given(n=st.integers(2, 4), d=DEGREES, data=st.data())
+def test_zeta_closed_form_is_the_validated_product(n, d, data):
+    nodes = data.draw(st.integers(0, (d - 1) ** (n + 1)))
+    assert _forms(_zeta(n, d, nodes)) == _forms(_zeta_product(n, d, nodes))
+
+
+def _failed_detail(zeta: RootExponentVector, chi) -> str:
+    """The fail detail of zeta_two_forms, from validated products."""
+    d = len(chi)
+    product = RootExponentVector((UnitRoot(s, d), c) for s, c in enumerate(chi))
+    return (f"the (x^d - 1) form gives {zeta}, "
+            f"the product over chi gives {product}")
+
+
+def test_failed_zeta_check_shows_mixed_signs():
+    zeta = _zeta(2, 6, 0)
+    chi = [2, 3, -1, 0, 1, -2]
+    result = check_zeta_two_forms(zeta, chi)
+    assert result.status == "fail"
+    assert result.detail == _failed_detail(_zeta_product(2, 6, 0), chi)
+    assert result.detail == (
+        "the (x^d - 1) form gives (x - 1)^20 * (x + 1)^21 * Phi_3^21 * "
+        "Phi_6^21, the product over chi gives (x - 1)^2 * "
+        "(x - zeta(1/3))^-1 * (x - zeta(2/3)) * (x - zeta(1/6))^3 * "
+        "(x - zeta(5/6))^-2")
+
+
+@given(n=st.integers(2, 3), d=DEGREES, data=st.data())
+def test_zeta_check_details_are_those_of_the_products(n, d, data):
+    nodes = data.draw(st.integers(0, (d - 1) ** (n + 1)))
+    chi = data.draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    zeta, product = _zeta(n, d, nodes), _zeta_product(n, d, nodes)
+    result = check_zeta_two_forms(zeta, chi)
+    if result.status == "pass":
+        assert zeta.at == chi
+        assert result.detail == ("both closed forms of the zeta function "
+                                 f"agree: {product}")
+    else:
+        assert result.detail == _failed_detail(product, chi)

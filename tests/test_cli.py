@@ -14,9 +14,9 @@ import pytest
 
 import moninf.infinity
 from moninf.cli import main
-from moninf.cyclo import RootExponentVector
 from moninf.infinity import (
     MAX_REPORT_ENTRIES,
+    CharPoly,
     CheckResult,
     Report,
     parse_problem,
@@ -322,12 +322,20 @@ def test_mid_text_report_holds_no_lifted_charpoly(tmp_path):
 
 def test_refused_json_report_lifts_nothing(tmp_path, monkeypatch, capsys):
     # the entry cap is counted from T and the slots, so a refused report
-    # neither lifts a root nor renders its characteristic polynomial
+    # neither lifts a root nor renders its characteristic polynomial; the
+    # zeta function, a CharPoly without pairs, is rendered for its check
     def forbidden(*args):
         raise AssertionError("a refused --json report made its charpoly")
 
+    shown = moninf.infinity.CharPoly.__str__
+
+    def shown_without_pairs(poly):
+        if poly.pairs:
+            forbidden()
+        return shown(poly)
+
     monkeypatch.setattr(moninf.infinity.CharPoly, "to_json", forbidden)
-    monkeypatch.setattr(moninf.infinity.CharPoly, "__str__", forbidden)
+    monkeypatch.setattr(moninf.infinity.CharPoly, "__str__", shown_without_pairs)
     monkeypatch.setattr("moninf.cyclic.lifts", forbidden)
     instance = tmp_path / "mid.json"
     instance.write_text(json.dumps(MID_INSTANCE))
@@ -392,7 +400,7 @@ def test_compute_exit_2_on_check_failure(monkeypatch, capsys):
 
 def test_compute_exit_2_when_zeta_forms_disagree(monkeypatch, capsys):
     monkeypatch.setattr("moninf.infinity.zeta_of_top_form",
-                        lambda spec: RootExponentVector())
+                        lambda spec: CharPoly([], spec.d - 1, [0] * spec.d))
     assert main(["compute", SEXTIC]) == 2
     out = capsys.readouterr().out
     assert "[fail] zeta_two_forms: the (x^d - 1) form gives 1, the product " \

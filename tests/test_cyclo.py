@@ -105,25 +105,18 @@ def test_totient_small_values():
 
 
 def test_rev_multiplication_adds_exponents():
-    f = RootExponentVector.linear(UnitRoot(1, 6), 2)
+    f = RootExponentVector([(UnitRoot(1, 6), 2)])
     g = RootExponentVector([(UnitRoot(1, 6), -2), (ONE, 3)])
     prod = f * g
     assert dict(prod.items()) == {ONE: 3}
-    assert prod == RootExponentVector.linear(ONE, 3)
+    assert prod == RootExponentVector([(ONE, 3)])
     assert _degree(prod) == 3
-    assert f * RootExponentVector.linear(UnitRoot(1, 6), -2) == \
+    assert f * RootExponentVector([(UnitRoot(1, 6), -2)]) == \
         RootExponentVector()
     assert list(RootExponentVector().items()) == []
     h = RootExponentVector([(ONE, 2), (MINUS_ONE, -1)])
     assert _degree(h) == 1
     assert [e for _, e in h.items()] == [2, -1]
-
-
-def test_power_minus_one_lists_all_roots():
-    f = RootExponentVector.power_minus_one(6, -2)
-    assert [root for root, _ in f.items()] == mth_roots(ONE, 6)
-    assert all(e == -2 for _, e in f.items())
-    assert RootExponentVector.power_minus_one(1) == RootExponentVector.linear(ONE)
 
 
 def test_rev_json_round_trip():
@@ -179,7 +172,7 @@ def _expand(text: str) -> RootExponentVector:
         else:
             root = ({"-": ONE, "+": MINUS_ONE}[sign] if sign
                     else UnitRoot(int(num), int(den)))
-            out = out * RootExponentVector.linear(root, exponent)
+            out = out * RootExponentVector([(root, exponent)])
     return out
 
 

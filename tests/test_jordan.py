@@ -17,6 +17,11 @@ def _from_blocks(pairs):
     return JordanStructure((root, {size: 1}) for root, size in pairs)
 
 
+def _sharp(j: JordanStructure, alpha: UnitRoot, size: int) -> int:
+    """#_size(j)_alpha: the number of blocks of exactly that size at alpha."""
+    return dict(j.items()).get(alpha, {}).get(size, 0)
+
+
 def _degree(rev):
     """Sum of the exponents: the degree of a polynomial product."""
     return sum(e for _, e in rev.items())
@@ -77,11 +82,11 @@ def test_constructor_merges_repeated_roots():
 
 def test_sharp_and_multiplicity():
     j = _from_blocks([(ONE, 3), (ONE, 1), (ONE, 1), (MINUS_ONE, 2)])
-    assert j.sharp(ONE, 1) == 2
-    assert j.sharp(ONE, 3) == 1
-    assert j.sharp(ONE, 2) == 0
-    assert j.sharp(UnitRoot(1, 3), 1) == 0
-    assert j.block_count(ONE) == 3
+    assert _sharp(j, ONE, 1) == 2
+    assert _sharp(j, ONE, 3) == 1
+    assert _sharp(j, ONE, 2) == 0
+    assert _sharp(j, UnitRoot(1, 3), 1) == 0
+    assert sum(dict(j.items())[ONE].values()) == 3
     assert j.multiplicity(ONE) == 5
     assert j.multiplicity(MINUS_ONE) == 2
     assert j.multiplicity(UnitRoot(1, 3)) == 0

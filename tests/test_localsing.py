@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moninf.cyclo import ONE, MINUS_ONE, UnitRoot
 from moninf.jordan import JordanStructure
@@ -29,6 +30,28 @@ def _brute_force_bp_spectrum(exps: tuple[int, ...]) -> dict[UnitRoot, int]:
         root = UnitRoot(total.numerator, total.denominator)
         counts[root] = counts.get(root, 0) + 1
     return counts
+
+
+def _convolved_bp_spectrum(exps: tuple[int, ...]) -> dict[UnitRoot, int]:
+    # the former implementation: convolve the counts one exponent at a
+    # time, as dicts keyed by UnitRoot
+    counts: dict[UnitRoot, int] = {ONE: 1}
+    for a in exps:
+        nxt: dict[UnitRoot, int] = {}
+        for root, c in counts.items():
+            for k in range(1, a):
+                shifted = root * UnitRoot(k, a)
+                nxt[shifted] = nxt.get(shifted, 0) + c
+        counts = nxt
+    return counts
+
+
+@settings(max_examples=30, deadline=None)
+@given(exps=st.lists(st.integers(2, 30), min_size=1, max_size=4))
+def test_brieskorn_counts_equal_the_convolution(exps):
+    t = local_monodromy(BrieskornPham(tuple(exps)), len(exps))
+    assert t == JordanStructure({root: {1: c} for root, c
+                                 in _convolved_bp_spectrum(tuple(exps)).items()})
 
 
 def test_cusp_spectrum():

@@ -287,8 +287,7 @@ def test_matrix_ranks_confirm_the_off_torsion_layer_of_compute(tmp_path,
     reported = JordanStructure.from_json(
         json.loads(capsys.readouterr().out)["jordan"])
     t = JordanStructure.from_json(germ)
-    inverse = JordanStructure((xi.conjugate(), t.blocks_at(xi))
-                              for xi in t.spectrum())
+    inverse = JordanStructure((xi.conjugate(), table) for xi, table in t.items())
     level = math.lcm(*(xi.den for xi in inverse.spectrum()))
     matrix = build_cyclic_matrix(build_jordan_matrix(inverse, level), d - 1)
     assert matrix.nrows == 12
@@ -297,8 +296,8 @@ def test_matrix_ranks_confirm_the_off_torsion_layer_of_compute(tmp_path,
                                   for alpha in mth_roots(xi, d - 1)])
 
     def off_torsion(structure: JordanStructure) -> dict:
-        return {alpha: structure.blocks_at(alpha)
-                for alpha in structure.spectrum() if alpha ** d != ONE}
+        return {alpha: dict(table) for alpha, table in structure.items()
+                if alpha ** d != ONE}
 
     assert off_torsion(ranked) == off_torsion(reported)
     assert off_torsion(reported)[UnitRoot(7, 12)] == {2: 1}
@@ -421,8 +420,7 @@ def test_simple_candidates_cost_no_elimination(monkeypatch):
     j = JordanStructure({MINUS_ONE: {1: 1}})
     expected, actual = verify_cyclic_agreement(j, 6)
     assert actual == expected
-    assert [actual.blocks_at(alpha) for alpha in actual.spectrum()] \
-        == [{1: 1}] * 6
+    assert [dict(table) for _, table in actual.items()] == [{1: 1}] * 6
     m = build_cyclic_matrix(build_jordan_matrix(j, 2), 6)
     assert len(oracle._components(m.rows)) == 1
     assert jordan_type(m, mth_roots(ONE, 12)) == actual
