@@ -21,7 +21,8 @@ import itertools
 from bisect import bisect_left
 from typing import Iterable, Iterator, TypeVar
 
-from .cyclo import ONE, UnitRoot, mth_roots, reduced_root
+from .cyclo import UnitRoot, reduced_root
+from .cyclo import mth_roots  # noqa: F401 -- perfbench/spans.py wraps this name
 from .jordan import JordanStructure
 
 V = TypeVar("V")
@@ -49,18 +50,21 @@ def lifted_runs(pairs: list[tuple[UnitRoot, V]], m: int
                 ) -> Iterator[list[tuple[UnitRoot, V]]]:
     """The lifts of pairs, in the m + 2 runs before, between and after the
     (m+1)-th roots of unity.  The root s/(m+1) lies in the range of
-    j = max(s-1, 0), where the lift of its conjugate would: when pairs
-    has that eigenvalue, its lift is s/(m+1) itself, and it is left out."""
-    roots = [root for root, _ in pairs]
+    j = max(s-1, 0), where the lift of its conjugate k/(m+1) would: when
+    pairs has that eigenvalue, its lift is s/(m+1) itself, and it is left
+    out.  A root num/den lies below k/(m+1) just when num*(m+1)//den does
+    below k, so the roots of pairs are bisected on those integers."""
+    keys = [root.num * (m + 1) // root.den for root, _ in pairs]
     stream = lifts(pairs, m)
     done = 0
-    for s, root in enumerate(mth_roots(ONE, m + 1)):
-        mirror = root.conjugate()
-        at = bisect_left(roots, mirror)
-        end = max(s - 1, 0) * len(roots) + at
+    for s in range(m + 1):
+        k = -s % (m + 1)
+        at = bisect_left(keys, k)
+        end = max(s - 1, 0) * len(keys) + at
         yield list(itertools.islice(stream, end - done))
         done = end
-        if at < len(roots) and roots[at] == mirror:
+        if at < len(keys) and \
+                pairs[at][0].num * (m + 1) == k * pairs[at][0].den:
             next(stream)
             done += 1
     yield list(stream)

@@ -79,7 +79,8 @@ class ProjectivePointSet:
             raise ValueError(f"projective dimension must be >= 1, got {self.dim}")
         normalized = []
         for point in self.points:
-            coords = tuple(Fraction(c) for c in point)
+            coords = [c if isinstance(c, (int, Fraction)) else Fraction(c)
+                      for c in point]
             if len(coords) != self.dim + 1:
                 raise ValueError(
                     f"point {point!r} needs {self.dim + 1} coordinates")

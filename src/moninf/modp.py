@@ -10,6 +10,12 @@ big-integer multiply-add, with no borrow between slots.  A row meets at
 most u = min(#rows, #columns) stored rows, so no slot exceeds
 p - 1 + u*(p - 1)^2; the slot is the smallest whole number of bytes
 (at least 8) that holds that bound, so no slot carries into the next.
+
+After its updates a row is brought back to residues in [0, p) in packed
+form, every slot at once: folds that replace 2^32 by 2^32 mod p take
+each slot below 2^33, then 2^j*p is subtracted, for j down to 0, from
+the slots v with bit 40 of v + 2^40 - 2^j*p set.  A zero row is then
+the int 0, and its pivot column is read off its lowest set bit.
 """
 
 from __future__ import annotations
@@ -26,14 +32,15 @@ def eliminate(rows: list[list[int]], prime: int = PRIME,
 
     Returns the indices of the pivot rows and, for each row that reduces
     to zero, its support: the row itself and the pivot rows with a
-    nonzero coefficient in its relation mod prime.  Each stored row is
-    scaled to 1 at its pivot column and keeps the multipliers that
-    express it through earlier stored rows, so a relation found against
-    the stored rows is rewritten in the original pivot rows by one
-    backward pass.
+    nonzero coefficient in its relation mod prime.  A stored row is not
+    scaled: it keeps the inverse of its pivot entry, which each update
+    multiplies into its multiplier, and the multipliers that express it
+    through earlier stored rows, so a relation found against the stored
+    rows is rewritten in the original pivot rows by one backward pass.
 
-    A row is packed at its first update, unpacked and reduced mod prime
-    once, before its pivot search, and repacked once, when it is stored.
+    A row is packed once, before its updates, and stays packed: it is
+    reduced to residues, tested for zero, searched for its pivot and
+    stored as one int.
     """
     if not 2 <= prime <= PRIME:
         raise ValueError(f"the modulus must be a prime <= {PRIME}")
@@ -45,57 +52,46 @@ def eliminate(rows: list[list[int]], prime: int = PRIME,
     slots = struct.Struct("<" + f"Q{size - 8}x" * ncols)
     low = int.from_bytes((b"\xff" * 4 + bytes(size - 4)) * ncols, "little")
     high = int.from_bytes((b"\xff" * (size - 4) + bytes(4)) * ncols, "little")
-    fold = (1 << 32) % prime
+    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * ncols, "little")
+    fold, folds, top = (1 << 32) % prime, 0, bound
+    while top >> 33:
+        top = (1 << 32) - 1 + (top >> 32) * fold
+        folds += 1
+    steps = [(prime << j, ((1 << 40) - (prime << j)) * ones)
+             for j in reversed(range((top // prime).bit_length()))]
 
-    def unpack(packed: int) -> list[int]:
-        # fold each slot v = lo + 2^32*hi to lo + hi*(2^32 mod p), which
-        # fits the slot since p < 2^31, until every slot is below 2^64;
-        # the bound at least halves each time
-        top = bound
-        while top >> 64:
-            packed = (packed & low) + (packed >> 32 & high) * fold
-            top = (1 << 32) - 1 + (top >> 32) * fold
-        return [x % prime for x in slots.unpack(packed.to_bytes(
-            size * ncols, "little"))]
-
-    basis: list[tuple[int, int, dict[int, int]]] = []
+    basis: list[tuple[int, int, int, dict[int, int]]] = []
     pivots: list[int] = []
     supports: list[set[int]] = []
     for index, row in enumerate(rows):
         used = {}
-        packed = None
-        steps = enumerate(basis)
-        # the row stays a list until its first update ...
-        for j, (col, stored, _) in steps:
-            f = row[col]
-            if f:
-                used[j] = f
-                packed = int.from_bytes(slots.pack(*row), "little") \
-                    + (prime - f) * stored
-                break
-        # ... and takes the remaining updates packed
-        for j, (col, stored, _) in steps:
-            f = (packed >> col * width & mask) % prime
+        packed = int.from_bytes(slots.pack(*row), "little")
+        for j, (col, stored, inv, _) in enumerate(basis):
+            f = (packed >> col * width & mask) * inv % prime
             if f:
                 used[j] = f
                 packed += (prime - f) * stored
-        if packed is not None:
-            row = unpack(packed)
-        col = next((c for c, x in enumerate(row) if x), None)
-        if col is None:
+        if used:
+            # each fold v = lo + 2^32*hi -> lo + hi*(2^32 mod p) at least
+            # halves v - 2^33, as 2^32 mod p < 2^31; then each slot, below
+            # 2^(j+1)*p, loses 2^j*p where it holds that much
+            for _ in range(folds):
+                packed = (packed & low) + (packed >> 32 & high) * fold
+            for step, lift in steps:
+                packed -= ((packed + lift) >> 40 & ones) * step
+        if not packed:
             support = {index}
             for j in range(len(basis) - 1, -1, -1):
                 c = used.get(j, 0) % prime
                 if c:
                     support.add(pivots[j])
-                    for j2, m in basis[j][2].items():
+                    for j2, m in basis[j][3].items():
                         used[j2] = used.get(j2, 0) - c * m
             supports.append(support)
             continue
-        inv = pow(row[col], -1, prime)
-        basis.append((col, int.from_bytes(
-            slots.pack(*[x * inv % prime for x in row]), "little"),
-            {j: f * inv % prime for j, f in used.items()}))
+        col = ((packed & -packed).bit_length() - 1) // width
+        inv = pow(packed >> col * width & mask, -1, prime)
+        basis.append((col, packed, inv, used))
         pivots.append(index)
         if len(pivots) == ncols:
             break

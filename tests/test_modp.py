@@ -58,6 +58,13 @@ def _matrices(draw):
     p = draw(st.sampled_from(PRIMES))
     # u = min(#rows, #columns) just below or just at the slot boundary
     u = _slot_boundary(p) - draw(st.integers(0, 1))
+    return p, draw(_rows(p, u))
+
+
+@st.composite
+def _rows(draw, p: int, u: int):
+    """u x (u + 0..3) or (u + 0..3) x u rows mod p: entries, combinations
+    of earlier rows and rows of p - 1."""
     other = u + draw(st.integers(0, 3))
     nrows, ncols = draw(st.permutations([u, other]))
     entry = st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1)
@@ -74,7 +81,7 @@ def _matrices(draw):
         else:
             rows.append(draw(st.lists(entry, min_size=ncols,
                                       max_size=ncols)))
-    return p, rows
+    return rows
 
 
 def test_slot_boundary_sits_between_4_and_5_rows():
@@ -86,6 +93,47 @@ def test_slot_boundary_sits_between_4_and_5_rows():
 def test_eliminate_matches_the_dense_reference(case):
     p, rows = case
     assert eliminate([row[:] for row in rows], p) == _reference(rows, p)
+
+
+# Primes of every size up to PRIME.  For 2^30 + 3, just above a power of
+# two, 2^32 mod p is close to p, so a fold takes only about 2 bits off the
+# slots' bound: 16 folds at the slot boundary, against 2 or 3 near 2^31.
+# 8191 and 65537 fold at most once and the smaller primes never, so their
+# residues come from the subtractions of 2^j*p alone.
+ALL_PRIMES = (2, 3, 5, 7, 8191, 65537, 2**30 + 3, _prime_for_level(24)[0],
+              PRIME)
+
+
+@st.composite
+def _matrices_over_all_primes(draw):
+    p = draw(st.sampled_from(ALL_PRIMES))
+    if (p - 1) ** 2 >> 60:
+        # at or just below the slot boundary: 5 updates for the primes
+        # near 2^31, 16 for 2^30 + 3
+        u = _slot_boundary(p) - draw(st.integers(0, 1))
+    else:
+        u = draw(st.integers(1, 7))
+    return p, draw(_rows(p, u))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices_over_all_primes())
+def test_eliminate_matches_the_dense_reference_for_every_prime_size(case):
+    p, rows = case
+    assert eliminate([row[:] for row in rows], p) == _reference(rows, p)
+
+
+@pytest.mark.parametrize("p", [8191, 65537])
+def test_a_row_that_passes_2_to_the_33_for_a_small_prime(p):
+    # as in the test below, with the fewest updates that take the tail
+    # slots to 2^33 or more, so that their residues need a fold by 2^32
+    updates = next(u for u in range(1, 200)
+                   if p - 1 + u * (p - 1) ** 2 >= 1 << 33)
+    rows = [[int(c == j) for c in range(updates)] + [p - 1] * 3
+            for j in range(updates)]
+    rows.append([1] * updates + [p - 1] * 3)
+    # the tail of the last row is updates - 1 mod p, not zero
+    assert eliminate(rows, p) == (list(range(updates + 1)), [])
 
 
 @pytest.mark.parametrize("p", PRIMES)
