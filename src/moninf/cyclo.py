@@ -1,29 +1,25 @@
-"""Exact arithmetic on roots of unity and on formal products of linear factors.
+"""Exact arithmetic on roots of unity and characteristic polynomials.
 
 A root of unity e^(2*pi*i*p/q) is represented by the reduced fraction p/q,
 i.e. as an element of Q/Z stored with 0 <= p < q and gcd(p, q) = 1.  The
-group operation (multiplication of roots) is addition of fractions mod 1,
-and the multiplicative order of the root is the denominator q.
+multiplicative order of the root is the denominator q.
 
-A :class:`RootExponentVector` is the formal product
-
-    prod_alpha (x - alpha)^(e_alpha)
-
-over roots of unity alpha with nonzero integer exponents e_alpha.  Negative
-exponents are allowed, so characteristic polynomials and zeta-function
-quotients share one representation.  The product is never expanded into
-coefficient form; its display only regroups full Galois orbits into
-cyclotomic factors Phi_q, as does a report's characteristic polynomial,
-kept in the closed form ``infinity.CharPoly``.
+A :class:`CharPoly` is a product of linear factors (x - alpha) over roots
+of unity in closed form: lifts of (eigenvalue, dimension) pairs to the
+m-th roots, and exponents of any sign at the (m+1)-th roots.  It is
+never expanded over its roots; its display regroups full Galois orbits
+into cyclotomic factors Phi_q.  A Jordan structure's characteristic
+polynomial is one with m = 1; a report's and the zeta function of the
+top form are ones with m = d - 1.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Iterable, Iterator, Mapping, Union
+from math import gcd
+from typing import Iterator
 
 _ROOT_RE = re.compile(r"^\s*(-?\d+)\s*/\s*(\d+)\s*$")
 
@@ -43,16 +39,9 @@ class UnitRoot:
         if den <= 0:
             raise ValueError(f"denominator must be positive, got {den}")
         num %= den
-        g = math.gcd(num, den)
+        g = gcd(num, den)
         object.__setattr__(self, "num", num // g)
         object.__setattr__(self, "den", den // g)
-
-    def __mul__(self, other: UnitRoot) -> UnitRoot:
-        return UnitRoot(self.num * other.den + other.num * self.den,
-                        self.den * other.den)
-
-    def __pow__(self, k: int) -> UnitRoot:
-        return UnitRoot(self.num * k, self.den)
 
     def conjugate(self) -> UnitRoot:
         """Complex conjugate, which is also the multiplicative inverse."""
@@ -78,7 +67,7 @@ def reduced_root(num: int, den: int) -> UnitRoot:
     """UnitRoot(num, den) for ints 0 <= num < den, which the callers'
     own roots guarantee: it reduces by the gcd but skips the type and
     sign checks and the reduction mod 1 of the validating constructor."""
-    g = math.gcd(num, den)
+    g = gcd(num, den)
     root = object.__new__(UnitRoot)
     fields = root.__dict__
     fields["num"], fields["den"] = num // g, den // g
@@ -120,77 +109,80 @@ def totient(q: int) -> int:
     return result
 
 
-_FactorInput = Union[Mapping[UnitRoot, int], Iterable[tuple[UnitRoot, int]]]
+class CharPoly:
+    """The product of (x - alpha)^k over the lifts alpha of each (y, k) of
+    pairs to the m-th roots off the d-th roots, d = m + 1, every k
+    positive, and of (x - s/d)^(at[s]) over s, at[s] of any sign.  At
+    m = 1 each root is its own lift and d = 2: pairs hold a Jordan
+    structure's multiplicities, and at those at 1 and -1.
 
-
-class RootExponentVector:
-    """Formal product of (x - root)^exponent factors, exponents in Z \\ {0}.
-
-    Immutable; multiplication adds exponents and drops cancelled roots.
+    >>> print(CharPoly([(UnitRoot(1, 3), 1)], 1, [2, 0]))
+    (x - 1)^2 * (x - zeta(1/3))
     """
 
-    __slots__ = ("_factors",)
+    __slots__ = ("pairs", "m", "at")
 
-    def __init__(self, factors: _FactorInput = ()) -> None:
-        acc: dict[UnitRoot, int] = {}
-        items = factors.items() if isinstance(factors, Mapping) else factors
-        for root, exp in items:
-            if not isinstance(root, UnitRoot):
-                raise TypeError(f"expected UnitRoot key, got {type(root).__name__}")
-            if not isinstance(exp, int):
-                raise TypeError(f"exponent for {root} must be an integer")
-            if exp:
-                acc[root] = acc.get(root, 0) + exp
-        object.__setattr__(self, "_factors",
-                           {r: acc[r] for r in sorted(acc) if acc[r] != 0})
+    def __init__(self, pairs: list[tuple[UnitRoot, int]], m: int,
+                 at: list[int]) -> None:
+        self.pairs, self.m, self.at = pairs, m, at
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("RootExponentVector is immutable")
+    def _lifts(self, y: UnitRoot) -> Iterator[tuple[int, int]]:
+        """(q, p) for each lift p/q of y off the d-th roots, reduced."""
+        big, d = self.m * y.den, self.m + 1
+        for a in range(y.num, big, y.den):
+            g = gcd(a, big)
+            if d % (big // g):
+                yield big // g, a // g
 
-    def items(self) -> Iterator[tuple[UnitRoot, int]]:
-        """(root, exponent) pairs in increasing angle order."""
-        return iter(self._factors.items())
-
-    def __mul__(self, other: RootExponentVector) -> RootExponentVector:
-        merged = dict(self._factors)
-        for root, exp in other._factors.items():
-            merged[root] = merged.get(root, 0) + exp
-        return RootExponentVector(merged)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RootExponentVector):
-            return NotImplemented
-        return self._factors == other._factors
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{r}: {e}" for r, e in self._factors.items())
-        return f"RootExponentVector({{{inner}}})"
+    def _slots(self) -> Iterator[tuple[int, int, int]]:
+        """(q, p, exponent) for each d-th root p/q that is a factor."""
+        d = self.m + 1
+        for s, k in enumerate(self.at):
+            if k:
+                g = gcd(s, d)
+                yield d // g, s // g, k
 
     def __str__(self) -> str:
-        """The product as Phi_q powers, then linear factors.
-
-        For each denominator q whose full set of primitive q-th roots appears
-        with exponents of one common sign, the signed minimum exponent is
-        pulled out as Phi_q, written (x - 1) for q = 1 and (x + 1) for q = 2;
-        whatever remains stays as linear factors (x - zeta(p/q)).  The
-        expansion of the display always equals the product exactly.
-        """
-        by_den: dict[int, dict[UnitRoot, int]] = {}
-        for root, exp in self._factors.items():
-            by_den.setdefault(root.den, {})[root] = exp
-        phis: list[tuple[str, int]] = []
-        loose: list[tuple[str, int]] = []
-        for q, orbit in sorted(by_den.items()):
-            exps = orbit.values()
-            if len(orbit) == totient(q) and (all(e > 0 for e in exps)
-                                             or all(e < 0 for e in exps)):
-                e = min(exps, key=abs)
-                phis.append(({1: "(x - 1)", 2: "(x + 1)"}.get(q, f"Phi_{q}"), e))
-                orbit = {r: v - e for r, v in orbit.items()}
-            loose.extend((f"(x - zeta({r}))", v) for r, v in orbit.items() if v)
-        return " * ".join(base if e == 1 else f"{base}^{e}"
-                          for base, e in phis + loose) or "1"
+        """Phi_q powers by q, then linear factors (x - zeta(p/q)) by q and
+        angle, Phi_1 and Phi_2 written (x - 1) and (x + 1).  A full orbit
+        of slots whose exponents share one sign gives Phi_q the one of
+        least absolute value and the rest stays linear, so the display
+        expands to the product exactly.  For q not dividing d, Phi_e(x^m)
+        is the product of the Phi_q with q / gcd(q, m) = e, each met by the
+        lifts of one primitive e-th root: q's orbit is full when pairs hold
+        all primitive e-th roots, with the least value, and only the rest
+        lift."""
+        slots: dict[int, list[tuple[int, int]]] = {}
+        for q, p, k in self._slots():
+            slots.setdefault(q, []).append((p, k))
+        orbits: dict[int, list[tuple[UnitRoot, int]]] = {}
+        for y, k in self.pairs:
+            orbits.setdefault(y.den, []).append((y, k))
+        phis: dict[int, int] = {}
+        loose: list[tuple[int, int, int]] = []  # (q, p, exponent)
+        for q, orbit in slots.items():
+            ks = [k for _, k in orbit]
+            low = min(ks, key=abs) if len(orbit) == totient(q) and (
+                min(ks) > 0 or max(ks) < 0) else 0
+            if low:
+                phis[q] = low
+            loose += [(q, p, k - low) for p, k in orbit if k != low]
+        for e, orbit in orbits.items():
+            low = min(k for _, k in orbit) if len(orbit) == totient(e) else 0
+            if low:
+                phis.update((q, low) for q, _ in self._lifts(orbit[0][0]))
+            loose += [(q, p, k - low) for y, k in orbit if k > low
+                      for q, p in self._lifts(y)]
+        factors = [({1: "(x - 1)", 2: "(x + 1)"}.get(q, f"Phi_{q}"), k)
+                   for q, k in sorted(phis.items())]
+        factors += [(f"(x - zeta({p}/{q}))", k) for q, p, k in sorted(loose)]
+        return " * ".join(base if k == 1 else f"{base}^{k}"
+                          for base, k in factors) or "1"
 
     def to_json(self) -> dict[str, int]:
-        """JSON form: {"num/den": exponent} with roots in increasing order."""
-        return {str(r): e for r, e in self._factors.items()}
+        """{"num/den": exponent} over every root, the slots first; the
+        --json writer sorts the keys."""
+        out = {f"{p}/{q}": k for q, p, k in self._slots()}
+        for y, k in self.pairs:
+            out.update((f"{p}/{q}", k) for q, p in self._lifts(y))
+        return out

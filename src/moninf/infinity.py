@@ -27,11 +27,11 @@ germ.  The assembled Jordan structure has two layers:
   the charpoly formula's det(x^(d-1) - T); neither power is built.
 
 The report's characteristic polynomial, of the first vector or of the
-formula, is a :class:`CharPoly`: the (eigenvalue, dimension) pairs of
-conj(T) or T, m = d - 1 and the exponents at the d-th roots.  Its
-display reads each full Galois orbit off T, and its JSON is made only
-when a --json report is written, so a text report lifts the base once.
-The zeta function of the top form is a CharPoly without pairs.
+formula, is a :class:`cyclo.CharPoly`: the (eigenvalue, dimension)
+pairs of conj(T) or T, m = d - 1 and the exponents at the d-th roots.
+Its display reads each full Galois orbit off T, and its JSON is made
+only when a --json report is written, so a text report lifts the base
+once.  The zeta function of the top form is a CharPoly without pairs.
 
 beta changes only the slots, each built once per value of beta_s.  What
 the checks need of the base is read off T once, so they cost O(d) per
@@ -49,12 +49,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import partial
-from math import gcd
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .cyclic import lifted_runs
-from .cyclo import ONE, UnitRoot, reduced_root, totient
+from .cyclo import ONE, CharPoly, UnitRoot, reduced_root
 from .cyclo import mth_roots  # noqa: F401 -- perfbench/spans.py wraps this name
 from .defect import ProjectivePointSet, nodal_beta
 from .jordan import JordanStructure, Rows, Runs
@@ -523,78 +522,6 @@ def _formula_at_roots(zeta: CharPoly, t: JordanStructure,
             "non-polynomial result: the local product formula leaves negative "
             f"exponents at {bad}; local data admits no consistent operator")
     return exps
-
-
-class CharPoly:
-    """The product of (x - alpha)^k over the lifts alpha of each (y, k) of
-    pairs to the m-th roots off the d-th roots, d = m + 1, every k
-    positive, and of (x - s/d)^(at[s]) over s, at[s] of any sign; shown
-    and written as the RootExponentVector of the same product."""
-
-    __slots__ = ("pairs", "m", "at")
-
-    def __init__(self, pairs: list[tuple[UnitRoot, int]], m: int,
-                 at: list[int]) -> None:
-        self.pairs, self.m, self.at = pairs, m, at
-
-    def _lifts(self, y: UnitRoot) -> Iterator[tuple[int, int]]:
-        """(q, p) for each lift p/q of y off the d-th roots, reduced."""
-        big, d = self.m * y.den, self.m + 1
-        for a in range(y.num, big, y.den):
-            g = gcd(a, big)
-            if d % (big // g):
-                yield big // g, a // g
-
-    def _slots(self) -> Iterator[tuple[int, int, int]]:
-        """(q, p, exponent) for each d-th root p/q that is a factor."""
-        d = self.m + 1
-        for s, k in enumerate(self.at):
-            if k:
-                g = gcd(s, d)
-                yield d // g, s // g, k
-
-    def __str__(self) -> str:
-        """Phi_q to the least exponent of its orbit when full, by q, then
-        the rest by q and angle.  For q not dividing d, Phi_e(x^m) is the
-        product of the Phi_q with q / gcd(q, m) = e, each met by the lifts
-        of one primitive e-th root: q's orbit is full when pairs hold all
-        primitive e-th roots, with the least value, and only the rest lift.
-        A full orbit of slots whose exponents share one sign gives Phi_q
-        the one of least absolute value."""
-        slots: dict[int, list[tuple[int, int]]] = {}
-        for q, p, k in self._slots():
-            slots.setdefault(q, []).append((p, k))
-        orbits: dict[int, list[tuple[UnitRoot, int]]] = {}
-        for y, k in self.pairs:
-            orbits.setdefault(y.den, []).append((y, k))
-        phis: dict[int, int] = {}
-        loose: list[tuple[int, int, int]] = []  # (q, p, exponent)
-        for q, orbit in slots.items():
-            ks = [k for _, k in orbit]
-            low = min(ks, key=abs) if len(orbit) == totient(q) and (
-                min(ks) > 0 or max(ks) < 0) else 0
-            if low:
-                phis[q] = low
-            loose += [(q, p, k - low) for p, k in orbit if k != low]
-        for e, orbit in orbits.items():
-            low = min(k for _, k in orbit) if len(orbit) == totient(e) else 0
-            if low:
-                phis.update((q, low) for q, _ in self._lifts(orbit[0][0]))
-            loose += [(q, p, k - low) for y, k in orbit if k > low
-                      for q, p in self._lifts(y)]
-        factors = [({1: "(x - 1)", 2: "(x + 1)"}.get(q, f"Phi_{q}"), k)
-                   for q, k in sorted(phis.items())]
-        factors += [(f"(x - zeta({p}/{q}))", k) for q, p, k in sorted(loose)]
-        return " * ".join(base if k == 1 else f"{base}^{k}"
-                          for base, k in factors) or "1"
-
-    def to_json(self) -> dict[str, int]:
-        """{"num/den": exponent} over every root, the slots first; the
-        --json writer sorts the keys."""
-        out = {f"{p}/{q}": k for q, p, k in self._slots()}
-        for y, k in self.pairs:
-            out.update((f"{p}/{q}", k) for q, p in self._lifts(y))
-        return out
 
 
 def charpoly_local_formula(zeta: CharPoly, t: JordanStructure,

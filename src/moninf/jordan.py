@@ -11,7 +11,7 @@ from __future__ import annotations
 from operator import eq, itemgetter
 from typing import Callable, ItemsView, Iterable, Iterator, Mapping
 
-from .cyclo import RootExponentVector, UnitRoot
+from .cyclo import MINUS_ONE, ONE, CharPoly, UnitRoot
 
 
 class Runs:
@@ -127,11 +127,10 @@ class JordanStructure:
         return sum(size * count for _, sizes in self._blocks.items()
                    for size, count in sizes.items())
 
-    def char_poly(self) -> RootExponentVector:
-        """Characteristic polynomial prod (x - alpha)^multiplicity."""
-        return RootExponentVector(
-            (root, self.multiplicity(root)) for root in self._blocks
-        )
+    def char_poly(self) -> CharPoly:
+        """Characteristic polynomial, as the CharPoly with m = 1."""
+        return CharPoly([(root, self.multiplicity(root)) for root in self._blocks],
+                        1, [self.multiplicity(ONE), self.multiplicity(MINUS_ONE)])
 
     def is_conjugation_symmetric(self) -> bool:
         """True when the block data at alpha and at conj(alpha) agree."""

@@ -37,6 +37,8 @@ from moninf.localsing import (
 )
 from moninf.oracle import verify_cyclic_agreement
 
+from _product import display, of_jordan, to_json
+
 
 def _from_blocks(pairs):
     """One Jordan block per (eigenvalue, size) pair."""
@@ -140,9 +142,9 @@ def test_criterion_3_charpoly_formula_on_200_specs():
         formula = charpoly_local_formula(
             zeta_of_top_form(spec), spec.local_sum, spec.d)
         for entry in report.entries:
-            poly = entry.jordan.char_poly()
-            assert str(poly) == str(formula), (spec.n, spec.d)
-            assert poly.to_json() == formula.to_json(), (spec.n, spec.d)
+            poly = of_jordan(entry.jordan)
+            assert display(poly) == str(formula), (spec.n, spec.d)
+            assert to_json(poly) == formula.to_json(), (spec.n, spec.d)
     print("PASS criterion 3: local product formula matches assembled "
           "characteristic polynomial on 200 random specs")
 

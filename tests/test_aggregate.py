@@ -24,7 +24,7 @@ import moninf.cyclic
 import moninf.infinity
 from moninf.cli import _json_chunks, main
 from moninf.cyclic import lifts
-from moninf.cyclo import ONE, RootExponentVector, UnitRoot, mth_roots
+from moninf.cyclo import ONE, CharPoly, UnitRoot, mth_roots
 from moninf.infinity import (
     EnumerateBeta,
     GivenBeta,
@@ -44,6 +44,7 @@ from moninf.localsing import (
     local_monodromy,
     milnor_number,
 )
+from _product import Product, display, of_jordan, product, times, to_json
 from test_exactness import (
     MULTI_VECTOR_INSTANCE,
     NON_SEMISIMPLE_ENUMERATE_INSTANCE,
@@ -67,9 +68,9 @@ def _table(t: JordanStructure, alpha: UnitRoot) -> dict[int, int]:
     return dict(dict(t.items()).get(alpha, {}))
 
 
-def _power_minus_one(d: int, exponent: int) -> RootExponentVector:
-    """(x^d - 1)^exponent over the d-th roots, by the validating constructor."""
-    return RootExponentVector((UnitRoot(j, d), exponent) for j in range(d))
+def _power_minus_one(d: int, exponent: int) -> Product:
+    """(x^d - 1)^exponent over the d-th roots."""
+    return product((UnitRoot(j, d), exponent) for j in range(d))
 
 
 def _reference(spec: ProblemSpec):
@@ -102,19 +103,19 @@ def _reference(spec: ProblemSpec):
         for t in copies:
             for xi in t.spectrum():
                 for alpha in mth_roots(xi.conjugate(), d - 1):
-                    if alpha ** d != ONE:
+                    if d % alpha.den:
                         blocks.setdefault(alpha, Counter()).update(
                             _table(t, xi))
         return JordanStructure({a: dict(c) for a, c in blocks.items()})
 
     sign = (-1) ** n
-    charpoly = RootExponentVector([(ONE, -sign)]) * \
-        _power_minus_one(d, (sign + (d - 1) ** (n + 1)) // d)
+    charpoly = times(product([(ONE, -sign)]),
+                     _power_minus_one(d, (sign + (d - 1) ** (n + 1)) // d))
     for t in copies:
-        charpoly = charpoly * RootExponentVector(
+        charpoly = times(charpoly, product(
             (alpha, t.multiplicity(xi))
-            for xi in t.spectrum() for alpha in mth_roots(xi, d - 1))
-        charpoly = charpoly * _power_minus_one(d, -t.total_dim)
+            for xi in t.spectrum() for alpha in mth_roots(xi, d - 1)))
+        charpoly = times(charpoly, _power_minus_one(d, -t.total_dim))
     return chi, bounds, structure, charpoly
 
 
@@ -169,10 +170,10 @@ def test_assemble_matches_per_copy_rules(given):
         chi, bounds, structure, charpoly = _reference(spec)
         assert beta_bounds(spec) == bounds
         zeta = zeta_of_top_form(spec)
-        if all(e > 0 for _, e in charpoly.items()):
+        if all(e > 0 for e in charpoly.values()):
             formula = charpoly_local_formula(zeta, spec.local_sum, spec.d)
-            assert str(formula) == str(charpoly)
-            assert formula.to_json() == charpoly.to_json()
+            assert str(formula) == display(charpoly)
+            assert formula.to_json() == to_json(charpoly)
         else:
             with pytest.raises(InstanceError, match="non-polynomial"):
                 charpoly_local_formula(zeta, spec.local_sum, spec.d)
@@ -286,11 +287,11 @@ def test_compute_never_calls_cyclic_power_for_a_given_beta(monkeypatch,
 def test_validated_structures_do_not_grow_with_the_beta_count(cap,
                                                              monkeypatch):
     # the base is streamed from T and each vector adds only its d slots, so
-    # assembling builds no Jordan structure and as many validated exponent
-    # vectors (those of zeta) whatever the number of vectors
+    # assembling builds no Jordan structure and as many characteristic
+    # polynomials (the report's and zeta's) whatever the number of vectors
     spec = moninf.infinity.parse_problem(NON_SEMISIMPLE_ENUMERATE_INSTANCE)
     calls = [_count_calls(monkeypatch, cls, "__init__")
-             for cls in (JordanStructure, RootExponentVector)]
+             for cls in (JordanStructure, CharPoly)]
     counts = []
     for vectors in (1, cap):
         for seen in calls:
@@ -368,9 +369,9 @@ def test_assembled_structures_are_canonical(given):
             assert streamed == [(root, entry.jordan.sizes_at(root))
                                 for root in entry.jordan.spectrum()]
         if report.entries:
-            poly = report.entries[0].jordan.char_poly()
-            assert str(report.charpoly) == str(poly)
-            assert report.charpoly.to_json() == poly.to_json()
+            poly = of_jordan(report.entries[0].jordan)
+            assert str(report.charpoly) == display(poly)
+            assert report.charpoly.to_json() == to_json(poly)
 
 
 def test_symmetric_sum_of_asymmetric_germs_is_not_applicable():

@@ -7,15 +7,16 @@ come as the validating constructor of the cyclic power stores them.
 Order is included: dict equality ignores order, so the items are also
 compared as lists.
 
-`infinity.CharPoly` is a characteristic polynomial in closed form from
+`cyclo.CharPoly` is a characteristic polynomial in closed form from
 (eigenvalue, dimension) pairs, m = d - 1 and the exponents at the d-th
-roots; its display and its factor dict must be those of the
-RootExponentVector of the same product, on pairs that are not Galois
-stable, partial orbits, orbits with unequal dimensions and eigenvalues
-at d-th roots, and on both routes of the assembler.  The zeta function
-of the top form is the same closed form with no pairs: its exponents at
-the d-th roots, of any sign, are shown by the signed rule of
-RootExponentVector, in the pass and the fail detail of its check.
+roots; its display and its factor dict must be those of the reference
+product in `_product`, on pairs that are not Galois stable, partial
+orbits, orbits with unequal dimensions and eigenvalues at d-th roots,
+and on both routes of the assembler.  A Jordan structure's `char_poly`
+is the same closed form with m = 1.  The zeta function of the top form
+is the closed form with no pairs: its exponents at the d-th roots, of
+any sign, are shown by the signed rule of the reference, in the pass and
+the fail detail of its check.
 """
 
 from __future__ import annotations
@@ -26,17 +27,18 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 
 from moninf.cyclic import cyclic_power, lifts  # noqa: E402
 from moninf.cyclo import (  # noqa: E402
-    RootExponentVector,
+    MINUS_ONE,
+    ONE,
+    CharPoly,
     UnitRoot,
     mth_roots,
     reduced_root,
 )
 from moninf.infinity import (  # noqa: E402
-    CharPoly,
     EnumerateBeta,
     InstanceError,
     ProblemSpec,
@@ -47,6 +49,9 @@ from moninf.infinity import (  # noqa: E402
 )
 from moninf.jordan import JordanStructure  # noqa: E402
 from moninf.localsing import ExplicitJordan, OrdinaryNode  # noqa: E402
+
+from _product import (  # noqa: E402
+    Product, closed, display, forms, of_jordan, product, times)
 
 ROOTS = st.builds(lambda den, num: UnitRoot(num % den, den),
                   st.integers(1, 24), st.integers(0, 23))
@@ -103,16 +108,6 @@ def _pairs_and_slots(draw):
     return d, pairs, at
 
 
-def _product(d: int, pairs, at) -> RootExponentVector:
-    """prod_s (x - s/d)^(at[s]) times the lifts of pairs to the (d-1)-th
-    roots off the d-th roots, each with its pair's value."""
-    factors = [(UnitRoot(s, d), e) for s, e in enumerate(at)]
-    for y, k in pairs:
-        factors += [(alpha, k) for alpha in mth_roots(y, d - 1)
-                    if d % alpha.den]
-    return RootExponentVector(factors)
-
-
 def _forms(poly) -> tuple[str, dict[str, int]]:
     return str(poly), poly.to_json()
 
@@ -120,12 +115,37 @@ def _forms(poly) -> tuple[str, dict[str, int]]:
 @given(case=_pairs_and_slots())
 def test_closed_charpoly_is_the_product(case):
     d, pairs, at = case
-    assert _forms(CharPoly(pairs, d - 1, at)) == _forms(_product(d, pairs, at))
+    assert _forms(CharPoly(pairs, d - 1, at)) == forms(closed(d, pairs, at))
 
 
 def test_empty_closed_charpoly_is_one():
     for d in (2, 3, 12):
         assert _forms(CharPoly([], d - 1, [0] * d)) == ("1", {})
+
+
+@st.composite
+def _structures(draw) -> JordanStructure:
+    """Jordan structures with blocks at 1 and -1 and at whole Galois
+    orbits and parts of them, one table on an orbit or one per root."""
+    blocks = {}
+    for den in draw(st.lists(st.integers(1, 12), max_size=5)):
+        whole, shared = draw(st.booleans()), draw(st.one_of(st.none(), TABLES))
+        for num in range(den):
+            if math.gcd(num, den) == 1 and (whole or draw(st.booleans())):
+                blocks[UnitRoot(num, den)] = shared or draw(TABLES)
+    return JordanStructure(blocks)
+
+
+@given(j=_structures())
+@example(j=JordanStructure())
+@example(j=JordanStructure({ONE: {2: 1}, MINUS_ONE: {1: 3},
+                            UnitRoot(1, 3): {1: 2}, UnitRoot(2, 3): {2: 1},
+                            UnitRoot(1, 6): {1: 1}, UnitRoot(3, 8): {4: 1}}))
+def test_char_poly_is_the_reference_product(j):
+    # the CharPoly with m = 1, its roots 1 and -1 in the slots
+    assert _forms(j.char_poly()) == forms(of_jordan(j))
+    if not j:
+        assert _forms(j.char_poly()) == ("1", {})
 
 
 GERMS = st.builds(lambda raw: ExplicitJordan(JordanStructure(raw)),
@@ -146,24 +166,24 @@ def test_both_routes_give_the_products(germs, d):
         return
     if report.entries:
         assert _forms(report.charpoly) == \
-            _forms(report.entries[0].jordan.char_poly())
+            forms(of_jordan(report.entries[0].jordan))
     zeta, t = zeta_of_top_form(spec), spec.local_sum
-    reference = _zeta_product(2, d, spec.total_mu) * RootExponentVector(
+    reference = times(_zeta_product(2, d, spec.total_mu), product(
         (alpha, t.multiplicity(y))
-        for y in t.spectrum() for alpha in mth_roots(y, d - 1))
-    if all(e > 0 for _, e in reference.items()):
+        for y in t.spectrum() for alpha in mth_roots(y, d - 1)))
+    if all(e > 0 for e in reference.values()):
         formula = charpoly_local_formula(zeta, t, d)
-        assert _forms(formula) == _forms(reference)
+        assert _forms(formula) == forms(reference)
         if not report.entries:
-            assert _forms(report.charpoly) == _forms(reference)
+            assert _forms(report.charpoly) == forms(reference)
 
 
-def _zeta_product(n: int, d: int, total_mu: int) -> RootExponentVector:
-    """(x - 1)^a * (x^d - 1)^b by the validating constructor, with
-    a = (-1)^(n+1) and b = ((d-1)^(n+1) + (-1)^n)/d - total_mu."""
+def _zeta_product(n: int, d: int, total_mu: int) -> Product:
+    """(x - 1)^a * (x^d - 1)^b over the roots, with a = (-1)^(n+1) and
+    b = ((d-1)^(n+1) + (-1)^n)/d - total_mu."""
     b = ((d - 1) ** (n + 1) + (-1) ** n) // d - total_mu
-    return RootExponentVector([(UnitRoot(0, 1), -(-1) ** n)]
-                              + [(UnitRoot(s, d), b) for s in range(d)])
+    return product([(UnitRoot(0, 1), -(-1) ** n)]
+                   + [(UnitRoot(s, d), b) for s in range(d)])
 
 
 def _zeta(n: int, d: int, nodes: int) -> CharPoly:
@@ -185,22 +205,22 @@ def _zeta(n: int, d: int, nodes: int) -> CharPoly:
 ])
 def test_zeta_display_is_signed(n, d, nodes, text):
     zeta = _zeta(n, d, nodes)
-    assert _forms(zeta) == _forms(_zeta_product(n, d, nodes))
+    assert _forms(zeta) == forms(_zeta_product(n, d, nodes))
     assert str(zeta) == text
 
 
 @given(n=st.integers(2, 4), d=DEGREES, data=st.data())
 def test_zeta_closed_form_is_the_validated_product(n, d, data):
     nodes = data.draw(st.integers(0, (d - 1) ** (n + 1)))
-    assert _forms(_zeta(n, d, nodes)) == _forms(_zeta_product(n, d, nodes))
+    assert _forms(_zeta(n, d, nodes)) == forms(_zeta_product(n, d, nodes))
 
 
-def _failed_detail(zeta: RootExponentVector, chi) -> str:
-    """The fail detail of zeta_two_forms, from validated products."""
+def _failed_detail(zeta: Product, chi) -> str:
+    """The fail detail of zeta_two_forms, from reference products."""
     d = len(chi)
-    product = RootExponentVector((UnitRoot(s, d), c) for s, c in enumerate(chi))
-    return (f"the (x^d - 1) form gives {zeta}, "
-            f"the product over chi gives {product}")
+    over_chi = product((UnitRoot(s, d), c) for s, c in enumerate(chi))
+    return (f"the (x^d - 1) form gives {display(zeta)}, "
+            f"the product over chi gives {display(over_chi)}")
 
 
 def test_failed_zeta_check_shows_mixed_signs():
@@ -220,11 +240,11 @@ def test_failed_zeta_check_shows_mixed_signs():
 def test_zeta_check_details_are_those_of_the_products(n, d, data):
     nodes = data.draw(st.integers(0, (d - 1) ** (n + 1)))
     chi = data.draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
-    zeta, product = _zeta(n, d, nodes), _zeta_product(n, d, nodes)
+    zeta, reference = _zeta(n, d, nodes), _zeta_product(n, d, nodes)
     result = check_zeta_two_forms(zeta, chi)
     if result.status == "pass":
         assert zeta.at == chi
         assert result.detail == ("both closed forms of the zeta function "
-                                 f"agree: {product}")
+                                 f"agree: {display(reference)}")
     else:
-        assert result.detail == _failed_detail(product, chi)
+        assert result.detail == _failed_detail(reference, chi)

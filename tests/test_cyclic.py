@@ -51,7 +51,7 @@ def test_block_counts_pull_back_along_mth_power():
         assert c.spectrum() == expected_spectrum
         tables = dict(t.items())
         for alpha, table in c.items():
-            assert table == tables[alpha ** m]
+            assert table == tables[UnitRoot(alpha.num * m, alpha.den)]
 
 
 def test_composition_multiplies_orders():

@@ -1,32 +1,43 @@
-"""Tests for exact root-of-unity arithmetic and factored products."""
+"""Tests for exact root-of-unity arithmetic and characteristic polynomials."""
 
 from __future__ import annotations
 
+import doctest
 import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
+import moninf.cyclo
 from moninf.cyclo import (
     ONE,
     MINUS_ONE,
-    RootExponentVector,
+    CharPoly,
     UnitRoot,
     mth_roots,
     totient,
 )
 
+from _product import closed, display, forms, product, times, to_json
 
-def _degree(rev):
+
+def _degree(p):
     """Sum of the exponents: the degree of a polynomial product."""
-    return sum(e for _, e in rev.items())
+    return sum(p.values())
+
+
+def _power(alpha: UnitRoot, k: int) -> UnitRoot:
+    """alpha^k: the angle num/den times k."""
+    return UnitRoot(alpha.num * k, alpha.den)
 
 
 def _brute_force_mth_roots(xi: UnitRoot, m: int) -> list[UnitRoot]:
     # any alpha with alpha**m == xi has order dividing m * xi.den
     n = m * xi.den
-    return sorted({UnitRoot(p, n) for p in range(n) if UnitRoot(p, n) ** m == xi})
+    return sorted({UnitRoot(p, n) for p in range(n)
+                   if _power(UnitRoot(p, n), m) == xi})
 
 
 def test_unitroot_normalizes_to_reduced_residue():
@@ -43,13 +54,9 @@ def test_unitroot_normalizes_to_reduced_residue():
 
 def test_unitroot_group_operations():
     a = UnitRoot(1, 6)
-    b = UnitRoot(1, 4)
-    assert a * b == UnitRoot(5, 12)
-    assert a ** 3 == MINUS_ONE
-    assert a ** -1 == UnitRoot(5, 6)
-    assert a ** 0 == ONE
     assert a.conjugate() == UnitRoot(5, 6)
-    assert a * a.conjugate() == ONE
+    b = a.conjugate()
+    assert (Fraction(a.num, a.den) + Fraction(b.num, b.den)) % 1 == 0
 
 
 def test_unitroot_sort_order_is_by_angle():
@@ -92,7 +99,7 @@ def test_mth_roots_against_brute_force():
         assert got == _brute_force_mth_roots(xi, m)
         assert len(got) == m
         assert got == sorted(got)
-        assert all(alpha ** m == xi for alpha in got)
+        assert all(_power(alpha, m) == xi for alpha in got)
 
 
 def test_totient_small_values():
@@ -105,50 +112,50 @@ def test_totient_small_values():
 
 
 def test_rev_multiplication_adds_exponents():
-    f = RootExponentVector([(UnitRoot(1, 6), 2)])
-    g = RootExponentVector([(UnitRoot(1, 6), -2), (ONE, 3)])
-    prod = f * g
-    assert dict(prod.items()) == {ONE: 3}
-    assert prod == RootExponentVector([(ONE, 3)])
+    # the reference product that the CharPoly tests compare with
+    f = product([(UnitRoot(1, 6), 2)])
+    g = product([(UnitRoot(1, 6), -2), (ONE, 3)])
+    prod = times(f, g)
+    assert prod == {ONE: 3}
     assert _degree(prod) == 3
-    assert f * RootExponentVector([(UnitRoot(1, 6), -2)]) == \
-        RootExponentVector()
-    assert list(RootExponentVector().items()) == []
-    h = RootExponentVector([(ONE, 2), (MINUS_ONE, -1)])
+    assert times(f, product([(UnitRoot(1, 6), -2)])) == product([]) == {}
+    h = product([(ONE, 2), (MINUS_ONE, -1)])
     assert _degree(h) == 1
-    assert [e for _, e in h.items()] == [2, -1]
+    assert list(h.values()) == [2, -1]
 
 
 def test_rev_json_round_trip():
-    f = RootExponentVector([(UnitRoot(1, 6), 2), (ONE, -3), (UnitRoot(5, 6), 1)])
+    f = CharPoly([(UnitRoot(1, 6), 2), (UnitRoot(5, 6), 1)], 1, [-3, 0])
     data = f.to_json()
     assert data == {"0/1": -3, "1/6": 2, "5/6": 1}
-    assert list(data) == ["0/1", "1/6", "5/6"]
-    assert RootExponentVector(
-        (UnitRoot.parse(key), exp) for key, exp in data.items()) == f
+    reference = closed(2, f.pairs, f.at)
+    assert list(to_json(reference)) == ["0/1", "1/6", "5/6"]
+    assert product(
+        (UnitRoot.parse(key), exp) for key, exp in data.items()) == reference
 
 
 def test_factor_list_groups_full_orbits():
-    f = RootExponentVector([(UnitRoot(1, 6), 1), (UnitRoot(5, 6), 1)])
+    f = CharPoly([(UnitRoot(1, 6), 1), (UnitRoot(5, 6), 1)], 1, [0, 0])
     assert str(f) == "Phi_6"
 
-    g = RootExponentVector([(ONE, 3)])
+    g = CharPoly([], 1, [3, 0])
     assert str(g) == "(x - 1)^3"
 
 
 def test_factor_list_extracts_signed_minimum():
-    f = RootExponentVector([(UnitRoot(1, 6), 2), (UnitRoot(5, 6), 1)])
+    f = CharPoly([(UnitRoot(1, 6), 2), (UnitRoot(5, 6), 1)], 1, [0, 0])
     assert str(f) == "Phi_6 * (x - zeta(1/6))"
 
-    neg = RootExponentVector([(UnitRoot(1, 3), -2), (UnitRoot(2, 3), -5)])
+    # the exponents at the cube roots of unity, of any sign
+    neg = CharPoly([], 2, [0, -2, -5])
     assert str(neg) == "Phi_3^-2 * (x - zeta(2/3))^-3"
 
 
 def test_factor_list_skips_mixed_signs_and_partial_orbits():
-    mixed = RootExponentVector([(UnitRoot(1, 6), 2), (UnitRoot(5, 6), -1)])
+    mixed = CharPoly([], 5, [0, 2, 0, 0, 0, -1])
     assert str(mixed) == "(x - zeta(1/6))^2 * (x - zeta(5/6))^-1"
 
-    partial = RootExponentVector([(UnitRoot(1, 5), 1), (UnitRoot(2, 5), 1)])
+    partial = CharPoly([(UnitRoot(1, 5), 1), (UnitRoot(2, 5), 1)], 1, [0, 0])
     assert str(partial) == "(x - zeta(1/5)) * (x - zeta(2/5))"
 
 
@@ -156,9 +163,9 @@ _FACTOR_RE = re.compile(
     r"(?:Phi_(\d+)|\(x ([-+]) 1\)|\(x - zeta\((\d+)/(\d+)\)\))(?:\^(-?\d+))?")
 
 
-def _expand(text: str) -> RootExponentVector:
+def _expand(text: str) -> dict[UnitRoot, int]:
     """The product a display string writes, expanded over its roots."""
-    out = RootExponentVector()
+    factors = []
     for factor in [] if text == "1" else text.split(" * "):
         match = _FACTOR_RE.fullmatch(factor)
         assert match, factor
@@ -166,33 +173,42 @@ def _expand(text: str) -> RootExponentVector:
         exponent = int(exp or 1)
         if phi:
             q = int(phi)
-            out = out * RootExponentVector(
-                (UnitRoot(p, q), exponent)
-                for p in range(q) if math.gcd(p, q) == 1)
+            factors += [(UnitRoot(p, q), exponent)
+                        for p in range(q) if math.gcd(p, q) == 1]
         else:
             root = ({"-": ONE, "+": MINUS_ONE}[sign] if sign
                     else UnitRoot(int(num), int(den)))
-            out = out * RootExponentVector([(root, exponent)])
-    return out
+            factors.append((root, exponent))
+    return product(factors)
 
 
 def test_factor_list_expansion_round_trip():
     rng = random.Random(1729)
     for _ in range(100):
-        pairs = []
+        d = rng.choice([2, 3, 4, 6, 7, 12])
+        pairs = {}
         for _ in range(rng.randrange(0, 12)):
             den = rng.randrange(1, 13)
-            pairs.append((UnitRoot(rng.randrange(den), den),
-                          rng.choice([-3, -2, -1, 1, 2, 3])))
-        f = RootExponentVector(pairs)
-        assert _expand(str(f)) == f
+            pairs[UnitRoot(rng.randrange(den), den)] = rng.randrange(1, 4)
+        at = [rng.choice([-3, -2, -1, 0, 1, 2, 3]) for _ in range(d)]
+        f = CharPoly(sorted(pairs.items()), d - 1, at)
+        reference = closed(d, f.pairs, at)
+        assert _expand(str(f)) == reference
+        assert forms(reference) == (str(f), f.to_json())
+        assert _expand(display(reference)) == reference
 
 
 def test_format_factors_rendering():
-    assert str(RootExponentVector()) == "1"
-    f = RootExponentVector([(ONE, 8), (MINUS_ONE, 9), (UnitRoot(1, 3), 9),
-                            (UnitRoot(2, 3), 9), (UnitRoot(1, 6), 9),
-                            (UnitRoot(5, 6), 9)])
+    assert str(CharPoly([], 1, [0, 0])) == "1"
+    f = CharPoly([(UnitRoot(1, 3), 9), (UnitRoot(2, 3), 9),
+                  (UnitRoot(1, 6), 9), (UnitRoot(5, 6), 9)], 1, [8, 9])
     assert str(f) == "(x - 1)^8 * (x + 1)^9 * Phi_3^9 * Phi_6^9"
-    g = RootExponentVector([(UnitRoot(7, 30), 2), (MINUS_ONE, -1)])
+    g = CharPoly([(UnitRoot(7, 30), 2)], 1, [0, -1])
     assert str(g) == "(x + 1)^-1 * (x - zeta(7/30))^2"
+
+
+def test_doctests_of_the_module_pass():
+    # mth_roots and CharPoly's m = 1 convention, which char_poly uses
+    failed, attempted = doctest.testmod(moninf.cyclo)
+    assert failed == 0
+    assert attempted >= 2

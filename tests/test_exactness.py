@@ -11,7 +11,9 @@ nothing from the oracle, so the check stays independent.  The one
 elimination mod p is in modp.py, which the defect and the oracle both
 import; the oracle imports nothing from the defect.  Every function,
 class and method of the package is named somewhere in it outside its own
-definition, so no helper stays that only tests call.  Two oracle reports,
+definition, so no helper stays that only tests call, and no class
+defines an arithmetic operator, which that name check cannot see.  Two
+oracle reports,
 an oracle report with injected counterexamples in text and in JSON,
 three defect reports (one on coordinates beyond 2^64), eight from_nodes
 compute reports (four of them at the benchmark's sizes), one large Brieskorn
@@ -197,6 +199,35 @@ def test_unnamed_finder_sees_a_helper_only_tests_call():
                      "    def again(self):\n        return self.again()\n")
     assert _unnamed([("m.py", tree)]) == ["m.py: only_tests", "m.py: C",
                                           "m.py: C.again"]
+
+
+ARITHMETIC_DUNDERS = {"__add__", "__sub__", "__mul__", "__rmul__",
+                      "__truediv__", "__pow__", "__neg__"}
+
+
+def _operators(modules: list[tuple[str, ast.Module]]) -> list[str]:
+    """Arithmetic-operator dunders that a class defines."""
+    return [f"{module}: {node.name}.{item.name}"
+            for module, tree in modules for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and item.name in ARITHMETIC_DUNDERS]
+
+
+def test_no_class_defines_an_arithmetic_operator():
+    """_unnamed skips dunders, since Python calls them without naming
+    them, so an operator that only tests use passes it: UnitRoot.__mul__
+    and __pow__ did until they were deleted.  The package composes its
+    roots and polynomials as fractions and closed forms, never by
+    operators, so none may be defined."""
+    assert _operators(_modules()) == []
+
+
+def test_operator_finder_sees_an_arithmetic_dunder():
+    tree = ast.parse("class C:\n    def __eq__(self, other):\n        pass\n"
+                     "    def __mul__(self, other):\n        pass\n"
+                     "def __pow__(x, k):\n    pass\n")
+    assert _operators([("m.py", tree)]) == ["m.py: C.__mul__"]
 
 
 @pytest.mark.parametrize("argv, digest", [

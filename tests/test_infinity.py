@@ -8,7 +8,7 @@ import random
 import pytest
 
 from moninf.cli import _json_chunks
-from moninf.cyclo import ONE, RootExponentVector, UnitRoot
+from moninf.cyclo import UnitRoot
 from moninf.defect import ProjectivePointSet
 from moninf.infinity import (
     EnumerateBeta,
@@ -33,6 +33,8 @@ from moninf.localsing import (
     milnor_number,
 )
 
+from _product import forms, of_jordan
+
 
 CUSP = BrieskornPham((2, 3))
 
@@ -44,9 +46,9 @@ def _formula(spec: ProblemSpec):
 
 
 def _forms(poly) -> tuple[str, dict[str, int]]:
-    """The display and the full factor dict of a characteristic
-    polynomial, closed form or RootExponentVector: two products are equal
-    exactly when their factor dicts are."""
+    """The display and the full factor dict of a CharPoly, as
+    `_product.forms` gives them of the reference product: two products
+    are equal exactly when their factor dicts are."""
     return str(poly), poly.to_json()
 
 
@@ -158,9 +160,9 @@ def test_beta_bump_moves_counts_by_two_and_minus_one():
 
 def test_charpoly_is_beta_independent():
     report = assemble(_sextic_spec(EnumerateBeta()))
-    polys = [entry.jordan.char_poly() for entry in report.entries]
+    polys = [of_jordan(entry.jordan) for entry in report.entries]
     assert polys
-    assert all(_forms(poly) == _forms(report.charpoly) for poly in polys)
+    assert all(forms(poly) == _forms(report.charpoly) for poly in polys)
 
 
 def test_sextic_charpoly_display():
@@ -221,8 +223,8 @@ def test_smooth_cubic_curve():
         UnitRoot(2, 3): {1: 3},
     })
     assert report.entries[0].jordan == expected
-    assert _forms(_formula(spec)) == _forms(expected.char_poly())
-    assert _forms(zeta_of_top_form(spec)) == _forms(expected.char_poly())
+    assert _forms(_formula(spec)) == forms(of_jordan(expected))
+    assert _forms(zeta_of_top_form(spec)) == forms(of_jordan(expected))
 
 
 def test_from_nodes_line_arrangement():
@@ -279,7 +281,7 @@ def test_part_two_uses_inverse_spectrum():
     })
     assert report.entries[0].jordan == expected
     # the reported char poly is the assembled operator's, not the formula's
-    assert _forms(report.charpoly) == _forms(expected.char_poly()) \
+    assert _forms(report.charpoly) == forms(of_jordan(expected)) \
         != _forms(_formula(spec))
     statuses = {check.name: check.status for _, check in report.all_checks()}
     assert statuses["charpoly_local_formula"] == "not_applicable"
@@ -347,7 +349,7 @@ def test_charpoly_formula_on_random_symmetric_data():
         report = assemble(ProblemSpec(n, d, tuple((m, 1) for m in models),
                                       EnumerateBeta()), enumerate_cap=8)
         for entry in report.entries:
-            assert _forms(entry.jordan.char_poly()) == _forms(report.charpoly)
+            assert forms(of_jordan(entry.jordan)) == _forms(report.charpoly)
         for _, check in report.all_checks():
             assert check.status == "pass", (n, d, models, check)
 

@@ -40,7 +40,7 @@ def _convolved_bp_spectrum(exps: tuple[int, ...]) -> dict[UnitRoot, int]:
         nxt: dict[UnitRoot, int] = {}
         for root, c in counts.items():
             for k in range(1, a):
-                shifted = root * UnitRoot(k, a)
+                shifted = UnitRoot(root.num * a + k * root.den, root.den * a)
                 nxt[shifted] = nxt.get(shifted, 0) + c
         counts = nxt
     return counts
