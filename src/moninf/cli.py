@@ -32,6 +32,7 @@ from .infinity import (
     InstanceError,
     assemble,
     beta_bounds,
+    chi_runs,
     parse_problem,
     zeta_of_top_form,
 )
@@ -105,13 +106,9 @@ def _json_chunks(value: object, indent: str = "\n") -> Iterator[str]:
                 lead = sep
         yield indent + "]"
     elif isinstance(value, Runs):
-        lead, sep = "[" + inner, "," + inner
-        for item, count in value.pairs:
-            text = str(item)
-            while count:
-                take = min(count, _JOIN_SLICE)
-                yield lead + text + (sep + text) * (take - 1)
-                lead, count = sep, count - take
+        if value:
+            yield "[" + inner
+            yield from value.joined("," + inner)
         yield indent + "]" if value else "[]"
     elif isinstance(value, Rows):
         # one piece per row; the text of each distinct list of at most
@@ -170,15 +167,14 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     spec = parse_problem(_load_json(args.instance))
-    chi = list(spec.chi)
+    chi = chi_runs(spec.chi)
     rows = [{"s": s, "eigenvalue": str(UnitRoot(s, spec.d)),
              "lower": lower, "upper": upper}
             for s, (lower, upper) in enumerate(beta_bounds(spec))]
     lines = [f"admissible beta ranges for n = {spec.n}, d = {spec.d}",
-             f"chi = {chi}"]
-    for row in rows:
-        lines.append(f"  s = {row['s']} (eigenvalue {row['eigenvalue']}): "
-                     f"{row['lower']}..{row['upper']}")
+             f"chi = [{''.join(chi.joined(', '))}]"] + [
+        f"  s = {row['s']} (eigenvalue {row['eigenvalue']}): "
+        f"{row['lower']}..{row['upper']}" for row in rows]
     doc = {"n": spec.n, "d": spec.d, "chi": chi, "bounds": rows}
     _emit(args, ["\n".join(lines) + "\n"], doc)
     return 0
@@ -187,9 +183,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_zeta(args: argparse.Namespace) -> int:
     spec = parse_problem(_load_json(args.instance))
     zeta = zeta_of_top_form(spec)
-    chi, shown = list(spec.chi), str(zeta)
+    chi, shown = chi_runs(spec.chi), str(zeta)
     text = (f"zeta of the top form for n = {spec.n}, d = {spec.d}: {shown}\n"
-            f"chi = {chi}")
+            f"chi = [{''.join(chi.joined(', '))}]")
     doc = {"n": spec.n, "d": spec.d, "chi": chi,
            "zeta": zeta.to_json(), "zeta_display": shown}
     _emit(args, [text + "\n"], doc)
@@ -305,17 +301,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                 "m": m, "structure": structure.to_json(),
                 "expected": expected.to_json(), "error": error,
                 "actual": None if actual is None else actual.to_json()})
-    lines = []
-    if exhaustive:
-        lines.append(
-            f"oracle: exhaustive sweep, {comparisons} comparisons "
-            f"(dimension <= {max_dim}, eigenvalue orders dividing 6, "
-            f"m in 2..{max_m})")
-    else:
-        lines.append(
-            f"oracle: {args.trials} random trials, seed {args.seed} "
-            f"(dimension <= {max_dim}, eigenvalue orders dividing 12, "
-            f"m in 2..{max_m})")
+    sweep = (f"exhaustive sweep, {comparisons} comparisons" if exhaustive
+             else f"{args.trials} random trials, seed {args.seed}")
+    lines = [f"oracle: {sweep} (dimension <= {max_dim}, eigenvalue orders "
+             f"dividing {6 if exhaustive else 12}, m in 2..{max_m})"]
     for row in counterexamples:
         # each structure's JSON form on one line, as json.dumps writes it
         one_line = {key: json.dumps(row[key], default=list)
@@ -355,23 +344,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact Jordan structure of the monodromy at infinity")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compute",
-                       help="assemble the operator and run all checks")
-    p.add_argument("instance", help="instance JSON document")
-    p.add_argument("--enumerate-cap", type=int, default=DEFAULT_ENUMERATE_CAP,
-                   help="maximum number of beta vectors in enumerate mode")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_compute)
-
-    p = sub.add_parser("bounds", help="admissible beta range table")
-    p.add_argument("instance", help="instance JSON document")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("zeta", help="zeta function of the top form")
-    p.add_argument("instance", help="instance JSON document")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_zeta)
+    for name, func, text in (
+            ("compute", cmd_compute, "assemble the operator and run all checks"),
+            ("bounds", cmd_bounds, "admissible beta range table"),
+            ("zeta", cmd_zeta, "zeta function of the top form")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("instance", help="instance JSON document")
+        if func is cmd_compute:
+            p.add_argument("--enumerate-cap", type=int, default=DEFAULT_ENUMERATE_CAP,
+                           help="maximum number of beta vectors in enumerate mode")
+        _add_output_flags(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("defect",
                        help="defect of a linear system through rational points")

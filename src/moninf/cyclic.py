@@ -54,6 +54,9 @@ def lifted_runs(pairs: list[tuple[UnitRoot, V]], m: int
     pairs has that eigenvalue, its lift is s/(m+1) itself, and it is left
     out.  A root num/den lies below k/(m+1) just when num*(m+1)//den does
     below k, so the roots of pairs are bisected on those integers."""
+    if not pairs:
+        yield from itertools.repeat([], m + 2)
+        return
     keys = [root.num * (m + 1) // root.den for root, _ in pairs]
     stream = lifts(pairs, m)
     done = 0

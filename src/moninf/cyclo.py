@@ -120,11 +120,12 @@ class CharPoly:
     (x - 1)^2 * (x - zeta(1/3))
     """
 
-    __slots__ = ("pairs", "m", "at")
+    __slots__ = ("pairs", "m", "at", "_shown")
 
     def __init__(self, pairs: list[tuple[UnitRoot, int]], m: int,
                  at: list[int]) -> None:
         self.pairs, self.m, self.at = pairs, m, at
+        self._shown = ""  # the display, made on the first str()
 
     def _lifts(self, y: UnitRoot) -> Iterator[tuple[int, int]]:
         """(q, p) for each lift p/q of y off the d-th roots, reduced."""
@@ -151,7 +152,9 @@ class CharPoly:
         is the product of the Phi_q with q / gcd(q, m) = e, each met by the
         lifts of one primitive e-th root: q's orbit is full when pairs hold
         all primitive e-th roots, with the least value, and only the rest
-        lift."""
+        lift.  It is made once and kept."""
+        if self._shown:
+            return self._shown
         slots: dict[int, list[tuple[int, int]]] = {}
         for q, p, k in self._slots():
             slots.setdefault(q, []).append((p, k))
@@ -176,8 +179,9 @@ class CharPoly:
         factors = [({1: "(x - 1)", 2: "(x + 1)"}.get(q, f"Phi_{q}"), k)
                    for q, k in sorted(phis.items())]
         factors += [(f"(x - zeta({p}/{q}))", k) for q, p, k in sorted(loose)]
-        return " * ".join(base if k == 1 else f"{base}^{k}"
-                          for base, k in factors) or "1"
+        self._shown = " * ".join(base if k == 1 else f"{base}^{k}"
+                                 for base, k in factors) or "1"
+        return self._shown
 
     def to_json(self) -> dict[str, int]:
         """{"num/den": exponent} over every root, the slots first; the

@@ -109,13 +109,14 @@ class ProjectivePointSet:
         for entry in data:
             if not isinstance(entry, list) or not entry:
                 raise ValueError("each point must be a nonempty coordinate list")
-            coords = []
+            coords: list[int | Fraction] = []
             for c in entry:
                 if type(c) is not int and not (
                         isinstance(c, str) and _RATIONAL_RE.fullmatch(c)):
                     raise ValueError(f"invalid rational coordinate {c!r}")
+                num, _, den = (c, "", "") if type(c) is int else c.partition("/")
                 try:
-                    coords.append(Fraction(c))
+                    coords.append(Fraction(int(num), int(den)) if den else int(num))
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ValueError(f"invalid rational coordinate {c!r}") from exc
             rows.append(tuple(coords))

@@ -28,20 +28,19 @@ germ.  The assembled Jordan structure has two layers:
 
 The report's characteristic polynomial, of the first vector or of the
 formula, is a :class:`cyclo.CharPoly`: the (eigenvalue, dimension)
-pairs of conj(T) or T, m = d - 1 and the exponents at the d-th roots.
-Its display reads each full Galois orbit off T, and its JSON is made
-only when a --json report is written, so a text report lifts the base
-once.  The zeta function of the top form is a CharPoly without pairs.
+pairs of conj(T) or T, m = d - 1 and the exponents at the d-th roots,
+displayed by full Galois orbits read off T.  The zeta function of the
+top form is a CharPoly without pairs.
 
-beta changes only the slots, each built once per value of beta_s.  What
-the checks need of the base is read off T once, so they cost O(d) per
-vector: the degree identity, the block size limits, the bound check on
-beta, the local product formula for the characteristic polynomial, and
-the two-forms identity for the zeta function of the top form.  The
-product formula is only claimed when every germ's spectrum is closed
-under conjugation, judged per germ, never on T.  A report keeps each
-vector's beta and checks; its text renders each table of T once and the
-base runs between the slots once, and its --json rows are streamed.
+A slot's blocks depend only on its class, chi_s and T's table there, and
+on beta_s, so they are built once per (class, beta_s) and each vector's
+slots are read by one map over the class ids and beta.  The checks read
+the base off T once and the slots as lists: the degree identity, the
+block size limits, the bound check on beta, the local product formula
+(claimed only when every germ's spectrum is closed under conjugation,
+judged per germ, never on T), and the two-forms identity for zeta.  The
+text renders each table of T, the base runs and the slot lines once; the
+--json rows are streamed.
 """
 
 from __future__ import annotations
@@ -49,10 +48,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import partial
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from itertools import compress, groupby, repeat
+from operator import add, gt, itemgetter, lt, ne
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .cyclic import lifted_runs
+from .cyclic import lifted_runs, lifts
 from .cyclo import ONE, CharPoly, UnitRoot, reduced_root
 from .cyclo import mth_roots  # noqa: F401 -- perfbench/spans.py wraps this name
 from .defect import ProjectivePointSet, nodal_beta
@@ -70,8 +70,6 @@ DEFAULT_ENUMERATE_CAP = 1024
 MAX_REPORT_ENTRIES = 10**8
 """Largest number of Jordan blocks and Milnor numbers a --json report
 lists, and of Milnor numbers a text report lists."""
-
-_MU_SLICE = 4096  # copies per piece of a run in the text report's mu list
 
 MAX_CHI_BITS = 14285
 """2^14285 > 10^4300, and by default Python prints no int of more than
@@ -205,8 +203,8 @@ class CheckResult:
 class BetaEntry:
     beta: tuple[int, ...]
     checks: tuple[CheckResult, ...]
-    # the layers every vector of one assembly shares
-    assembler: _Assembler = field(repr=False)
+    # the layers every vector of one assembly shares, not part of its value
+    assembler: _Assembler = field(repr=False, compare=False)
 
     @property
     def jordan(self) -> JordanStructure:
@@ -247,7 +245,7 @@ class Report:
         return any(check.status == "fail" for _, check in self.all_checks())
 
     def to_json(self) -> dict[str, object]:
-        """The --json document; mu is a Runs and each vector's table a Rows,
+        """The --json document; mu and chi are Runs, each vector's table a Rows
         made as it is written.  Raises InstanceError when they would list
         more than MAX_REPORT_ENTRIES numbers, counted in closed form from T
         and the slots."""
@@ -268,18 +266,15 @@ class Report:
         single = self.mode in ("given", "from_nodes")
         if single:
             beta_used, jordan = beta_used[0], jordan[0]
-        checks = []
-        for beta, check in self.all_checks():
-            row = check.to_json()
-            if beta is not None and not single:
-                row["beta"] = list(beta)
-            checks.append(row)
+        checks = [check.to_json() | ({} if beta is None or single else
+                                     {"beta": list(beta)})
+                  for beta, check in self.all_checks()]
         return {
             "n": self.n,
             "d": self.d,
             "mu": Runs(self.mu),
             "total_dim": self.total_dim,
-            "chi": list(self.chi),
+            "chi": chi_runs(self.chi),
             "mode": self.mode,
             "beta_used": beta_used,
             "jordan": jordan,
@@ -304,18 +299,14 @@ class Report:
         return self._text_pieces()
 
     def _text_pieces(self) -> Iterator[str]:
-        # one piece per slice of a run of mu, per beta vector and per
-        # vector's checks; each vector's beta text is rendered once
+        # pieces: slices of mu, chi and each vector's lines, then the checks
         yield (f"monodromy at infinity: n = {self.n}, d = {self.d}\n"
                "local Milnor numbers: [")
-        sep = ""
-        for mu, count in self.mu:
-            while count:
-                take = min(count, _MU_SLICE)
-                yield sep + f"{mu}, " * (take - 1) + str(mu)
-                sep, count = ", ", count - take
+        yield from Runs(self.mu).joined(", ")
         yield (f"] (total {self.total_mu}); operator dimension "
-               f"{self.total_dim}\nchi = {list(self.chi)}\nbeta mode: "
+               f"{self.total_dim}\nchi = [")
+        yield from chi_runs(self.chi).joined(", ")
+        yield (f"]\nbeta mode: "
                f"{self.mode}{' (truncated)' if self.truncated else ''}\n")
         labels = []
         for entry in self.entries:
@@ -334,6 +325,11 @@ class Report:
             yield "".join(_check_line(check, where) for check in entry.checks)
 
 
+def chi_runs(chi: Sequence[int]) -> Runs:
+    """chi as runs: it takes two values, so its text is string multiplication."""
+    return Runs((value, len(list(group))) for value, group in groupby(chi))
+
+
 def _check_line(check: CheckResult, where: str) -> str:
     return f"  [{check.status}] {check.name}{where}: {check.detail}\n"
 
@@ -350,15 +346,11 @@ def chi_vector(n: int, d: int, total_mu: int) -> list[int]:
     return [chi_0] + [chi_0 + sign] * (d - 1)
 
 
-def _slot_tables(t: JordanStructure, d: int) -> list[Mapping[int, int]]:
-    """T's size -> count table at each d-th root s/d, s = 0..d-1, empty
-    where T has none, read off T once: num/den with den | d is the slot
-    s = num * (d / den)."""
-    tables: list[Mapping[int, int]] = [{}] * d
-    for x, table in t.items():
-        if d % x.den == 0:
-            tables[x.num * (d // x.den)] = table
-    return tables
+def _slot_tables(t: JordanStructure, d: int) -> dict[int, Mapping[int, int]]:
+    """T's size -> count table at each d-th root s/d where it has one, by
+    s, read off T once: num/den with den | d is the slot s = num * (d / den)."""
+    return {x.num * (d // x.den): table for x, table in t.items()
+            if d % x.den == 0}
 
 
 def beta_bounds(spec: ProblemSpec) -> list[tuple[int, int]]:
@@ -366,30 +358,51 @@ def beta_bounds(spec: ProblemSpec) -> list[tuple[int, int]]:
     alpha = e^(2*pi*i*s/d) stay >= 0.
 
     lower = max(0, ceil((#(T)_alpha - chi_s) / 2)), from the size-1 count;
-    upper = #_1(T)_alpha, from the size-2 count.
+    upper = #_1(T)_alpha, from the size-2 count.  Slots of one class share
+    one tuple.
     """
-    return [(max(0, (sum(table.values()) - chi_s + 1) // 2), table.get(1, 0))
-            for table, chi_s in zip(_slot_tables(spec.local_sum, spec.d),
-                                    spec.chi)]
+    assembler = _Assembler(spec)
+    return list(map([rule[3] for rule in assembler.rules].__getitem__,
+                    assembler.ids))
 
 
 def _dim(table: Mapping[int, int]) -> int:
     return sum(size * count for size, count in table.items())
 
 
-class _Assembler:
+# a cell, a slot at one beta_s: its size -> count table (empty without blocks),
+# dimension, block count, line (a format of its root), beta_s within bounds
+_TABLE, _DIM, _BLOCKS, _LINE, _WITHIN = map(itemgetter, range(5))
+_LINE_SLICE = 4096  # about this many eigenvalue lines per piece of text
+
+
+class _Assembler(dict):
     """The assembled operator as a function of beta.
 
     The base is streamed from conj(T) on each read, and what the checks
-    need of it is read off T once.  The slot at the s-th root is built
-    once per value of beta_s, so vectors with equal beta_s share its
-    table; the text of the base runs between the slots, once per report.
+    need of it is read off T once.  ids[s] is the class of slot s, one per
+    (chi_s, T's table there); chi_s is chi_{d-1} at every s but 0
+    (chi_vector), so class 0 holds almost every slot.  The dict maps
+    (class, beta_s) to its cell, or to None if a block count is negative,
+    made on its first lookup.
     """
 
-    def __init__(self, spec: ProblemSpec,
-                 bounds: list[tuple[int, int]]) -> None:
-        d, n, t, chi = spec.d, spec.n, spec.local_sum, spec.chi
-        self.d, self.bounds = d, bounds
+    def __init__(self, spec: ProblemSpec) -> None:
+        super().__init__()
+        d, t, chi = spec.d, spec.local_sum, spec.chi
+        tables = _slot_tables(t, d)
+        keys = {((), chi[-1]): 0}
+        self.d, self.ids = d, [0] * d
+        for s in {*compress(range(d), map(ne, chi, repeat(chi[-1]))), *tables}:
+            items = tuple(tables.get(s, {}).items())
+            self.ids[s] = keys.setdefault((items, chi[s]), len(keys))
+        # per class: the shifted sizes (>= 3, decreasing), chi_s - #(T)_alpha,
+        # #_1(T)_alpha and the bounds on beta_s (see beta_bounds)
+        self.rules = []
+        for items, chi_s in keys:
+            free_1, ones = chi_s - sum(c for _, c in items), dict(items).get(1, 0)
+            self.rules.append(({size + 1: c for size, c in items if size >= 2},
+                               free_1, ones, (max(0, (1 - free_1) // 2), ones)))
         items = list(t.items())
         # conjugation fixes 1 and reverses the angle order on (0, 1)
         head = items[:1] if items and items[0][0] == ONE else []
@@ -399,107 +412,88 @@ class _Assembler:
         copies = [(d - 1 - (d % x.den == 0), table) for x, table in items]
         self.base_dim = sum(k * _dim(table) for k, table in copies)
         self.base_blocks = sum(k * sum(table.values()) for k, table in copies)
-        # per d-th root: its shifted sizes (>= 3, decreasing) and their
-        # dimension, chi_s - #(T)_alpha and #_1(T)_alpha
-        self.rules = []
-        for table, chi_s in zip(_slot_tables(t, d), chi):
-            shifted = {size + 1: count for size, count in table.items()
-                       if size >= 2}
-            self.rules.append((shifted, _dim(shifted),
-                               chi_s - sum(table.values()), table.get(1, 0)))
-        # the pieces with a block above size n, in root order, the same for
-        # every beta as n >= 2: the lifts of such tables of T (lifted only
-        # if there are any) and the slots' shifted sizes
-        runs = lifted_runs(self.conj, d - 1) if any(
-            next(iter(table)) > n for _, table in items) else iter([[]] * (d + 1))
-        pieces = [piece for s, (shifted, *_) in enumerate(self.rules)
-                  for piece in next(runs) + (
-                      [(reduced_root(s, d), shifted)] if shifted else [])]
-        self.limit_pieces = [(root, table) for root, table in pieces + next(runs)
-                             if next(iter(table)) > n]
-        self.parts: list[dict[int, tuple]] = [{} for _ in range(d)]
-        self.lines: list[dict[int, str]] = [{} for _ in range(d)]
-        self.run_text: list[str] = []
+        self.step = max(1, _LINE_SLICE // (1 + len(self.conj)))
+        self.spans, self.cut, self.shown = [], [], ()  # see text
 
-    def part(self, s: int, value: int) -> tuple[UnitRoot, dict[int, int], int]:
-        """The s-th root, its table (empty when it has no blocks) and its
-        multiplicity at beta_s = value."""
-        parts = self.parts[s]
-        if value in parts:
-            return parts[value]
-        shifted, shifted_dim, free_1, ones = self.rules[s]
-        alpha = reduced_root(s, self.d)
-        count_1 = free_1 + 2 * value
-        count_2 = ones - value
-        lower, upper = self.bounds[s]
-        if count_1 < 0:
-            raise InstanceError(
-                f"negative block count: {count_1} blocks of size 1 at "
-                f"eigenvalue {alpha}; beta[{s}] = {value} is below the "
-                f"lower bound {lower} (admissible range {lower}..{upper})")
-        if count_2 < 0:
-            raise InstanceError(
-                f"negative block count: {count_2} blocks of size 2 at "
-                f"eigenvalue {alpha}; beta[{s}] = {value} is above the "
-                f"upper bound {upper} (admissible range {lower}..{upper})")
-        # canonical order: the shifted sizes (>= 3, decreasing), 2, 1
-        table = dict(shifted)
-        if count_2:
-            table[2] = count_2
-        if count_1:
-            table[1] = count_1
-        parts[value] = part = (alpha, table,
-                               shifted_dim + 2 * count_2 + count_1)
-        return part
+    def __missing__(self, key: tuple[int, int]) -> tuple | None:
+        shifted, free_1, ones, (lower, upper) = self.rules[key[0]]
+        value = key[1]
+        count_1, count_2 = free_1 + 2 * value, ones - value
+        cell = None
+        if count_1 >= 0 and count_2 >= 0:
+            table = dict(shifted)  # canonical order: the shifted sizes, 2, 1
+            if count_2:
+                table[2] = count_2
+            if count_1:
+                table[1] = count_1
+            cell = (table, _dim(table), sum(table.values()),
+                    f"  eigenvalue {{}}: {_blocks_text(table)}\n" if table else "",
+                    lower <= value <= upper)
+        self[key] = cell
+        return cell
 
-    def _merged(self, payloads: list, beta: tuple[int, ...],
-                slot: Callable) -> Iterator[tuple[UnitRoot, object]]:
-        """(root, payload) in root order at beta: each lift of the base with
-        the payload of its eigenvalue of conj(T), and slot(part) for each
-        nonempty slot."""
-        runs = lifted_runs(
-            [(y, p) for (y, _), p in zip(self.conj, payloads)], self.d - 1)
-        for s, value in enumerate(beta):
+    def at(self, beta: Sequence[int]) -> list[tuple]:
+        """The cell of each slot at beta, by one map; raises at the first
+        slot whose block count is negative."""
+        cells = list(map(self.__getitem__, zip(self.ids, beta)))
+        if all(cells):
+            return cells
+        s = cells.index(None)
+        _, free_1, ones, (lower, upper) = self.rules[self.ids[s]]
+        value = beta[s]
+        size, count, side, bound = (
+            (1, free_1 + 2 * value, "below the lower", lower)
+            if free_1 + 2 * value < 0 else (2, ones - value, "above the upper", upper))
+        raise InstanceError(
+            f"negative block count: {count} blocks of size {size} at eigenvalue "
+            f"{reduced_root(s, self.d)}; beta[{s}] = {value} is "
+            f"{side} bound {bound} (admissible range {lower}..{upper})")
+
+    def rows(self, beta: Sequence[int]) -> Iterator[tuple[UnitRoot, Runs]]:
+        """(root, Runs of its sizes) in root order at beta, the lifts of one
+        eigenvalue of conj(T) sharing its Runs."""
+        runs = lifted_runs([(y, Runs(table.items())) for y, table in self.conj],
+                           self.d - 1)
+        for s, table in enumerate(map(_TABLE, self.at(beta))):
             yield from next(runs)
-            part = self.part(s, value)
-            if part[1]:
-                yield part[0], slot(part)
+            if table:
+                yield reduced_root(s, self.d), Runs(table.items())
         yield from next(runs)
 
-    def structure(self, beta: tuple[int, ...]) -> JordanStructure:
-        return JordanStructure(self._merged(
-            [table for _, table in self.conj], beta, itemgetter(1)))
+    def structure(self, beta: Sequence[int]) -> JordanStructure:
+        return JordanStructure((root, dict(blocks.pairs))
+                               for root, blocks in self.rows(beta))
 
-    def rows(self, beta: tuple[int, ...]) -> Iterator[tuple[UnitRoot, Runs]]:
-        """(root, Runs of its sizes) at beta; the lifts of one eigenvalue
-        share its Runs."""
-        return self._merged([Runs(table.items()) for _, table in self.conj],
-                            beta, lambda part: Runs(part[1].items()))
+    def block_count(self, beta: Sequence[int]) -> int:
+        return self.base_blocks + sum(map(_BLOCKS, self.at(beta)))
 
-    def block_count(self, beta: tuple[int, ...]) -> int:
-        return self.base_blocks + sum(
-            sum(self.part(s, value)[1].values()) for s, value in enumerate(beta))
-
-    def text(self, beta: tuple[int, ...]) -> Iterator[str]:
+    def text(self, beta: Sequence[int]) -> Iterator[str]:
         """One line per eigenvalue of the structure at beta, in root order,
-        yielded as the base runs and the slot lines, or one line for the
-        empty operator."""
-        if not self.run_text:
-            runs = lifted_runs([(y, _blocks_text(table))
-                                for y, table in self.conj], self.d - 1)
-            self.run_text = ["".join([f"  eigenvalue {alpha}: {text}\n"
-                                      for alpha, text in run]) for run in runs]
-        yield self.run_text[0]
-        empty = not self.run_text[0]
-        for s, value in enumerate(beta):
-            lines = self.lines[s]
-            if value not in lines:
-                alpha, table, _ = self.part(s, value)
-                lines[value] = (f"  eigenvalue {alpha}: {_blocks_text(table)}\n"
-                                if table else "")
-            yield lines[value]
-            yield self.run_text[s + 1]
-            empty = empty and not lines[value] and not self.run_text[s + 1]
+        in pieces of about _LINE_SLICE lines, or one line for the empty
+        operator.  spans[0] is the base run before slot 0, spans[s + 1] slot
+        s's line (its first cut[s + 1] characters) and the run after it,
+        made for the first vector and patched where a later beta differs."""
+        d, spans, cut = self.d, self.spans, self.cut
+
+        def line(s: int) -> str:  # "" without blocks; the root only if named
+            return _LINE(self[self.ids[s], beta[s]]).format(reduced_root(s, d))
+        if not spans:
+            runs = ("".join([f"  eigenvalue {alpha}: {text}\n"
+                             for alpha, text in run])
+                    for run in lifted_runs([(y, _blocks_text(table))
+                                            for y, table in self.conj], d - 1))
+            lines = [""] + list(map(line, range(d)))
+            cut += map(len, lines)
+            spans += map(add, lines, runs)
+        for s in compress(range(d), map(ne, beta, self.shown)):
+            text = line(s)
+            spans[s + 1], cut[s + 1] = text + spans[s + 1][cut[s + 1]:], len(text)
+        self.shown = beta
+        empty = True
+        for a in range(0, d + 1, self.step):
+            piece = "".join(spans[a:a + self.step])
+            empty = empty and not piece
+            yield piece
         if empty:
             yield "  empty operator (dimension 0)\n"
 
@@ -514,9 +508,10 @@ def _formula_at_roots(zeta: CharPoly, t: JordanStructure,
     plus T's multiplicity at conj(s/d) = (d - s)/d.  The exponents off the
     d-th roots are positive; raise when one of these is negative."""
     exps = list(zeta.at)
-    for s, table in enumerate(_slot_tables(t, d)):
+    for s, table in _slot_tables(t, d).items():
         exps[-s] += _dim(table)
-    bad = ", ".join(str(reduced_root(s, d)) for s, e in enumerate(exps) if e < 0)
+    bad = ", ".join(str(reduced_root(s, d))
+                    for s in compress(range(d), map(gt, repeat(0), exps)))
     if bad:
         raise InstanceError(
             "non-polynomial result: the local product formula leaves negative "
@@ -589,7 +584,7 @@ def check_block_size_limits(pieces: Iterable[tuple[UnitRoot, Mapping[int, int]]]
         f"all blocks within the size limits for n = {n}, d = {d}")
 
 
-def _resolve_beta(spec: ProblemSpec, bounds: list[tuple[int, int]],
+def _resolve_beta(spec: ProblemSpec, assembler: _Assembler,
                   cap: int) -> tuple[str, list[tuple[int, ...]], bool]:
     beta = spec.beta
     if isinstance(beta, GivenBeta):
@@ -597,27 +592,24 @@ def _resolve_beta(spec: ProblemSpec, bounds: list[tuple[int, int]],
     if isinstance(beta, FromNodes):
         vector = nodal_beta(beta.points, spec.n, spec.d)
         return "from_nodes", [tuple(vector)], False
-    d = spec.d
-    free = list(range(d // 2 + 1))
-    ranges = []
-    for s in free:
-        (lo, up), (lo2, up2) = bounds[s], bounds[(d - s) % d]
-        lo, up = max(lo, lo2), min(up, up2)
-        if lo > up:
-            return "enumerate", [], False
-        ranges.append(range(lo, up + 1))
-    vectors: list[tuple[int, ...]] = []
-    truncated = False
-    for combo in itertools.product(*ranges):
-        if len(vectors) == cap:
-            truncated = True
-            break
-        vector = [0] * d
+    d, ids = spec.d, assembler.ids
+    # beta[s] = beta[d - s], so slot s takes the range that both classes admit
+    mirror = ids[:1] + ids[:0:-1]
+    lows, ups = zip(*(rule[3] for rule in assembler.rules))
+    lo, up = list(map(lows.__getitem__, ids)), list(map(ups.__getitem__, ids))
+    for s in compress(range(d), map(ne, ids, mirror)):
+        lo[s], up[s] = max(lo[s], lo[-s]), min(up[s], up[-s])
+    if any(map(gt, lo, up)):
+        return "enumerate", [], False
+    # only the slots s <= d/2 whose range holds more than one value vary
+    free = list(compress(range(d // 2 + 1), map(lt, lo, up)))
+    combos = itertools.product(*(range(lo[s], up[s] + 1) for s in free))
+    vectors = []
+    for combo in itertools.islice(combos, cap):
         for s, value in zip(free, combo):
-            vector[s] = value
-            vector[(d - s) % d] = value
-        vectors.append(tuple(vector))
-    return "enumerate", vectors, truncated
+            lo[s] = lo[-s] = value
+        vectors.append(tuple(lo))
+    return "enumerate", vectors, next(combos, None) is not None
 
 
 def assemble(spec: ProblemSpec, *,
@@ -626,8 +618,8 @@ def assemble(spec: ProblemSpec, *,
     if enumerate_cap < 1:
         raise InstanceError(f"enumerate cap must be >= 1, got {enumerate_cap}")
     n, d, t = spec.n, spec.d, spec.local_sum
-    bounds = beta_bounds(spec)
-    mode, vectors, truncated = _resolve_beta(spec, bounds, enumerate_cap)
+    assembler = _Assembler(spec)
+    mode, vectors, truncated = _resolve_beta(spec, assembler, enumerate_cap)
     zeta = zeta_of_top_form(spec)
     formula_at: list[int] | None = None
     formula_error = ""
@@ -640,52 +632,57 @@ def assemble(spec: ProblemSpec, *,
     off_agrees = spec.locally_symmetric and all(
         t.multiplicity(x) == t.multiplicity(x.conjugate())
         for x in t.spectrum())
-    assembler = _Assembler(spec, bounds)
     expected_dim = (d - 1) ** (n + 1) - spec.total_mu
+    # the block size limits and, unless a vector's multiplicities differ,
+    # the product formula give every vector the same check; the limits read
+    # the pieces with a block above size n (>= 2) in root order: the lifts
+    # of such tables of conj(T) that miss the slots, and the slots' sizes
+    over = [(y, table) for y, table in assembler.conj if next(iter(table)) > n]
+    pieces = [(x, table) for x, table in lifts(over, d - 1) if d % x.den]
+    pieces += [(reduced_root(s, d), assembler.rules[assembler.ids[s]][0])
+               for s in _slot_tables(t, d)]
+    limits = check_block_size_limits(sorted(
+        [piece for piece in pieces if next(iter(piece[1]), 0) > n],
+        key=itemgetter(0)), n, d)
+    if not spec.locally_symmetric:
+        formula = CheckResult(
+            "charpoly_local_formula", "not_applicable",
+            "local spectra are not conjugation-symmetric, so the local product "
+            "formula need not match the assembled operator; assembly used the "
+            "stated counting rules unchanged")
+    elif formula_at is None:
+        formula = CheckResult("charpoly_local_formula", "fail", formula_error)
+    else:
+        formula = CheckResult(
+            "charpoly_local_formula", "pass",
+            "product formula matches the assembled characteristic polynomial")
     entries = []
     for beta in vectors:
-        parts = [assembler.part(s, value) for s, value in enumerate(beta)]
-        got_dim = assembler.base_dim + sum(part[2] for part in parts)
-        checks = []
-        checks.append(CheckResult(
+        cells = assembler.at(beta)
+        dims = list(map(_DIM, cells))
+        got_dim = assembler.base_dim + sum(dims)
+        checks = [CheckResult(
             "degree_identity",
             "pass" if got_dim == expected_dim else "fail",
             f"operator dimension {got_dim}, expected "
-            f"(d-1)^(n+1) - total mu = {expected_dim}"))
-        checks.append(check_block_size_limits(assembler.limit_pieces, n, d))
-        bound_text = [f"beta[{s}] = {value} outside {lo}..{up}"
-                      for s, (value, (lo, up)) in enumerate(zip(beta, bounds))
-                      if not lo <= value <= up]
+            f"(d-1)^(n+1) - total mu = {expected_dim}"), limits]
+        outside = [] if all(map(_WITHIN, cells)) else [
+            f"beta[{s}] = {value} outside {lo}..{up}"
+            for s, (value, (lo, up)) in enumerate(zip(beta, beta_bounds(spec)))
+            if not lo <= value <= up]
         checks.append(CheckResult(
-            "beta_within_bounds",
-            "fail" if bound_text else "pass",
-            "; ".join(bound_text) or "every beta[s] lies within its bounds"))
-        if not spec.locally_symmetric:
-            checks.append(CheckResult(
-                "charpoly_local_formula", "not_applicable",
-                "local spectra are not conjugation-symmetric, so the local "
-                "product formula need not match the assembled operator; "
-                "assembly used the stated counting rules unchanged"))
-        elif formula_at is None:
-            checks.append(CheckResult(
-                "charpoly_local_formula", "fail", formula_error))
-        elif off_agrees and all(part[2] == exp
-                                for part, exp in zip(parts, formula_at)):
-            checks.append(CheckResult(
-                "charpoly_local_formula", "pass",
-                "product formula matches the assembled characteristic "
-                "polynomial"))
-        else:
-            checks.append(CheckResult(
-                "charpoly_local_formula", "fail",
-                f"product formula gives {charpoly_local_formula(zeta, t, d)}, "
-                f"assembled operator has "
-                f"{assembler.structure(beta).char_poly()}"))
+            "beta_within_bounds", "fail" if outside else "pass",
+            "; ".join(outside) or "every beta[s] lies within its bounds"))
+        checks.append(formula if formula.status != "pass" or (
+            off_agrees and dims == formula_at) else CheckResult(
+            "charpoly_local_formula", "fail",
+            f"product formula gives {charpoly_local_formula(zeta, t, d)}, "
+            f"assembled operator has {assembler.structure(beta).char_poly()}"))
         entries.append(BetaEntry(beta, tuple(checks), assembler))
     if vectors:
         charpoly = CharPoly(
             [(y, _dim(table)) for y, table in assembler.conj], d - 1,
-            [assembler.part(s, value)[2] for s, value in enumerate(vectors[0])])
+            list(map(_DIM, assembler.at(vectors[0]))))
     else:
         charpoly = None if formula_at is None else \
             charpoly_local_formula(zeta, t, d)

@@ -23,6 +23,7 @@ class Runs:
     """
 
     __slots__ = ("pairs",)
+    SLICE = 4096  # values per piece of joined(): bounds the longest piece
 
     def __init__(self, pairs: Iterable[tuple[int, int]]) -> None:
         merged: list[tuple[int, int]] = []
@@ -54,6 +55,17 @@ class Runs:
 
     def __repr__(self) -> str:
         return f"Runs({list(self.pairs)!r})"
+
+    def joined(self, sep: str) -> Iterator[str]:
+        """The values' text joined by sep, in pieces of at most SLICE
+        values, each but the first led by sep, by string multiplication."""
+        lead = ""
+        for value, count in self.pairs:
+            text = str(value)
+            while count:
+                take = min(count, self.SLICE)
+                yield lead + text + (sep + text) * (take - 1)
+                lead, count = sep, count - take
 
 
 class Rows:

@@ -21,7 +21,7 @@ from moninf.infinity import (
     Report,
     parse_problem,
 )
-from moninf.jordan import JordanStructure
+from moninf.jordan import JordanStructure, Runs
 from moninf.localsing import milnor_number
 from test_exactness import LARGE_REPORT_INSTANCE, MULTI_VECTOR_INSTANCE
 
@@ -149,6 +149,29 @@ def test_compute_inadmissible_beta(tmp_path, capsys):
     assert "negative block count" in err
     assert "above the upper bound 6" in err
 
+
+
+@pytest.mark.parametrize("count, values, message", [
+    (9, [0] * 6, "-6 blocks of size 1 at eigenvalue 1/6; beta[1] = 0 is "
+     "below the lower bound 3 (admissible range 3..9)"),
+    (6, [0, 7, 0, 0, 0, 7], "-1 blocks of size 2 at eigenvalue 1/6; "
+     "beta[1] = 7 is above the upper bound 6 (admissible range 0..6)"),
+])
+def test_given_beta_outside_its_bounds_exact_error(tmp_path, capsys, count,
+                                                   values, message):
+    # k cusps at d = 6 give T's table {1: k} at 1/6 and 5/6; the message
+    # names the first slot whose block count is negative, its root and range
+    bad = tmp_path / "bad_beta.json"
+    bad.write_text(json.dumps({
+        "n": 2, "d": 6,
+        "singularities": [
+            {"type": "brieskorn", "exponents": [2, 3], "count": count}],
+        "beta": {"mode": "given", "values": values}}))
+    for flags in ([], ["--json"]):
+        assert main(["compute", str(bad), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: negative block count: {message}\n"
 
 
 def test_compute_rejects_deeply_nested_json(tmp_path, capsys):
@@ -293,6 +316,45 @@ def test_json_report_memory_does_not_grow_with_the_vectors(tmp_path):
         sizes[cap] = target.stat().st_size
     assert sizes[9] > 20_000_000
     assert peaks[9] - peaks[1] < (sizes[9] - sizes[1]) / 10
+
+
+def test_text_report_memory_per_slot(tmp_path):
+    # n = 2, no singularities, beta enumerated: one vector over d slots of
+    # two classes.  The peak grows with the lists of d references and the
+    # slot lines (about 250 bytes per slot, Python 3.11), not with a rules
+    # tuple, dicts and a root per slot (1520 bytes per slot when each slot
+    # kept its own)
+    peaks = {}
+    for d in (20000, 40000):
+        instance = tmp_path / f"d{d}.json"
+        instance.write_text(json.dumps({"n": 2, "d": d, "singularities": [],
+                                        "beta": {"mode": "enumerate"}}))
+        tracemalloc.start()
+        try:
+            assert main(["compute", str(instance), "--output",
+                         str(tmp_path / "report.txt")]) == 0
+            peaks[d] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[40000] - peaks[20000]) / 20000 < 400
+
+
+def test_each_display_is_rendered_once(tmp_path, monkeypatch):
+    # zeta is shown in its check and in the report, the char poly in the
+    # report: each groups its d slots once, and chi is written as runs
+    calls = []
+    slots = CharPoly._slots
+
+    def counting(poly):
+        calls.append(poly)
+        return slots(poly)
+
+    monkeypatch.setattr(CharPoly, "_slots", counting)
+    assert main(["compute", SEXTIC, "--output", str(tmp_path / "r.txt")]) == 0
+    assert len(calls) == len(set(map(id, calls))) == 2
+    spec = parse_problem(json.loads(Path(SEXTIC).read_text()))
+    chi = moninf.infinity.assemble(spec).to_json()["chi"]
+    assert isinstance(chi, Runs) and chi.pairs == ((8, 1), (9, 5))
 
 
 # ROADMAP's Mid instance: about 2.1 * 10^8 Jordan blocks at about 90000

@@ -101,6 +101,21 @@ def test_point_set_json():
         ProjectivePointSet.from_json([["1", "0"], ["1", "0", "0"]])
 
 
+def test_point_set_json_parses_each_coordinate_once(monkeypatch):
+    # a string that matched the coordinate pattern is read by int at its
+    # "/", never handed to Fraction's own parser
+    class NoStrings(Fraction):
+        def __new__(cls, numerator=0, denominator=None):
+            assert not isinstance(numerator, str), numerator
+            return Fraction(numerator, denominator)
+
+    monkeypatch.setattr(defect, "Fraction", NoStrings)
+    pts = ProjectivePointSet.from_json([[" -3/4 ", "2", 5], ["7/2", "0", "1"]])
+    assert pts.points == ((3, -8, -20), (7, 0, 2))
+    with pytest.raises(ValueError, match="invalid rational coordinate '1/0'"):
+        ProjectivePointSet.from_json([["1", "1/0"]])
+
+
 def test_monomial_exponents_order_and_count():
     assert monomial_exponents(2, 1) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert monomial_exponents(2, 2) == [

@@ -39,6 +39,7 @@ COORDINATES = st.integers(-9, 9) | st.sampled_from([-PRIME, PRIME]) | \
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
+@settings(deadline=None)
 @given(data=st.data())
 def test_evaluation_rows_are_the_monomials_at_the_point(n, data):
     point = data.draw(st.tuples(*[COORDINATES] * (n + 1)))
