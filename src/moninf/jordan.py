@@ -85,10 +85,10 @@ class JordanStructure:
 
     __slots__ = ("_blocks",)
 
-    def __init__(self, blocks: Mapping[UnitRoot, Mapping[int, int]]
+    def __init__(self, blocks: dict[UnitRoot, Mapping[int, int]]
                  | Iterable[tuple[UnitRoot, Mapping[int, int]]] = ()) -> None:
         canon: dict[UnitRoot, dict[int, int]] = {}
-        items = blocks.items() if isinstance(blocks, Mapping) else blocks
+        items = blocks.items() if isinstance(blocks, dict) else blocks
         for root, sizes in items:
             if not isinstance(root, UnitRoot):
                 raise TypeError(f"eigenvalue must be a UnitRoot, got {root!r}")

@@ -4,14 +4,20 @@ This module rebuilds operators as honest matrices over Q(zeta_N) and reads
 their Jordan structure off rank sequences, providing an independent check
 on the combinatorial constructions elsewhere in the package.
 
-Representation.  Every entry the oracle builds is 0, 1 or a root of
-unity, so matrices live over Z[zeta_N]: an element is an integer
-coefficient vector of length phi(N) in the power basis 1, x, ...,
-x^(phi(N)-1) modulo the N-th cyclotomic polynomial, and a matrix is a
-list of sparse rows mapping a column to such a vector.  No rational
-number ever appears, and every rank is a rank over F_p from
-modp.eliminate: for a prime p = 1 (mod N) the maps zeta_N -> w, w of
-order N mod p, are the phi(N) prime ideals above p, each of norm p.
+Representation.  A matrix is a list of sparse rows mapping a column to
+its entry in Z[zeta_N], an integer vector in the power basis modulo the
+N-th cyclotomic polynomial Phi_N.  The arithmetic runs in the group ring
+Z[C_N] = Z[x]/(x^N - 1), which maps onto Z[zeta_N]: an element is one
+int with a signed slot of w bits per power of x, w from a bound on all
+it will hold (see _Ring).  A sum is one addition, a product one
+multiplication and a fold, and one by an entry x^e, as is every entry the
+oracle builds, a shift by e*w.  v is 0 in Z[zeta_N] exactly when
+v*Psi_N is 0 in Z[C_N], Psi_N = (x^N - 1)/Phi_N.  No rational number
+ever appears, and every rank is a rank over F_p from modp.eliminate: for
+a prime p = 1 (mod N) the maps zeta_N -> w, w of order N mod p, are the
+phi(N) prime ideals above p, each of norm p.  All representatives in
+Z[C_N] of an element have one image, as w^N = 1, and the l1 norm of each
+bounds the element in every complex embedding.
 
 The Jordan structure of a matrix M at an eigenvalue alpha comes from the
 nullities n_k of (M - alpha*I)^k: with n_0 = 0, the number of blocks of
@@ -20,22 +26,20 @@ size exactly l at alpha is 2*n_l - n_(l-1) - n_(l+1).
 Route.  (1) M is split into the connected components K of its symmetric
 sparsity pattern: a permutation similarity, so Jordan types add over
 components.  (2) With L the level of M, the exact traces p_j = tr(K^j),
-j = 1 .. dim K, give det(x - K) over Z[zeta_L] by Newton's identities;
-their division by k is exact on each coefficient, because the power
-basis is an integral basis.  Only the powers up to h = ceil(dim K / 2)
-are formed, and only two are held: p_(2a-1) = tr(K^a K^(a-1)) and
-p_(2a) = tr(K^a K^a), each a sum over the entries of K^a.  A zero
-trace, as is every p_j with m not dividing j on a cyclic component of
-order m, adds nothing to Newton's identities.  (3) With T the level the
-candidates need, a prime p = 1 (mod T) and omega of order T mod p, the
-ring map zeta_L -> omega^(T/L) sends det(x - K) to F_p, where synthetic
-division gives each candidate alpha a multiplicity a_p(alpha) >=
-a(alpha): a ring map can only raise a multiplicity, and distinct T-th
-roots of unity stay distinct mod p.  (4) Certificate: if the a_p(alpha) add up to dim K and
-p_j = sum a_p(alpha)*alpha^j in Z[zeta_T] for j = 1 .. dim K, then
-a = a_p, since over a field of characteristic 0 the power sums
-p_1 .. p_dim fix a monic polynomial of degree dim.  The check only adds
-monomials, and it passes exactly when the candidates cover K.  Where it
+j = 1 .. dim K, are formed in Z[C_L] from the powers up to
+h = ceil(dim K / 2), two at a time: p_(2a-1) = tr(K^a K^(a-1)) and
+p_(2a) = tr(K^a K^a).  (3) With T the level the candidates need, a prime
+p = 1 (mod T) and omega of order T mod p, the ring map
+zeta_L -> omega^(T/L) sends the traces to F_p, where Newton's identities
+give det(x - K) mod p, k <= dim being below p; a zero trace, as is every
+p_j with m not dividing j on a cyclic component of order m, adds nothing
+to them.  Synthetic division gives each candidate alpha a multiplicity
+a_p(alpha) >= a(alpha): a ring map can only raise a multiplicity, and
+distinct T-th roots of unity stay distinct mod p.  (4) Certificate: if
+the a_p(alpha) add up to dim K and p_j = sum a_p(alpha)*alpha^j in
+Z[zeta_T] for j = 1 .. dim K, then a = a_p, since over a field of
+characteristic 0 the power sums p_1 .. p_dim fix a monic polynomial of
+degree dim.  It passes exactly when the candidates cover K.  Where it
 fails, a(alpha) is the least a_P(alpha) over enough prime ideals P (see
 _exact_multiplicities), and the sum of the a(alpha) over all components
 raises SpectrumNotCovered before any rank.  (5) Since 1 <= n_1 <= a(alpha),
@@ -55,6 +59,7 @@ prime ideals (see _rank).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -99,90 +104,62 @@ def _exact_int_div(num: Sequence[int], den: Sequence[int]) -> list[int]:
     return out
 
 
-class _Field:
-    """Arithmetic on integer coefficient vectors modulo Phi_level."""
-
-    __slots__ = ("level", "degree", "_reduction", "_monomials")
-
-    def __init__(self, level: int) -> None:
-        phi_poly = cyclotomic_polynomial(level)
-        degree = len(phi_poly) - 1
-        self.level = level
-        self.degree = degree
-        # x^(degree + t) mod Phi, for every exponent multiplication or
-        # monomial lookup can ask for: t = 0 .. max(degree - 2, level - degree - 1)
-        reduction: list[tuple[int, ...]] = []
-        extra = max(degree - 1, level - degree)
-        if extra > 0:
-            head = tuple(-c for c in phi_poly[:degree])
-            reduction.append(head)
-            for _ in range(extra - 1):
-                prev = reduction[-1]
-                shifted = [0, *prev[:-1]]
-                top = prev[-1]
-                if top:
-                    shifted = [s + top * h for s, h in zip(shifted, head)]
-                reduction.append(tuple(shifted))
-        self._reduction = reduction
-        self._monomials: dict[int, tuple[int, ...]] = {}
-
-    def monomial(self, e: int) -> tuple[int, ...]:
-        """x^e mod Phi_level as an integer vector."""
-        e %= self.level
-        cached = self._monomials.get(e)
-        if cached is None:
-            if e < self.degree:
-                cached = tuple(1 if i == e else 0 for i in range(self.degree))
-            else:
-                cached = self._reduction[e - self.degree]
-            self._monomials[e] = cached
-        return cached
-
-    def embed_root(self, root: UnitRoot) -> tuple[int, ...]:
-        if self.level % root.den:
-            raise ValueError(f"root {root} does not live at level {self.level}")
-        return self.monomial(self.level // root.den * root.num)
-
-    def vmul(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        degree = self.degree
-        conv = [0] * (2 * degree - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = conv[:degree]
-        for t in range(degree, 2 * degree - 1):
-            ct = conv[t]
-            if ct:
-                red = self._reduction[t - degree]
-                for idx in range(degree):
-                    rv = red[idx]
-                    if rv:
-                        out[idx] += ct * rv
-        return tuple(out)
-
-    def combine(self, terms: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-        """The sum of c*x^e mod Phi_level over the pairs (e, c)."""
-        out = [0] * self.degree
-        for e, c in terms:
-            if c:
-                for idx, mv in enumerate(self.monomial(e)):
-                    if mv:
-                        out[idx] += c * mv
-        return tuple(out)
-
-    def lift(self, vec: Sequence[int], target: _Field) -> tuple[int, ...]:
-        """Rewrite a vector at this level as one at a multiple level."""
-        if target.level % self.level:
-            raise ValueError("target level must be a multiple")
-        ratio = target.level // self.level
-        return target.combine((i * ratio, c) for i, c in enumerate(vec))
-
-
 @lru_cache(maxsize=None)
-def _field(level: int) -> _Field:
-    return _Field(level)
+def _monomials(level: int) -> tuple[tuple[tuple[int, ...], ...], dict]:
+    """x^e mod Phi_level as vectors, e = 0 .. level - 1, x^(e+1) = x*x^e
+    with x^degree replaced by x^degree - Phi_level, and each one's e."""
+    phi = cyclotomic_polynomial(level)
+    vecs = [(1,) + (0,) * (len(phi) - 2)]
+    while len(vecs) < level:
+        top = vecs[-1]
+        vecs.append(tuple(a - top[-1] * c for a, c in zip((0, *top[:-1]), phi)))
+    return tuple(vecs), {vec: e for e, vec in enumerate(vecs)}
+
+
+class _Ring:
+    """Z[C_level] = Z[x]/(x^level - 1) on ints: sum c_i*x^i is the sum of
+    c_i*2^(i*width), width the fewest whole bytes with |c| <= bound below
+    2^(width - 1), so that no slot within the bound carries into the next
+    and each reads back in balanced form, biased by 2^(width - 1)."""
+
+    __slots__ = ("level", "width", "half", "bias")
+
+    def __init__(self, level: int, bound: int) -> None:
+        size = bound.bit_length() // 8 + 1
+        self.level, self.width = level, 8 * size
+        self.half = 1 << level * self.width - 1
+        self.bias = int.from_bytes((bytes(size - 1) + b"\x80") * level, "little")
+
+    def fold(self, v: int) -> int:
+        """v mod x^level - 1, for v of fewer than 2*level slots: the low
+        level slots, split off balanced, plus the high ones."""
+        span = self.level * self.width
+        if v.bit_length() < span:
+            return v
+        high = v + self.half >> span
+        return v - (high << span) + high
+
+    def pack(self, coeffs: Sequence[int]) -> int:
+        return sum(c << i * self.width for i, c in enumerate(coeffs) if c)
+
+    def slots(self, v: int) -> list[int]:
+        size, top = self.width // 8, 1 << self.width - 1
+        data = (v + self.bias).to_bytes(self.level * size, "little")
+        return [int.from_bytes(data[i:i + size], "little") - top
+                for i in range(0, len(data), size)]
+
+    def operator(self, rows: list[dict[int, tuple[int, ...]]],
+                 ) -> tuple[list[dict[int, tuple[int, int | None]]],
+                            list[dict[int, int]]]:
+        """The rows as left factors of _sparse_matmul, and packed: x^e mod
+        Phi_level is (e*width, None), a shift, and packs as x^e, of l1
+        norm at most its vector's; any other entry is (0, it packed)."""
+        exponents = _monomials(self.level)[1]
+        factors = [{j: (0, self.pack(vec)) if vec not in exponents
+                    else (exponents[vec] * self.width, None)
+                    for j, vec in row.items()} for row in rows]
+        return factors, [{j: 1 << shift if v is None else v
+                          for j, (shift, v) in row.items()} for row in factors]
 
 
 class CycloMatrix:
@@ -196,7 +173,7 @@ class CycloMatrix:
 
     def __init__(self, level: int, rows: Iterable[Mapping[int, Sequence[int]]],
                  ncols: int) -> None:
-        degree = _field(level).degree
+        degree = len(cyclotomic_polynomial(level)) - 1
         sparse_rows: list[dict[int, tuple[int, ...]]] = []
         for row in rows:
             sparse: dict[int, tuple[int, ...]] = {}
@@ -222,16 +199,16 @@ def build_jordan_matrix(structure: JordanStructure, level: int) -> CycloMatrix:
     Each block is upper triangular: eigenvalue on the diagonal, ones on
     the superdiagonal.
     """
-    field = _field(level)
-    one = field.monomial(0)
-    rows: list[dict[int, tuple[int, ...]]] = []
+    monomials, rows = _monomials(level)[0], []
     for root in structure.spectrum():
-        value = field.embed_root(root)
+        if level % root.den:
+            raise ValueError(f"root {root} does not live at level {level}")
+        value = monomials[level // root.den * root.num]
         for size in structure.sizes_at(root):
             for k in range(size):
                 pos = len(rows)
-                rows.append({pos: value, pos + 1: one} if k + 1 < size
-                            else {pos: value})
+                rows.append({pos: value, pos + 1: monomials[0]}
+                            if k + 1 < size else {pos: value})
     return CycloMatrix(level, rows, len(rows))
 
 
@@ -250,29 +227,29 @@ def build_cyclic_matrix(m: CycloMatrix, order: int) -> CycloMatrix:
         return m
     dim = m.nrows
     shift = (order - 1) * dim
-    one = _field(m.level).monomial(0)
+    one = _monomials(m.level)[0][0]
     rows = [{shift + j: vec for j, vec in row.items()} for row in m.rows]
     rows.extend({i - dim: one} for i in range(dim, order * dim))
     return CycloMatrix(m.level, rows, order * dim)
 
 
-def _sparse_matmul(a: list[dict[int, tuple[int, ...]]],
-                   b: list[dict[int, tuple[int, ...]]],
-                   field: _Field) -> list[dict[int, tuple[int, ...]]]:
-    vmul, one = field.vmul, field.monomial(0)
-    out: list[dict[int, tuple[int, ...]]] = []
+def _sparse_matmul(a: list[dict[int, tuple[int, int | None]]],
+                   b: list[dict[int, int]], ring: _Ring) -> list[dict[int, int]]:
+    """The rows of AB, A's entries as _Ring.operator gives them and B's
+    packed: row i is the sum over k of A_ik times row k of B, each sum
+    folded once.  A row of A that is a lone 1 shares its row of B."""
+    out: list[dict[int, int]] = []
     for row in a:
-        acc: dict[int, list[int]] = {}
-        for k, a_ik in row.items():
-            for j, b_kj in b[k].items():
-                prod = a_ik if b_kj == one else vmul(a_ik, b_kj)
-                cur = acc.get(j)
-                if cur is None:
-                    acc[j] = list(prod)
-                else:
-                    for idx, value in enumerate(prod):
-                        cur[idx] += value
-        out.append({j: tuple(vec) for j, vec in acc.items() if any(vec)})
+        if len(row) == 1 and (0, None) in row.values():
+            out.append(b[next(iter(row))])
+            continue
+        acc: dict[int, int] = {}
+        for k, (shift, factor) in row.items():
+            for j, v in b[k].items():
+                acc[j] = acc.get(j, 0) + (
+                    v << shift if factor is None else v * factor)
+        out.append({j: folded for j, v in acc.items()
+                    if (folded := ring.fold(v))})
     return out
 
 
@@ -322,11 +299,11 @@ def _ideals(level: int, bound: int) -> Iterator[tuple[int, int]]:
 def _ring_map(level: int, prime: int,
               root: int) -> Callable[[Sequence[int]], int]:
     """The map zeta_level -> root on coefficient vectors, onto F_p."""
-    powers = [pow(root, i, prime) for i in range(_field(level).degree)]
+    powers = [pow(root, i, prime) for i in range(level)]
     return lambda vec: sum(map(int.__mul__, vec, powers)) % prime
 
 
-def _image(rows: list[dict[int, tuple[int, ...]]], ncols: int,
+def _image(rows: list[dict[int, Sequence[int]]], ncols: int,
            to_p: Callable[[Sequence[int]], int]) -> list[list[int]]:
     """The dense image over F_p of sparse rows, entry by entry."""
     image = [[0] * ncols for _ in rows]
@@ -336,7 +313,7 @@ def _image(rows: list[dict[int, tuple[int, ...]]], ncols: int,
     return image
 
 
-def _rank(rows: list[dict[int, tuple[int, ...]]], ncols: int, field: _Field,
+def _rank(rows: list[dict[int, Sequence[int]]], ncols: int, level: int,
           most: int) -> int:
     """The rank of sparse rows over Z[zeta_level], given `most` >= it.
 
@@ -351,10 +328,10 @@ def _rank(rows: list[dict[int, tuple[int, ...]]], ncols: int, field: _Field,
     for row in rows:
         square *= max(1, sum(sum(map(abs, vec)) ** 2 for vec in row.values()))
     rank = 0
-    for prime, root in _ideals(field.level, math.isqrt(square)):
+    for prime, root in _ideals(level, math.isqrt(square)):
         if rank >= most:
             break
-        image = _image(rows, ncols, _ring_map(field.level, prime, root))
+        image = _image(rows, ncols, _ring_map(level, prime, root))
         rank = max(rank, len(eliminate(image, prime)[0]))
     return rank
 
@@ -379,51 +356,63 @@ def _components(rows: list[dict[int, tuple[int, ...]]]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _trace_of_product(a: list[dict[int, tuple[int, ...]]],
-                      b: list[dict[int, tuple[int, ...]]],
-                      field: _Field) -> tuple[int, ...]:
-    """tr(AB) = sum over (i, k) of A_ik * B_ki, with no product formed."""
-    vmul, one = field.vmul, field.monomial(0)
-    acc = [0] * field.degree
-    for i, row in enumerate(a):
-        for k, a_ik in row.items():
-            b_ki = b[k].get(i)
-            if b_ki is not None:
-                prod = a_ik if b_ki == one else vmul(a_ik, b_ki)
-                for idx, value in enumerate(prod):
-                    acc[idx] += value
-    return tuple(acc)
+def _bound(rows: list[dict[int, Sequence[int]]], powers: int) -> int:
+    """dim * R^(2*powers), R >= 1 the largest l1 norm of a row: it bounds
+    the l1 norm of every entry of K^a and of every sum of products of
+    entries of K^a and K^b, a, b <= powers, such as a trace, as each is at
+    most a sum of entries of N^j, j <= 2*powers, N the matrix of the
+    entries' l1 norms, and N^j has row sums at most R^j."""
+    return len(rows) * max(1, *(sum(sum(map(abs, vec)) for vec in row.values())
+                                for row in rows)) ** (2 * powers)
 
 
-def _char_poly(rows: list[dict[int, tuple[int, ...]]], level: int,
-               ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """det(x - K) over Z[zeta_level], coefficients c_0 = 1, c_1, ..., c_dim
-    by descending power of x, and the exact traces p_j = tr(K^j) that give
-    it by Newton's identities k*c_k = -sum_(i <= k) c_(k-i)*p_i.
+def _traces_of_products(q: list[dict[int, int]], p: list[dict[int, int]],
+                        ring: _Ring) -> tuple[int, int]:
+    """tr(QP) and tr(QQ), the sums over (i, k) of Q_ik*P_ki and of
+    Q_ik*Q_ki, with no product of matrices formed, each folded once."""
+    qp = qq = 0
+    for i, row in enumerate(q):
+        for k, q_ik in row.items():
+            p_ki, q_ki = p[k].get(i), q[k].get(i)
+            if p_ki is not None:
+                qp += q_ik * p_ki
+            if q_ki is not None:
+                qq += q_ik * q_ki
+    return ring.fold(qp), ring.fold(qq)
 
-    Only K^1 .. K^h, h = ceil(dim/2), are formed, two at a time: with
-    P = K^(a-1) and Q = K^a, p_(2a-1) = tr(QP) and p_(2a) = tr(QQ)."""
-    field, dim = _field(level), len(rows)
-    identity = [{i: field.monomial(0)} for i in range(dim)]
-    traces, previous, power = [], identity, rows
+
+def _traces(rows: list[dict[int, tuple[int, ...]]], level: int,
+            ) -> list[list[int]]:
+    """The exact traces p_j = tr(K^j), j = 1 .. dim, in Z[C_level], from
+    K^1 .. K^h, h = ceil(dim/2), each K times the one before, two held at
+    a time: with P = K^(a-1) and Q = K^a, p_(2a-1) = tr(QP), p_(2a) = tr(QQ)."""
+    dim = len(rows)
+    ring = _Ring(level, _bound(rows, (dim + 1) // 2))
+    factors, power = ring.operator(rows)
+    traces, previous = [], [{i: 1} for i in range(dim)]
     for a in range(1, (dim + 1) // 2 + 1):
         if a > 1:
-            previous, power = power, _sparse_matmul(power, rows, field)
-        traces.append(_trace_of_product(power, previous, field))
-        if 2 * a <= dim:
-            traces.append(_trace_of_product(power, power, field))
-    coeffs = [field.monomial(0)]
+            previous, power = power, _sparse_matmul(factors, power, ring)
+        traces += _traces_of_products(power, previous, ring)
+    return [ring.slots(trace) for trace in traces[:dim]]
+
+
+def _char_poly(traces: list[list[int]], level: int) -> list[list[int]]:
+    """det(x - K) over Z[C_level], coefficients c_0 = 1, c_1, ..., c_dim
+    by descending power of x, from the traces p_j = tr(K^j) there by
+    Newton's identities k*c_k = -sum_(i <= k) c_(k-i)*p_i, which hold over
+    any commutative ring; the division by k is exact on each coefficient,
+    Z[C_level] being a free Z-module, and the width bounds each sum."""
+    coeffs = [[1]]
     nonzero = [i for i, trace in enumerate(traces, 1) if any(trace)]
-    for k in range(1, dim + 1):
-        acc = [0] * field.degree
-        for i in nonzero:
-            if i > k:
-                break
-            for idx, v in enumerate(field.vmul(coeffs[k - i], traces[i - 1])):
-                acc[idx] -= v
-        # exact: the power basis is an integral basis of Z[zeta_level]
-        coeffs.append(tuple(v // k for v in acc))
-    return coeffs, traces
+    for k in range(1, len(traces) + 1):
+        terms = [(coeffs[k - i], traces[i - 1])
+                 for i in nonzero[:bisect_right(nonzero, k)]]
+        ring = _Ring(level, sum(sum(map(abs, c)) * sum(map(abs, p))
+                                for c, p in terms))
+        total = ring.fold(sum(ring.pack(c) * ring.pack(p) for c, p in terms))
+        coeffs.append([-v // k for v in ring.slots(total)])
+    return coeffs
 
 
 def _divide_out(poly: list[int], values: Iterable[int], prime: int,
@@ -462,11 +451,13 @@ def _krylov_rank(rows: list[dict[int, tuple[int, ...]]],
     (e_0 would not do: on a cyclic component it spans only m dimensions.)"""
     entries = [[(j, image_row[j]) for j in row]
                for row, image_row in zip(rows, image)]
+    # a row that is a lone 1 copies an entry of the vector
+    plan = [r[0][0] if len(r) == 1 and r[0][1] == 1 else r for r in entries]
     vectors = [[pow(3, i, prime) for i in range(len(rows))]]
     while len(vectors) < len(rows):
         v = vectors[-1]
-        vectors.append([sum(x * v[j] for j, x in row) % prime
-                        for row in entries])
+        vectors.append([v[r] if type(r) is int else
+                        sum([x * v[j] for j, x in r]) % prime for r in plan])
     return len(eliminate(vectors, prime)[0])
 
 
@@ -474,35 +465,34 @@ def _exact_nullities(rows: list[dict[int, tuple[int, ...]]], level: int,
                      alpha: UnitRoot, stop: int) -> list[int]:
     """Exact nullities of (K - alpha)^k for k = 0, 1, ... until they reach
     `stop`, which must be the multiplicity a(alpha) >= 1: until then each
-    n_k is at least n_(k-1) + 1, which bounds the rank for _rank."""
-    dim = len(rows)
-    field = _field(math.lcm(level, alpha.den))
-    if field.level != level:
-        base = _field(level)
-        rows = [{j: base.lift(vec, field) for j, vec in row.items()}
-                for row in rows]
-    alpha_vec, zero = field.embed_root(alpha), (0,) * field.degree
+    n_k is at least n_(k-1) + 1, which bounds the rank for _rank.  K goes
+    to Z[C_top], top the level of K and alpha, by x -> x^(top/level), and
+    the ring's width bounds every entry of the powers up to the stop."""
+    dim, top = len(rows), math.lcm(level, alpha.den)
     shifted: list[dict[int, tuple[int, ...]]] = []
     for i, row in enumerate(rows):
-        new_row = dict(row)
-        new_row[i] = tuple(x - y for x, y in zip(row.get(i, zero), alpha_vec))
-        if not any(new_row[i]):
-            del new_row[i]
-        shifted.append(new_row)
-    nullities, power = [0], shifted
+        lifted = {j: [0] * top for j in (i, *row)}
+        for j, vec in row.items():
+            lifted[j][:len(vec) * (top // level):top // level] = vec
+        lifted[i][top // alpha.den * alpha.num] -= 1
+        shifted.append({j: tuple(v) for j, v in lifted.items() if any(v)})
+    ring = _Ring(top, _bound(shifted, stop))
+    factors, power = ring.operator(shifted)
+    nullities = [0]
     while nullities[-1] < stop:
         if len(nullities) > 1:
-            power = _sparse_matmul(power, shifted, field)
-        nullities.append(dim - _rank(power, dim, field,
-                                     dim - nullities[-1] - 1))
+            power = _sparse_matmul(factors, power, ring)
+        nullities.append(dim - _rank(
+            [{j: ring.slots(v) for j, v in row.items()} for row in power],
+            dim, top, dim - nullities[-1] - 1))
     return nullities
 
 
-def _exact_multiplicities(coeffs: list[tuple[int, ...]], level: int,
+def _exact_multiplicities(coeffs: list[list[int]], level: int,
                           bounds: dict[UnitRoot, int], top: int,
                           ) -> dict[UnitRoot, int]:
     """The multiplicity of each alpha in f = det(x - K), from its
-    coefficients over Z[zeta_level]: the least multiplicity mod an ideal
+    coefficients over Z[C_level]: the least multiplicity mod an ideal
     of Z[zeta_top], at most bounds[alpha], over the ideals above primes
     whose product exceeds B = 2^dim * sum of ||c_i||_1.  With
     f = (x - alpha)^a * g, a multiplicity mod P above a puts g(alpha) into
@@ -521,6 +511,31 @@ def _exact_multiplicities(coeffs: list[tuple[int, ...]], level: int,
     return mults
 
 
+@lru_cache(maxsize=None)
+def _psi(level: int) -> tuple[int, ...]:
+    """Psi_level = (x^level - 1)/Phi_level."""
+    return tuple(_exact_int_div([-1] + [0] * (level - 1) + [1],
+                                cyclotomic_polynomial(level)))
+
+
+def _power_sums_agree(traces: list[list[int]], level: int,
+                      mults: dict[UnitRoot, int], top: int) -> bool:
+    """p_j = sum a(alpha)*alpha^j in Z[zeta_top], j = 1 .. dim: v_j, the
+    trace at x -> x^(top/level) less each a(alpha)*alpha^j, has
+    v_j*Psi_top = 0 in Z[C_top], its slots at most ||v_j||_1*||Psi_top||_1."""
+    psi = _psi(top)
+    ring = _Ring(top, (max(sum(map(abs, trace)) for trace in traces)
+                       + sum(mults.values())) * sum(map(abs, psi)))
+    step, packed = top // level * ring.width, ring.pack(psi)
+    for j, trace in enumerate(traces, 1):
+        difference = sum(c << i * step for i, c in enumerate(trace) if c) \
+            - sum(mult << top // alpha.den * alpha.num * j % top * ring.width
+                  for alpha, mult in mults.items())
+        if difference and ring.fold(difference * packed):
+            return False
+    return True
+
+
 def _multiplicities(rows: list[dict[int, tuple[int, ...]]], level: int,
                     roots: list[UnitRoot], top: int) -> dict[UnitRoot, int]:
     """The multiplicities a(alpha) of the candidates in det(x - K), with
@@ -530,21 +545,25 @@ def _multiplicities(rows: list[dict[int, tuple[int, ...]]], level: int,
     certified by the exact power sums; where the certificate fails, the
     candidates do not cover K, and _exact_multiplicities decides them."""
     prime, omega = _prime_for_level(top)
-    coeffs, traces = _char_poly(rows, level)
+    traces = _traces(rows, level)
     to_p = _ring_map(level, prime, pow(omega, top // level, prime))
-    exponent = {alpha: top // alpha.den * alpha.num for alpha in roots}
-    found = _divide_out([to_p(c) for c in coeffs], [
-        pow(omega, exponent[alpha], prime) for alpha in roots], prime)
+    images = [to_p(trace) for trace in traces]
+    nonzero = [i for i, image in enumerate(images, 1) if image]
+    inverses, coeffs = [0, 1], [1]  # 1/k mod p from p = (p // k)*k + p % k
+    for k in range(1, len(rows) + 1):
+        total = sum(coeffs[k - i] * images[i - 1]
+                    for i in nonzero[:bisect_right(nonzero, k)])
+        coeffs.append(-total * inverses[k] % prime)
+        inverses.append(-(prime // (k + 1)) * inverses[prime % (k + 1)] % prime)
+    found = _divide_out(coeffs, [
+        pow(omega, top // alpha.den * alpha.num, prime) for alpha in roots],
+        prime)
     mults = {alpha: mult for alpha, mult in zip(roots, found) if mult}
     # the certificate, step (4) of the route in the module docstring
-    field, ratio = _field(top), top // level
-    terms = [(exponent[alpha], mult) for alpha, mult in mults.items()]
-    certified = sum(mults.values()) == len(rows) and not any(
-        any(field.combine([*((j * e, mult) for e, mult in terms),
-                           *((i * ratio, -c) for i, c in enumerate(trace))]))
-        for j, trace in enumerate(traces, 1))
-    if not certified:
-        mults = _exact_multiplicities(coeffs, level, mults, top)
+    if sum(mults.values()) != len(rows) or not _power_sums_agree(
+            traces, level, mults, top):
+        mults = _exact_multiplicities(_char_poly(traces, level), level,
+                                      mults, top)
     return mults
 
 

@@ -339,6 +339,27 @@ def test_text_report_memory_per_slot(tmp_path):
     assert (peaks[40000] - peaks[20000]) / 20000 < 400
 
 
+def test_bounds_text_memory_per_slot(tmp_path):
+    # the same instances: bounds writes its text about 4096 slot lines at
+    # a time, straight from the list of d (lower, upper) pairs, so the
+    # peak grows by about 9 bytes per slot (Python 3.11), not by a dict
+    # row, a root and a line per slot (500 bytes per slot when it built
+    # them all before writing)
+    peaks = {}
+    for d in (20000, 40000):
+        instance = tmp_path / f"d{d}.json"
+        instance.write_text(json.dumps({"n": 2, "d": d, "singularities": [],
+                                        "beta": {"mode": "enumerate"}}))
+        tracemalloc.start()
+        try:
+            assert main(["bounds", str(instance), "--output",
+                         str(tmp_path / "bounds.txt")]) == 0
+            peaks[d] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[40000] - peaks[20000]) / 20000 < 50
+
+
 def test_each_display_is_rendered_once(tmp_path, monkeypatch):
     # zeta is shown in its check and in the report, the char poly in the
     # report: each groups its d slots once, and chi is written as runs

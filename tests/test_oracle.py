@@ -14,12 +14,12 @@ from moninf.cli import main
 from moninf.cyclo import ONE, MINUS_ONE, UnitRoot, mth_roots
 from moninf.jordan import JordanStructure
 from moninf.modp import PRIME, eliminate
+from _field import field as _field, sparse_matmul, to_power_basis
 from moninf.oracle import (
     CycloMatrix,
     SpectrumNotCovered,
     build_cyclic_matrix,
     build_jordan_matrix,
-    _field,
     _prime_for_level,
     cyclotomic_polynomial,
     jordan_type,
@@ -133,8 +133,7 @@ def test_build_cyclic_matrix_layout():
 
 
 def _rank(m: CycloMatrix) -> int:
-    return oracle._rank(m.rows, m.ncols, _field(m.level),
-                        most=min(m.nrows, m.ncols))
+    return oracle._rank(m.rows, m.ncols, m.level, most=min(m.nrows, m.ncols))
 
 
 def test_rank_basic_cases():
@@ -375,16 +374,11 @@ def test_a_multiplicity_mod_p_above_the_exact_one_fails_the_certificate(
 
 
 def test_random_oracle_certifies_every_component(monkeypatch, capsys):
-    # neither the exact division nor the lift of det(x - K) to the
-    # candidates' level runs: the certificate held on every component
+    # neither the exact division nor an exact chain, the one place where
+    # K goes to the candidates' level, runs: the certificate held on every
+    # component
     exact = _spy(monkeypatch, "_exact_multiplicities")
-    lifts = []
-    lift = oracle._Field.lift
-
-    def spy(self, *args):
-        lifts.append(args)
-        return lift(self, *args)
-    monkeypatch.setattr(oracle._Field, "lift", spy)
+    lifts = _spy(monkeypatch, "_exact_nullities")
     assert main(["oracle", "--seed", "7", "--trials", "20", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["counterexamples"] == []
     assert exact == lifts == []
@@ -454,7 +448,7 @@ def test_char_poly_is_the_product_over_the_jordan_blocks(blocks, ops, bumps,
         for _ in range(size):
             expected = _poly_mul(expected, [field.monomial(0), minus_root], field)
     for m in (build_jordan_matrix(j, 6), _conjugated(j, ops, bumps)):
-        coeffs = oracle._char_poly(m.rows, 6)[0]
+        coeffs = oracle._char_poly(oracle._traces(m.rows, 6), 6)
         assert [_field(6).lift(c, field) for c in coeffs] == expected
 
 
@@ -572,7 +566,7 @@ def _fraction_free_nullities(rows: list[dict[int, tuple[int, ...]]],
     power = shifted
     while nullities[-1] not in (nullities[-2], stop):
         power = [_strip_content(row)
-                 for row in oracle._sparse_matmul(power, shifted, field)]
+                 for row in sparse_matmul(power, shifted, field.level)]
         nullities.append(dim - _int_rank(power, dim, field))
     return nullities
 
@@ -721,16 +715,16 @@ def test_traces_from_two_powers_are_the_diagonals_of_all_powers(
     expected, power = [], m.rows
     for k in range(1, m.nrows + 1):
         if k > 1:
-            power = oracle._sparse_matmul(power, m.rows, field)
+            power = sparse_matmul(power, m.rows, 6)
         expected.append(tuple(map(sum, zip(zero, *(
             row.get(i, zero) for i, row in enumerate(power))))))
-    coeffs, traces = oracle._char_poly(m.rows, 6)
-    assert traces == expected
+    traces = oracle._traces(m.rows, 6)
+    assert [to_power_basis(trace, 6) for trace in traces] == expected
     # det(x - C) = det(x^order - K) for the cyclic C of K: Newton's
     # identities over the zero traces p_j, order not dividing j, agree
-    spread = [zero] * (m.nrows + 1)
-    spread[::order] = oracle._char_poly(base.rows, 6)[0]
-    assert coeffs == spread
+    spread = [[0] * 6] * (m.nrows + 1)
+    spread[::order] = oracle._char_poly(oracle._traces(base.rows, 6), 6)
+    assert oracle._char_poly(traces, 6) == spread
 
 
 def test_the_traces_take_half_the_powers_of_each_component(monkeypatch):
@@ -743,14 +737,14 @@ def test_the_traces_take_half_the_powers_of_each_component(monkeypatch):
     assert dims == [3, 6, 12, 15]
     products = _spy(monkeypatch, "_sparse_matmul")
     exact = _spy(monkeypatch, "_exact_nullities")
-    char_poly, counts = oracle._char_poly, []
+    traces, counts = oracle._traces, []
 
     def spy(rows, level):
         before = len(products)
-        result = char_poly(rows, level)
+        result = traces(rows, level)
         counts.append((len(rows), len(products) - before))
         return result
-    monkeypatch.setattr(oracle, "_char_poly", spy)
+    monkeypatch.setattr(oracle, "_traces", spy)
     expected, actual = verify_cyclic_agreement(j, 3)
     assert actual == expected
     assert exact == []
