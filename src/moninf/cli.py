@@ -40,10 +40,10 @@ from .jordan import JordanStructure, Rows, Runs
 from .oracle import SpectrumNotCovered, spectrum_level, verify_cyclic_agreement
 
 # The oracle's limits, each checked for the whole sweep before its first
-# comparison.  A comparison of r rows costs about r^3: one Jordan block of
-# 128 at m = 2, so 256 rows, takes about 1.3 s of CPU and 49 MB of peak
-# RSS at field level 360 and about 0.5 s at level 24 (2-CPU VM, Python
-# 3.11), and a case of the exhaustive sweep at dimension <= 6 about 1 ms.
+# comparison.  A strongly connected matrix of r rows costs about r^3: 256
+# rows at field level 360 (a Jordan block of 128 at m = 2 sheared into one
+# block) take about 2.7 s of CPU and 118 MB of peak RSS (2-CPU VM, Python
+# 3.11).  A Jordan lift costs per m x m block: unsheared, that one 0.1 s.
 DEFAULT_LEVEL_CAP = 360
 MAX_ORACLE_ROWS = 256
 MAX_EXHAUSTIVE_COMPARISONS = 10000

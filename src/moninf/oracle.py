@@ -25,35 +25,39 @@ size exactly l at alpha is 2*n_l - n_(l-1) - n_(l+1).
 
 Route.  (1) M is split into the connected components K of its symmetric
 sparsity pattern: a permutation similarity, so Jordan types add over
-components.  (2) With L the level of M, the exact traces p_j = tr(K^j),
-j = 1 .. dim K, are formed in Z[C_L] from the powers up to
-h = ceil(dim K / 2), two at a time: p_(2a-1) = tr(K^a K^(a-1)) and
-p_(2a) = tr(K^a K^a).  (3) With T the level the candidates need, a prime
-p = 1 (mod T) and omega of order T mod p, the ring map
-zeta_L -> omega^(T/L) sends the traces to F_p, where Newton's identities
-give det(x - K) mod p, k <= dim being below p; a zero trace, as is every
-p_j with m not dividing j on a cyclic component of order m, adds nothing
-to them.  Synthetic division gives each candidate alpha a multiplicity
+components.  (2) A permutation similarity makes K block upper triangular,
+each diagonal block D a strongly connected component of the directed
+pattern, an edge i -> j per entry (i, j) (Tarjan), so det(x - K) is the
+product of the det(x - D), multiplicities add over blocks, and (3)-(5)
+run once per distinct D.  (3) With L the level of M, the exact traces
+p_j = tr(D^j), j = 1 .. dim D, are formed in Z[C_L] from the powers up
+to h = ceil(dim D / 2), two at a time: p_(2a-1) = tr(D^a D^(a-1)) and
+p_(2a) = tr(D^a D^a).  (4) With T the level the candidates need, a prime
+p = 1 (mod T) and omega of order T mod p, the ring map zeta_L ->
+omega^(T/L) sends the traces to F_p, where Newton's identities give
+det(x - D) mod p, k <= dim being below p; a zero trace, as is every p_j
+with m not dividing j on a cyclic block of order m, adds nothing to
+them.  Synthetic division gives each candidate alpha a multiplicity
 a_p(alpha) >= a(alpha): a ring map can only raise a multiplicity, and
-distinct T-th roots of unity stay distinct mod p.  (4) Certificate: if
-the a_p(alpha) add up to dim K and p_j = sum a_p(alpha)*alpha^j in
-Z[zeta_T] for j = 1 .. dim K, then a = a_p, since over a field of
+distinct T-th roots of unity stay distinct mod p.  (5) Certificate: if
+the a_p(alpha) add up to dim D and p_j = sum a_p(alpha)*alpha^j in
+Z[zeta_T] for j = 1 .. dim D, then a = a_p, since over a field of
 characteristic 0 the power sums p_1 .. p_dim fix a monic polynomial of
-degree dim.  It passes exactly when the candidates cover K.  Where it
+degree dim.  It passes exactly when the candidates cover D.  Where it
 fails, a(alpha) is the least a_P(alpha) over enough prime ideals P (see
-_exact_multiplicities), and the sum of the a(alpha) over all components
-raises SpectrumNotCovered before any rank.  (5) Since 1 <= n_1 <= a(alpha),
+_exact_multiplicities), and the sum of the a(alpha) over all blocks
+raises SpectrumNotCovered before any rank.  (6) Since 1 <= n_1 <= a(alpha),
 a(alpha) = 1 is one block of size 1, again with no rank.  Where
-a(alpha) > 1, n_1 is at most the nullity mod p of the image of K over
-F_p, made once per component, shifted by the image of alpha; where that
-is 1, so is n_1: one block, of size a(alpha).  With one such alpha in a
-component, that nullity is one elimination.  With more, one elimination
-bounds them all: if v, Kv, ..., K^(dim-1)v have rank dim K over F_p,
-the image of K is nonderogatory and every shifted nullity mod p is at
-most 1.  Where that rank falls short, each alpha takes its own nullity
-mod p.  Where a nullity mod p exceeds 1, the nullities of the exact
-powers run until they reach a(alpha), each from the ranks mod enough
-prime ideals (see _rank).
+a(alpha) > 1 in K, n_1 is at most the nullity mod p of the image of K
+over F_p, shifted by the image of alpha; where that is 1, so is n_1: one
+block, of size a(alpha).  With one such alpha in a component, that
+nullity is one elimination.  With more, one elimination bounds them all:
+if v, Kv, ..., K^(dim-1)v have rank dim K over F_p, the image of K is
+nonderogatory and every shifted nullity mod p is at most 1.  Where that
+rank falls short, each alpha takes its own nullity mod p.  Where a
+nullity mod p exceeds 1, the nullities of the exact powers run until
+they reach a(alpha), each from the ranks mod enough prime ideals (see
+_rank).
 """
 
 from __future__ import annotations
@@ -356,6 +360,37 @@ def _components(rows: list[dict[int, tuple[int, ...]]]) -> list[list[int]]:
     return list(groups.values())
 
 
+def _strong_components(rows: list[dict[int, tuple[int, ...]]]) -> list[list[int]]:
+    """Index sets, each ascending, of the strongly connected components of
+    the directed pattern, an edge i -> j per entry (i, j): Tarjan, made
+    iterative, numbers a vertex by its stack place, past all once off it."""
+    number, low, found = [0] * len(rows), [0] * len(rows), []
+    for start in range(len(rows)):
+        if number[start]:
+            continue
+        number[start] = low[start] = 1
+        stack, work = [start], [(start, iter(rows[start]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if not number[w]:
+                    number[w] = low[w] = len(stack) + 1
+                    stack.append(w)
+                    work.append((w, iter(rows[w])))
+                    break
+                low[v] = min(low[v], number[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == number[v]:
+                    found.append(sorted(stack[number[v] - 1:]))
+                    del stack[number[v] - 1:]
+                    for w in found[-1]:
+                        number[w] = len(rows) + 1
+    return found
+
+
 def _bound(rows: list[dict[int, Sequence[int]]], powers: int) -> int:
     """dim * R^(2*powers), R >= 1 the largest l1 norm of a row: it bounds
     the l1 norm of every entry of K^a and of every sum of products of
@@ -537,9 +572,9 @@ def _power_sums_agree(traces: list[list[int]], level: int,
 
 
 def _multiplicities(rows: list[dict[int, tuple[int, ...]]], level: int,
-                    roots: list[UnitRoot], top: int) -> dict[UnitRoot, int]:
-    """The multiplicities a(alpha) of the candidates in det(x - K), with
-    no zeros where the certificate holds.
+                    images: dict[UnitRoot, int], top: int) -> dict[UnitRoot, int]:
+    """The multiplicities a(alpha) of the candidates, images[alpha] its
+    image mod p, in det(x - K), with no zeros where the certificate holds.
 
     They are read off det(x - K) mod p, where they can only grow, and are
     certified by the exact power sums; where the certificate fails, the
@@ -547,19 +582,17 @@ def _multiplicities(rows: list[dict[int, tuple[int, ...]]], level: int,
     prime, omega = _prime_for_level(top)
     traces = _traces(rows, level)
     to_p = _ring_map(level, prime, pow(omega, top // level, prime))
-    images = [to_p(trace) for trace in traces]
-    nonzero = [i for i, image in enumerate(images, 1) if image]
+    powers = [to_p(trace) for trace in traces]
+    nonzero = [i for i, power in enumerate(powers, 1) if power]
     inverses, coeffs = [0, 1], [1]  # 1/k mod p from p = (p // k)*k + p % k
     for k in range(1, len(rows) + 1):
-        total = sum(coeffs[k - i] * images[i - 1]
+        total = sum(coeffs[k - i] * powers[i - 1]
                     for i in nonzero[:bisect_right(nonzero, k)])
         coeffs.append(-total * inverses[k] % prime)
         inverses.append(-(prime // (k + 1)) * inverses[prime % (k + 1)] % prime)
-    found = _divide_out(coeffs, [
-        pow(omega, top // alpha.den * alpha.num, prime) for alpha in roots],
-        prime)
-    mults = {alpha: mult for alpha, mult in zip(roots, found) if mult}
-    # the certificate, step (4) of the route in the module docstring
+    found = _divide_out(coeffs, images.values(), prime)
+    mults = {alpha: mult for alpha, mult in zip(images, found) if mult}
+    # the certificate, step (5) of the route in the module docstring
     if sum(mults.values()) != len(rows) or not _power_sums_agree(
             traces, level, mults, top):
         mults = _exact_multiplicities(_char_poly(traces, level), level,
@@ -577,32 +610,44 @@ def jordan_type(m: CycloMatrix, candidates: Iterable[UnitRoot]) -> JordanStructu
         raise ValueError("jordan_type needs a square matrix")
     roots = sorted(set(candidates))
     level_needed = math.lcm(m.level, *(root.den for root in roots))
-    components = []
+    prime, omega = _prime_for_level(level_needed)
+    images = {alpha: pow(omega, level_needed // alpha.den * alpha.num, prime)
+              for alpha in roots}
+    components, runs = [], {}
     for index in _components(m.rows):
         local = {g: i for i, g in enumerate(index)}
         rows = [{local[j]: vec for j, vec in m.rows[g].items()} for g in index]
-        components.append((rows, _multiplicities(rows, m.level, roots,
-                                                 level_needed)))
+        # step (2) of the route: equal diagonal blocks share one run
+        mults: dict[UnitRoot, int] = {}
+        for strong in _strong_components(rows):
+            place = {g: i for i, g in enumerate(strong)}
+            block = [{place[j]: vec for j, vec in rows[g].items()
+                      if j in place} for g in strong]
+            key = tuple(frozenset(row.items()) for row in block)
+            if key not in runs:
+                runs[key] = _multiplicities(block, m.level, images,
+                                            level_needed)
+            for alpha, mult in runs[key].items():
+                mults[alpha] = mults.get(alpha, 0) + mult
+        components.append((rows, mults))
     covered = sum(sum(mults.values()) for _, mults in components)
     if covered != m.nrows:
         raise SpectrumNotCovered(
             f"candidate eigenvalues cover {covered} of {m.nrows} dimensions")
-    prime, omega = _prime_for_level(level_needed)
     to_p = _ring_map(m.level, prime,
                      pow(omega, level_needed // m.level, prime))
     blocks: list[tuple[UnitRoot, dict[int, int]]] = []
     for rows, mults in components:
-        image = _image(rows, len(rows), to_p)
         # 1 <= n_1 <= a(alpha), and n_1 is at most the nullity mod p:
         # one Krylov rank bounds it for every alpha, one nullity for one
         repeated = sum(mult > 1 for mult in mults.values())
+        image = _image(rows, len(rows), to_p) if repeated else []
         nonderogatory = repeated > 1 and _krylov_rank(
             rows, image, prime) == len(rows)
         for alpha, mult in mults.items():
             nullities = list(range(mult + 1))
-            if mult > 1 and not nonderogatory and _nullity_mod_p(image, pow(
-                    omega, level_needed // alpha.den * alpha.num, prime),
-                    prime) > 1:
+            if mult > 1 and not nonderogatory and _nullity_mod_p(
+                    image, images[alpha], prime) > 1:
                 nullities = _exact_nullities(rows, m.level, alpha, mult)
             null = nullities + nullities[-1:]
             blocks.append((alpha, {

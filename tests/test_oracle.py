@@ -356,14 +356,22 @@ def test_uncovered_spectrum_needs_no_rank(monkeypatch, entry):
     assert eliminations == exact == []
 
 
-@pytest.mark.parametrize("coupling", [{}, {1: (1,)}])
+@pytest.mark.parametrize("coupling", [
+    {},
+    # conjugated to [[2, 1], [p - 1, p]]: coupled both ways, one block
+    {(0, 0): 1, (0, 1): 1, (1, 0): _prime_for_level(1)[0] - 1, (1, 1): -1},
+])
 def test_a_multiplicity_mod_p_above_the_exact_one_fails_the_certificate(
         monkeypatch, coupling):
-    # K = [1] + [1 + p], alone or coupled into one component: mod p both
-    # eigenvalues are 1, so the power sums reject the count mod p and exact
-    # division finds a(1) = 1
+    # K = [1] + [1 + p], alone or coupled into one strongly connected
+    # block: mod p both eigenvalues are 1, so the power sums reject the
+    # count mod p and exact division finds a(1) = 1
     p = _prime_for_level(1)[0]
-    m = CycloMatrix(1, [{0: (1,), **coupling}, {1: (1 + p,)}], 2)
+    grid = [[1, 0], [0, 1 + p]]
+    for (i, j), c in coupling.items():
+        grid[i][j] += c
+    m = CycloMatrix(1, [{j: (c,) for j, c in enumerate(row)} for row in grid], 2)
+    assert len(oracle._strong_components(m.rows)) == (1 if coupling else 2)
     eliminations = _spy(monkeypatch, "eliminate")
     exact = _spy(monkeypatch, "_exact_multiplicities")
     with pytest.raises(SpectrumNotCovered, match="cover 1 of 2 dimensions"):
@@ -571,6 +579,13 @@ def _fraction_free_nullities(rows: list[dict[int, tuple[int, ...]]],
     return nullities
 
 
+def _outcome(m: CycloMatrix, candidates: list[UnitRoot]) -> object:
+    try:
+        return jordan_type(m, candidates)
+    except SpectrumNotCovered as exc:
+        return str(exc)
+
+
 def _exact_outcome(m: CycloMatrix, candidates: list[UnitRoot],
                    avoid: int) -> object:
     """jordan_type's answer from exact nullities of every candidate.  Each
@@ -611,11 +626,7 @@ def test_charpoly_route_matches_the_exact_route(blocks, ops, order, drop,
         row = grid[i % len(grid)]
         row[k % len(grid)] = _add(row[k % len(grid)], (p, 0))
     m = build_cyclic_matrix(_sparse(6, grid), order)
-    try:
-        outcome: object = jordan_type(m, candidates)
-    except SpectrumNotCovered as exc:
-        outcome = str(exc)
-    assert outcome == _exact_outcome(m, candidates, p)
+    assert _outcome(m, candidates) == _exact_outcome(m, candidates, p)
 
 
 def test_random_oracle_needs_no_exact_rank(monkeypatch, capsys):
@@ -729,12 +740,15 @@ def test_traces_from_two_powers_are_the_diagonals_of_all_powers(
 
 def test_the_traces_take_half_the_powers_of_each_component(monkeypatch):
     # the order-3 operator of blocks of sizes 1, 2, 4 and 5: components of
-    # 3, 6, 12 and 15 rows, each with K^2 .. K^ceil(dim/2) and no chain
+    # 3, 6, 12 and 15 rows, each block triangular with its 3 x 3 diagonal
+    # blocks strongly connected, one per row of the Jordan blocks.  Those
+    # at one eigenvalue are equal, so three trace runs, each with K^2
+    # only, cover all twelve, and no chain runs
     j = JordanStructure({ONE: {1: 1, 4: 1}, UnitRoot(1, 3): {2: 1},
                          MINUS_ONE: {5: 1}})
     m = build_cyclic_matrix(build_jordan_matrix(j, 6), 3)
-    dims = sorted(map(len, oracle._components(m.rows)))
-    assert dims == [3, 6, 12, 15]
+    assert sorted(map(len, oracle._components(m.rows))) == [3, 6, 12, 15]
+    assert list(map(len, oracle._strong_components(m.rows))) == [3] * 12
     products = _spy(monkeypatch, "_sparse_matmul")
     exact = _spy(monkeypatch, "_exact_nullities")
     traces, counts = oracle._traces, []
@@ -748,8 +762,129 @@ def test_the_traces_take_half_the_powers_of_each_component(monkeypatch):
     expected, actual = verify_cyclic_agreement(j, 3)
     assert actual == expected
     assert exact == []
-    assert sorted(counts) == [(3, 1), (6, 2), (12, 5), (15, 7)]
-    assert len(products) == 15
+    assert counts == [(3, 1)] * 3
+    assert len(products) == 3
+
+
+def _reachable(rows: list[dict[int, object]]) -> list[set[int]]:
+    reach = []
+    for start in range(len(rows)):
+        seen, todo = {start}, [start]
+        while todo:
+            for j in rows[todo.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        reach.append(seen)
+    return reach
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.sets(st.integers(0, n - 1), max_size=3), min_size=n, max_size=n)))
+def test_strong_components_are_the_classes_of_mutual_reachability(edges):
+    rows = [dict.fromkeys(row, (1,)) for row in edges]
+    reach = _reachable(rows)
+    found = oracle._strong_components(rows)
+    assert all(index == sorted(index) for index in found)
+    assert sorted(map(tuple, found)) == sorted({
+        tuple(j for j in sorted(reach[i]) if i in reach[j])
+        for i in range(len(rows))})
+
+
+def _sheared(m: CycloMatrix, pairs: list[tuple[int, int]]) -> CycloMatrix:
+    """S M S^-1 for S the product of the shears I + 2*E_(a,b), a != b,
+    each with inverse I - 2*E_(a,b): row a += 2*row b, then column
+    b -= 2*column a.  Where every entry of M is a root of unity, u + 2v
+    is never 0 for roots of unity u and v, so no entry other than (a, b)
+    vanishes: each pair adds the edges a -> j, j != b, for the entries
+    (b, j), and i -> b for the entries (i, a), i != a."""
+    zero = (0,) * (len(cyclotomic_polynomial(m.level)) - 1)
+    rows = [dict(row) for row in m.rows]
+    for a, b in pairs:
+        for j, vec in rows[b].items():
+            rows[a][j] = tuple(x + 2 * y for x, y in zip(rows[a].get(j, zero), vec))
+        for row in rows:
+            if a in row:
+                row[b] = tuple(x - 2 * y for x, y in zip(row.get(b, zero), row[a]))
+    return CycloMatrix(m.level, rows, m.ncols)
+
+
+@settings(max_examples=40, deadline=None)
+@given(blocks=st.lists(st.tuples(st.sampled_from(mth_roots(ONE, 6)),
+                                 st.integers(1, 4)), min_size=1, max_size=3),
+       order=st.integers(2, 3), drop=st.booleans())
+def test_split_jordan_lifts_agree_with_their_sheared_conjugates(
+        blocks, order, drop):
+    # the lift of J_s(lambda) is s diagonal blocks in a chain, from the
+    # one of row 0 of the block to the one of row s - 1; a shear from a
+    # row of the last into row 0 closes the chain into one block
+    j = _from_blocks(blocks)
+    base = build_jordan_matrix(j, 6)
+    m = build_cyclic_matrix(base, order)
+    pairs, offset = [], 0
+    for size in (size for root in j.spectrum() for size in j.sizes_at(root)):
+        pairs.append((base.nrows + offset + size - 1, offset))
+        offset += size
+    sheared = _sheared(m, pairs)
+    assert len(oracle._strong_components(m.rows)) == base.nrows
+    assert len(oracle._strong_components(sheared.rows)) == len(pairs)
+    expected = oracle.cyclic_power(j, order)
+    candidates = expected.spectrum()[drop:]
+    outcome = _outcome(m, candidates)
+    assert outcome == _outcome(sheared, candidates)
+    covered = m.nrows - drop * expected.multiplicity(expected.spectrum()[0])
+    assert outcome == (f"candidate eigenvalues cover {covered} of {m.nrows} "
+                       f"dimensions" if drop else expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_split_block_triangular_matrices_agree_with_their_sheared_conjugates(
+        data):
+    # diagonal blocks C, the order-k operators of [mu], some equal, each
+    # strongly connected, the first of 2 rows or more; couplings above
+    # them, one from each into the next, then a random permutation.  The
+    # shear from the last row of the last block into the first row of
+    # the first closes the chain of blocks into one
+    roots = st.sampled_from(mth_roots(ONE, 6))
+    first = data.draw(st.tuples(roots, st.integers(2, 3)), label="first")
+    pool = [first, *data.draw(st.lists(st.tuples(roots, st.integers(1, 3)),
+                                       max_size=2), label="pool")]
+    diagonal = [first, *data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                           max_size=3), label="diagonal")]
+    field = _field(6)
+    starts = [0]
+    for _, k in diagonal:
+        starts.append(starts[-1] + k)
+    n = starts[-1]
+    rows: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n)]
+    for (mu, k), start in zip(diagonal, starts):
+        rows[start][start + k - 1] = field.embed_root(mu)
+        for r in range(start + 1, start + k):
+            rows[r][r - 1] = field.monomial(0)
+    block = [b for b, (_, k) in enumerate(diagonal) for _ in range(k)]
+    couplings = [(start - 1, start, data.draw(st.integers(0, 5)))
+                 for start in starts[1:-1]] + data.draw(st.lists(st.tuples(
+                     st.integers(0, n - 1), st.integers(0, n - 1),
+                     st.integers(0, 5)), max_size=4), label="couplings")
+    for i, k, e in couplings:
+        if block[i] < block[k]:
+            rows[i][k] = field.monomial(e)
+    where = data.draw(st.permutations(range(n)), label="permutation")
+    shuffled = [{} for _ in range(n)]
+    for i, row in enumerate(rows):
+        shuffled[where[i]] = {where[k]: vec for k, vec in row.items()}
+    m = CycloMatrix(6, shuffled, n)
+    sheared = _sheared(m, [(where[n - 1], where[0])])
+    assert len(oracle._strong_components(m.rows)) == len(diagonal)
+    assert len(oracle._strong_components(sheared.rows)) == 1
+    candidates = sorted({alpha for mu, k in diagonal
+                         for alpha in mth_roots(mu, k)})
+    candidates = candidates[data.draw(st.booleans(), label="drop"):] + \
+        data.draw(st.lists(st.sampled_from(mth_roots(ONE, 12)), max_size=1),
+                  label="extra")
+    assert _outcome(m, candidates) == _outcome(sheared, candidates)
 
 
 def test_random_oracle_runs_no_nullity_mod_p(monkeypatch, capsys):
