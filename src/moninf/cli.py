@@ -36,7 +36,7 @@ from .infinity import (
     parse_problem,
     zeta_of_top_form,
 )
-from .jordan import JordanStructure, Rows, Runs
+from .jordan import SLICE, JordanStructure, Rows, Runs
 from .oracle import SpectrumNotCovered, spectrum_level, verify_cyclic_agreement
 
 # The oracle's limits, each checked for the whole sweep before its first
@@ -62,7 +62,6 @@ def _load_json(path: str) -> object:
         raise InstanceError(f"invalid JSON in {path}: nested too deeply") from exc
 
 
-_JOIN_SLICE = 4096  # ints per piece of a list: bounds the longest piece
 _encode_key = json.encoder.encode_basestring_ascii  # as json.dumps escapes
 
 
@@ -83,9 +82,9 @@ def _json_chunks(value: object, indent: str = "\n") -> Iterator[str]:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
         lead, sep = "{" + inner, "," + inner
         if all(type(value[key]) is int for key in keys):
-            for start in range(0, len(keys), _JOIN_SLICE):
+            for start in range(0, len(keys), SLICE):
                 yield lead + sep.join([f"{_encode_key(key)}: {value[key]}"
-                                       for key in keys[start:start + _JOIN_SLICE]])
+                                       for key in keys[start:start + SLICE]])
                 lead = sep
         else:
             for key in keys:
@@ -96,8 +95,8 @@ def _json_chunks(value: object, indent: str = "\n") -> Iterator[str]:
     elif isinstance(value, (list, tuple)) and value:
         lead, sep = "[" + inner, "," + inner
         if set(map(type, value)) == {int}:
-            for start in range(0, len(value), _JOIN_SLICE):
-                yield lead + sep.join(map(str, value[start:start + _JOIN_SLICE]))
+            for start in range(0, len(value), SLICE):
+                yield lead + sep.join(map(str, value[start:start + SLICE]))
                 lead = sep
         else:
             for item in value:
@@ -112,13 +111,13 @@ def _json_chunks(value: object, indent: str = "\n") -> Iterator[str]:
         yield indent + "]" if value else "[]"
     elif isinstance(value, Rows):
         # one piece per row; the text of each distinct list of at most
-        # _JOIN_SLICE / 2 sizes is rendered once, a longer one every time
+        # SLICE / 2 sizes is rendered once, a longer one every time
         cell, texts, lead = inner + "  ", {}, "[" + inner
         for root, blocks in value.make():
             text = texts.get(blocks.pairs)
             if text is None:
                 text = "".join(_json_chunks(blocks, cell)) if sum(
-                    count for _, count in blocks.pairs) <= _JOIN_SLICE // 2 else ""
+                    count for _, count in blocks.pairs) <= SLICE // 2 else ""
                 texts[blocks.pairs] = text
             tail = f',{cell}"eigenvalue": "{root}"{inner}}}'
             if text:
@@ -168,10 +167,10 @@ def cmd_compute(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     spec = parse_problem(_load_json(args.instance))
     chi, bounds, d = chi_runs(spec.chi), beta_bounds(spec), spec.d
-    # the slot lines, made from the bounds as written, _JOIN_SLICE a piece
+    # the slot lines, made from the bounds as written, SLICE a piece
     lines = (f"\n  s = {s} (eigenvalue {reduced_root(s, d)}): {low}..{up}"
              for s, (low, up) in enumerate(bounds))
-    pieces = iter(lambda: "".join(islice(lines, _JOIN_SLICE)), "")
+    pieces = iter(lambda: "".join(islice(lines, SLICE)), "")
     text = chain([f"admissible beta ranges for n = {spec.n}, d = {d}\nchi = ["],
                  chi.joined(", "), ["]"], pieces, ["\n"])
     doc = {"n": spec.n, "d": d, "chi": chi, "bounds": [

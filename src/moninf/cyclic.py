@@ -50,7 +50,7 @@ def lifted_runs(pairs: list[tuple[UnitRoot, V]], m: int
                 ) -> Iterator[list[tuple[UnitRoot, V]]]:
     """The lifts of pairs, in the m + 2 runs before, between and after the
     (m+1)-th roots of unity.  The root s/(m+1) lies in the range of
-    j = max(s-1, 0), where the lift of its conjugate k/(m+1) would: when
+    j = max(s-1, 0), where the lift of its inverse k/(m+1) would: when
     pairs has that eigenvalue, its lift is s/(m+1) itself, and it is left
     out.  A root num/den lies below k/(m+1) just when num*(m+1)//den does
     below k, so the roots of pairs are bisected on those integers."""

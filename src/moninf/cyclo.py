@@ -43,10 +43,6 @@ class UnitRoot:
         object.__setattr__(self, "num", num // g)
         object.__setattr__(self, "den", den // g)
 
-    def conjugate(self) -> UnitRoot:
-        """Complex conjugate, which is also the multiplicative inverse."""
-        return UnitRoot(-self.num, self.den)
-
     def __lt__(self, other: UnitRoot) -> bool:
         return self.num * other.den < other.num * self.den
 

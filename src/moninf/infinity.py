@@ -9,7 +9,8 @@ The counting rules read the local monodromies T_i only through their
 direct sum T and the total Milnor number, which fixes chi.
 :class:`ProblemSpec` keeps the (model, count) pairs in input order and
 derives T, the total and chi once, with one local monodromy per distinct
-germ.  The assembled Jordan structure has two layers:
+germ, as the integer tables of :data:`localsing.Tables` at a level L.
+The assembled Jordan structure has two layers:
 
 * at alpha = e^(2*pi*i*s/d), the slot of the d-th root s/d, with chi_s
   the global Euler-type invariant, the block counts are
@@ -17,14 +18,14 @@ germ.  The assembled Jordan structure has two layers:
       size 2:    -beta_s + #_1(T)_alpha
       size l+1:  #_l(T)_alpha             (l >= 2)
   and a negative count raises an error naming the violated bound.  The
-  slots are indexed by s: T's table at num/den with den | d is read off
-  T once as slot s = num * (d / den), and a root is made only to be
-  printed;
+  slots are indexed by s: T's table at r/L with L | r*d is read off T
+  once as slot s = r*d/L, and a root is made only to be printed;
 * off the d-th roots, the base: T's blocks at alpha^(1-d) at alpha, that
-  is the lift of conj(T) to the (d-1)-th roots, streamed in root order
-  by :func:`cyclic.lifts`.  It lands on a d-th root alpha only from T's
-  blocks at alpha, which the slot replaces.  The lift of T itself gives
-  the charpoly formula's det(x^(d-1) - T); neither power is built.
+  is the lift of conj(T), T's table at r put at -r mod L, to the
+  (d-1)-th roots, streamed in root order by :func:`cyclic.lifts`.  It
+  lands on a d-th root alpha only from T's blocks at alpha, which the
+  slot replaces.  The lift of T itself gives the charpoly formula's
+  det(x^(d-1) - T); neither power is built.
 
 The report's characteristic polynomial, of the first vector or of the
 formula, is a :class:`cyclo.CharPoly`: the (eigenvalue, dimension)
@@ -37,8 +38,8 @@ on beta_s, so they are built once per (class, beta_s) and each vector's
 slots are read by one map over the class ids and beta.  The checks read
 the base off T once and the slots as lists: the degree identity, the
 block size limits, the bound check on beta, the local product formula
-(claimed only when every germ's spectrum is closed under conjugation,
-judged per germ, never on T), and the two-forms identity for zeta.  The
+(claimed only when every germ's tables at r and -r mod L agree, judged
+per germ, never on T), and the two-forms identity for zeta.  The
 text renders each table of T, the base runs and the slot lines once; the
 --json rows are streamed.
 """
@@ -49,17 +50,19 @@ import itertools
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import compress, groupby, repeat
+from math import lcm
 from operator import add, gt, itemgetter, lt, ne
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .cyclic import lifted_runs, lifts
-from .cyclo import ONE, CharPoly, UnitRoot, reduced_root
+from .cyclo import CharPoly, UnitRoot, reduced_root
 from .cyclo import mth_roots  # noqa: F401 -- perfbench/spans.py wraps this name
 from .defect import ProjectivePointSet, nodal_beta
-from .jordan import JordanStructure, Rows, Runs
+from .jordan import SLICE, JordanStructure, Rows, Runs
 from .localsing import (
     OrdinaryNode,
     SingularityModel,
+    Tables,
     local_monodromy,
     milnor_number,
     parse_singularity_counts,
@@ -135,12 +138,12 @@ class ProblemSpec:
     # (model, count) pairs in input order; repeated models are not merged
     singularities: tuple[tuple[SingularityModel, int], ...]
     beta: BetaSpec
-    # T: the direct sum of the local monodromies, one per singularity
-    local_sum: JordanStructure = field(init=False, repr=False, compare=False)
+    # T: the direct sum of the local monodromies, as Tables at the lcm level
+    local_sum: Tables = field(init=False, repr=False, compare=False)
     # the sum of count * mu over the pairs, and the d invariants chi_s
     total_mu: int = field(init=False, repr=False, compare=False)
     chi: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # whether every distinct germ's spectrum is closed under conjugation
+    # whether every distinct germ's tables at r and -r mod L agree
     locally_symmetric: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -149,15 +152,23 @@ class ProblemSpec:
         total_mu = _check_size(self.n, self.d, pairs)
         local = {model: local_monodromy(model, self.n)
                  for model in dict.fromkeys(model for model, _ in pairs)}
-        object.__setattr__(self, "local_sum", JordanStructure(
-            (root, {size: count * number})
-            for model, count in pairs
-            for root, size, number in local[model].iter_blocks()))
+        level = lcm(*(level for level, _ in local.values()))
+        acc: dict[int, dict[int, int]] = {}
+        for model, count in pairs:
+            at_level, tables = local[model]
+            for r, table in tables.items():
+                at = acc.setdefault(r * (level // at_level), {})
+                for size, number in table.items():
+                    at[size] = at.get(size, 0) + count * number
+        # each merged table is popped as its sorted copy is made
+        object.__setattr__(self, "local_sum", (level, {
+            r: dict(sorted(acc.pop(r).items(), reverse=True)) for r in sorted(acc)}))
         object.__setattr__(self, "total_mu", total_mu)
         object.__setattr__(self, "chi",
                            tuple(chi_vector(self.n, self.d, total_mu)))
         object.__setattr__(self, "locally_symmetric", all(
-            t.is_conjugation_symmetric() for t in local.values()))
+            tables.get(-r % level) == table
+            for level, tables in local.values() for r, table in tables.items()))
         beta = self.beta
         if isinstance(beta, GivenBeta):
             values = tuple(beta.values)
@@ -346,11 +357,12 @@ def chi_vector(n: int, d: int, total_mu: int) -> list[int]:
     return [chi_0] + [chi_0 + sign] * (d - 1)
 
 
-def _slot_tables(t: JordanStructure, d: int) -> dict[int, Mapping[int, int]]:
+def _slot_tables(t: Tables, d: int) -> dict[int, Mapping[int, int]]:
     """T's size -> count table at each d-th root s/d where it has one, by
-    s, read off T once: num/den with den | d is the slot s = num * (d / den)."""
-    return {x.num * (d // x.den): table for x, table in t.items()
-            if d % x.den == 0}
+    s, read off T once: r/L with L | r*d is the slot s = r*d/L."""
+    level, tables = t
+    return {r * d // level: table for r, table in tables.items()
+            if r * d % level == 0}
 
 
 def beta_bounds(spec: ProblemSpec) -> list[tuple[int, int]]:
@@ -373,14 +385,14 @@ def _dim(table: Mapping[int, int]) -> int:
 # a cell, a slot at one beta_s: its size -> count table (empty without blocks),
 # dimension, block count, line (a format of its root), beta_s within bounds
 _TABLE, _DIM, _BLOCKS, _LINE, _WITHIN = map(itemgetter, range(5))
-_LINE_SLICE = 4096  # about this many eigenvalue lines per piece of text
 
 
 class _Assembler(dict):
     """The assembled operator as a function of beta.
 
-    The base is streamed from conj(T) on each read, and what the checks
-    need of it is read off T once.  ids[s] is the class of slot s, one per
+    The base is streamed from conj(T), the roots -r/L in residue order
+    with T's tables at r, on each read, and what the checks need of it
+    is read off T's tables once.  ids[s] is the class of slot s, one per
     (chi_s, T's table there); chi_s is chi_{d-1} at every s but 0
     (chi_vector), so class 0 holds almost every slot.  The dict maps
     (class, beta_s) to its cell, or to None if a block count is negative,
@@ -390,11 +402,11 @@ class _Assembler(dict):
     def __init__(self, spec: ProblemSpec) -> None:
         super().__init__()
         d, t, chi = spec.d, spec.local_sum, spec.chi
-        tables = _slot_tables(t, d)
+        slots = _slot_tables(t, d)
         keys = {((), chi[-1]): 0}
         self.d, self.ids = d, [0] * d
-        for s in {*compress(range(d), map(ne, chi, repeat(chi[-1]))), *tables}:
-            items = tuple(tables.get(s, {}).items())
+        for s in {*compress(range(d), map(ne, chi, repeat(chi[-1]))), *slots}:
+            items = tuple(slots.get(s, {}).items())
             self.ids[s] = keys.setdefault((items, chi[s]), len(keys))
         # per class: the shifted sizes (>= 3, decreasing), chi_s - #(T)_alpha,
         # #_1(T)_alpha and the bounds on beta_s (see beta_bounds)
@@ -403,16 +415,16 @@ class _Assembler(dict):
             free_1, ones = chi_s - sum(c for _, c in items), dict(items).get(1, 0)
             self.rules.append(({size + 1: c for size, c in items if size >= 2},
                                free_1, ones, (max(0, (1 - free_1) // 2), ones)))
-        items = list(t.items())
-        # conjugation fixes 1 and reverses the angle order on (0, 1)
-        head = items[:1] if items and items[0][0] == ONE else []
-        self.conj = head + [(x.conjugate(), table)
-                            for x, table in reversed(items[len(head):])]
-        # x lifts to d - 1 roots, one of them a slot when x^d = 1
-        copies = [(d - 1 - (d % x.den == 0), table) for x, table in items]
+        level, tables = t
+        # conj(T) has T's table at r at -r mod L
+        self.conj = [(reduced_root(k, level), tables[-k % level])
+                     for k in sorted(-r % level for r in tables)]
+        # r/L lifts to d - 1 roots, one of them a slot when (r/L)^d = 1
+        copies = [(d - 1 - (r * d % level == 0), table)
+                  for r, table in tables.items()]
         self.base_dim = sum(k * _dim(table) for k, table in copies)
         self.base_blocks = sum(k * sum(table.values()) for k, table in copies)
-        self.step = max(1, _LINE_SLICE // (1 + len(self.conj)))
+        self.step = max(1, SLICE // (1 + len(self.conj)))
         self.spans, self.cut, self.shown = [], [], ()  # see text
 
     def __missing__(self, key: tuple[int, int]) -> tuple | None:
@@ -469,7 +481,7 @@ class _Assembler(dict):
 
     def text(self, beta: Sequence[int]) -> Iterator[str]:
         """One line per eigenvalue of the structure at beta, in root order,
-        in pieces of about _LINE_SLICE lines, or one line for the empty
+        in pieces of about SLICE lines, or one line for the empty
         operator.  spans[0] is the base run before slot 0, spans[s + 1] slot
         s's line (its first cut[s + 1] characters) and the run after it,
         made for the first vector and patched where a later beta differs."""
@@ -502,8 +514,7 @@ def _blocks_text(table: Mapping[int, int]) -> str:
     return ", ".join([f"{count} x size {size}" for size, count in table.items()])
 
 
-def _formula_at_roots(zeta: CharPoly, t: JordanStructure,
-                      d: int) -> list[int]:
+def _formula_at_roots(zeta: CharPoly, t: Tables, d: int) -> list[int]:
     """The exponents of zeta * det(x^(d-1) - T) at s/d, s = 0..d-1: zeta's
     plus T's multiplicity at conj(s/d) = (d - s)/d.  The exponents off the
     d-th roots are positive; raise when one of these is negative."""
@@ -519,13 +530,13 @@ def _formula_at_roots(zeta: CharPoly, t: JordanStructure,
     return exps
 
 
-def charpoly_local_formula(zeta: CharPoly, t: JordanStructure,
-                           d: int) -> CharPoly:
+def charpoly_local_formula(zeta: CharPoly, t: Tables, d: int) -> CharPoly:
     """Characteristic polynomial of the assembled operator, from local data:
     zeta * det(x^(d-1) * Id - T), zeta being :func:`zeta_of_top_form`.
     Raises when an exponent is negative: no actual hypersurface has such
     local data."""
-    return CharPoly([(x, _dim(table)) for x, table in t.items()], d - 1,
+    return CharPoly([(reduced_root(r, t[0]), _dim(table))
+                     for r, table in t[1].items()], d - 1,
                     _formula_at_roots(zeta, t, d))
 
 
@@ -627,11 +638,6 @@ def assemble(spec: ProblemSpec, *,
         formula_at = _formula_at_roots(zeta, t, d)
     except InstanceError as exc:
         formula_error = str(exc)
-    # off the d-th roots, the assembled operator has T's multiplicity at x
-    # where the formula has T's multiplicity at conj(x)
-    off_agrees = spec.locally_symmetric and all(
-        t.multiplicity(x) == t.multiplicity(x.conjugate())
-        for x in t.spectrum())
     expected_dim = (d - 1) ** (n + 1) - spec.total_mu
     # the block size limits and, unless a vector's multiplicities differ,
     # the product formula give every vector the same check; the limits read
@@ -673,8 +679,8 @@ def assemble(spec: ProblemSpec, *,
         checks.append(CheckResult(
             "beta_within_bounds", "fail" if outside else "pass",
             "; ".join(outside) or "every beta[s] lies within its bounds"))
-        checks.append(formula if formula.status != "pass" or (
-            off_agrees and dims == formula_at) else CheckResult(
+        checks.append(formula if formula.status != "pass" or
+                      dims == formula_at else CheckResult(
             "charpoly_local_formula", "fail",
             f"product formula gives {charpoly_local_formula(zeta, t, d)}, "
             f"assembled operator has {assembler.structure(beta).char_poly()}"))

@@ -13,6 +13,8 @@ from typing import Callable, ItemsView, Iterable, Iterator, Mapping
 
 from .cyclo import MINUS_ONE, ONE, CharPoly, UnitRoot
 
+SLICE = 4096  # items per piece of output text: bounds the longest piece
+
 
 class Runs:
     """A list of ints kept as (value, count) runs, in order.
@@ -23,7 +25,6 @@ class Runs:
     """
 
     __slots__ = ("pairs",)
-    SLICE = 4096  # values per piece of joined(): bounds the longest piece
 
     def __init__(self, pairs: Iterable[tuple[int, int]]) -> None:
         merged: list[tuple[int, int]] = []
@@ -63,7 +64,7 @@ class Runs:
         for value, count in self.pairs:
             text = str(value)
             while count:
-                take = min(count, self.SLICE)
+                take = min(count, SLICE)
                 yield lead + text + (sep + text) * (take - 1)
                 lead, count = sep, count - take
 
@@ -128,12 +129,6 @@ class JordanStructure:
         The tables are the structure's own, not copies: read them only."""
         return self._blocks.items()
 
-    def iter_blocks(self) -> Iterator[tuple[UnitRoot, int, int]]:
-        """(eigenvalue, size, count) triples in canonical order."""
-        for root, sizes in self._blocks.items():
-            for size, count in sizes.items():
-                yield root, size, count
-
     @property
     def total_dim(self) -> int:
         return sum(size * count for _, sizes in self._blocks.items()
@@ -143,11 +138,6 @@ class JordanStructure:
         """Characteristic polynomial, as the CharPoly with m = 1."""
         return CharPoly([(root, self.multiplicity(root)) for root in self._blocks],
                         1, [self.multiplicity(ONE), self.multiplicity(MINUS_ONE)])
-
-    def is_conjugation_symmetric(self) -> bool:
-        """True when the block data at alpha and at conj(alpha) agree."""
-        return all(self._blocks[root] == self._blocks.get(root.conjugate(), {})
-                   for root in self._blocks)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, JordanStructure):

@@ -16,10 +16,10 @@ models are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from itertools import compress
+from math import gcd, lcm
 from typing import Union
 
-from .cyclo import UnitRoot, reduced_root
 from .jordan import JordanStructure
 
 
@@ -55,6 +55,9 @@ class ExplicitJordan:
 
 SingularityModel = Union[BrieskornPham, OrdinaryNode, ExplicitJordan]
 
+Tables = tuple[int, dict[int, dict[int, int]]]
+"""(L, {r: {size: count}}): the block table at each eigenvalue r/L."""
+
 
 def milnor_number(model: SingularityModel) -> int:
     if isinstance(model, BrieskornPham):
@@ -69,8 +72,10 @@ def milnor_number(model: SingularityModel) -> int:
     raise TypeError(f"unknown singularity model {model!r}")
 
 
-def local_monodromy(model: SingularityModel, n: int) -> JordanStructure:
-    """Jordan structure of the local monodromy in n local coordinates."""
+def local_monodromy(model: SingularityModel, n: int) -> Tables:
+    """The local monodromy in n local coordinates as :data:`Tables`, with
+    L the lcm of the eigenvalues' orders, the residues r ascending and the
+    sizes decreasing.  The tables may be the model's own: read them only."""
     if n < 1:
         raise ValueError(f"number of local coordinates must be >= 1, got {n}")
     if isinstance(model, BrieskornPham):
@@ -86,12 +91,14 @@ def local_monodromy(model: SingularityModel, n: int) -> JordanStructure:
             step = big // a
             cosets = [sum(counts[r::step]) for r in range(step)]
             counts = [total - c for total, c in zip(cosets * a, counts)]
-        return JordanStructure((reduced_root(j, big), {1: c})
-                               for j, c in enumerate(counts) if c)
+        g = gcd(big, *compress(range(big), counts))  # orders divide big/g
+        return big // g, {j // g: {1: c} for j, c in enumerate(counts) if c}
     if isinstance(model, OrdinaryNode):
-        return JordanStructure({UnitRoot(n, 2): {1: 1}})
+        return (1, {0: {1: 1}}) if n % 2 == 0 else (2, {1: {1: 1}})
     if isinstance(model, ExplicitJordan):
-        return model.structure
+        level = lcm(*(x.den for x in model.structure.spectrum()))
+        return level, {x.num * (level // x.den): table
+                       for x, table in model.structure.items()}
     raise TypeError(f"unknown singularity model {model!r}")
 
 

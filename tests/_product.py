@@ -1,4 +1,4 @@
-"""The reference product that tests hold `cyclo.CharPoly` to.
+"""The references that tests hold the package's closed forms to.
 
 A product prod_alpha (x - alpha)^(e_alpha) over roots of unity is kept
 as a dict from UnitRoot to its nonzero exponent, the roots by increasing
@@ -6,11 +6,18 @@ angle, as the package kept it before the closed form `CharPoly`:
 `display` is that former ``str()`` and `to_json` that former JSON dict.
 `CharPoly` must give the same display and, up to key order, the same
 dict for the same product.
+
+The local monodromies are integer tables (`localsing.Tables`);
+`as_structure` checks that form and reads it back as the Jordan
+structure it stands for, and `conjugate`, `iter_blocks` and
+`is_conjugation_symmetric` are the helpers on roots and structures that
+the package kept before.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from math import lcm
+from typing import Iterable, Iterator
 
 from moninf.cyclo import UnitRoot, mth_roots, totient
 from moninf.jordan import JordanStructure
@@ -46,6 +53,41 @@ def closed(d: int, pairs, at) -> Product:
         factors += [(alpha, k) for alpha in mth_roots(y, d - 1)
                     if d % alpha.den]
     return product(factors)
+
+
+def conjugate(root: UnitRoot) -> UnitRoot:
+    """The complex conjugate, which is also the multiplicative inverse."""
+    return UnitRoot(-root.num, root.den)
+
+
+def iter_blocks(j: JordanStructure) -> Iterator[tuple[UnitRoot, int, int]]:
+    """(eigenvalue, size, count) triples in canonical order."""
+    for root, sizes in j.items():
+        for size, count in sizes.items():
+            yield root, size, count
+
+
+def is_conjugation_symmetric(j: JordanStructure) -> bool:
+    """True when the block data at alpha and at conj(alpha) agree."""
+    tables = dict(j.items())
+    return all(table == tables.get(conjugate(root), {})
+               for root, table in tables.items())
+
+
+def as_structure(level: int, tables: dict[int, dict[int, int]]
+                 ) -> JordanStructure:
+    """The Jordan structure with the table tables[r] at r/level, after
+    checking the form: residues 0 <= r < level ascending, sizes
+    decreasing with positive counts, and level the lcm of the orders."""
+    assert list(tables) == sorted(tables)
+    assert all(0 <= r < level for r in tables)
+    for table in tables.values():
+        assert table and list(table) == sorted(table, reverse=True)
+        assert all(size >= 1 and count >= 1 for size, count in table.items())
+    structure = JordanStructure(
+        {UnitRoot(r, level): table for r, table in tables.items()})
+    assert level == lcm(*(root.den for root in structure.spectrum()))
+    return structure
 
 
 def display(p: Product) -> str:

@@ -37,7 +37,7 @@ from moninf.localsing import (
 )
 from moninf.oracle import verify_cyclic_agreement
 
-from _product import display, of_jordan, to_json
+from _product import display, iter_blocks, of_jordan, to_json
 
 
 def _from_blocks(pairs):
@@ -232,7 +232,7 @@ def test_criterion_6_nodal_parity():
             report = assemble(spec)
             assert len(report.entries) == 1
             jordan = report.entries[0].jordan
-            assert all(size == 1 for _, size, _ in jordan.iter_blocks()), (d, k)
+            assert all(size == 1 for _, size, _ in iter_blocks(jordan)), (d, k)
             _collect(report)
     # past k = 5 the d = 3 size-1 count goes negative; no operator exists
     for k in (6, 10, 16):
@@ -284,7 +284,7 @@ def test_criterion_8_block_size_limits_everywhere():
     for structure, n, d in COLLECTED:
         result = check_block_size_limits(structure.items(), n, d)
         assert result.status == "pass", (n, d, result.detail)
-        assert all(size <= n + 1 for _, size, _ in structure.iter_blocks())
+        assert all(size <= n + 1 for _, size, _ in iter_blocks(structure))
     print(f"PASS criterion 8: no block exceeds size n+1, and size-(n+1) "
           f"blocks sit only at nontrivial d-th roots of unity, across "
           f"{len(COLLECTED)} assembled structures")

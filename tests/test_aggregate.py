@@ -18,6 +18,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import moninf.cli
 import moninf.cyclic
@@ -44,7 +45,18 @@ from moninf.localsing import (
     local_monodromy,
     milnor_number,
 )
-from _product import Product, display, of_jordan, product, times, to_json
+from _product import (
+    Product,
+    as_structure,
+    conjugate,
+    display,
+    is_conjugation_symmetric,
+    iter_blocks,
+    of_jordan,
+    product,
+    times,
+    to_json,
+)
 from test_exactness import (
     MULTI_VECTOR_INSTANCE,
     NON_SEMISIMPLE_ENUMERATE_INSTANCE,
@@ -76,7 +88,7 @@ def _power_minus_one(d: int, exponent: int) -> Product:
 def _reference(spec: ProblemSpec):
     """Per-copy counting rules: (chi, bounds, structure-of-beta, charpoly)."""
     n, d = spec.n, spec.d
-    copies = [local_monodromy(m, n) for m in _copies(spec)]
+    copies = [as_structure(*local_monodromy(m, n)) for m in _copies(spec)]
     chi = chi_vector(n, d, sum(milnor_number(m) for m in _copies(spec)))
     bounds = []
     for s in range(d):
@@ -102,7 +114,7 @@ def _reference(spec: ProblemSpec):
             blocks[alpha] = sizes
         for t in copies:
             for xi in t.spectrum():
-                for alpha in mth_roots(xi.conjugate(), d - 1):
+                for alpha in mth_roots(conjugate(xi), d - 1):
                     if d % alpha.den:
                         blocks.setdefault(alpha, Counter()).update(
                             _table(t, xi))
@@ -187,8 +199,9 @@ def test_assemble_matches_per_copy_rules(given):
             assert all(lo <= b <= up for b, (lo, up) in zip(entry.beta, bounds))
             assert entry.jordan == structure(entry.beta)
             admissible += 1
-        symmetric = all(local_monodromy(m, spec.n).is_conjugation_symmetric()
-                        for m, _ in spec.singularities)
+        symmetric = all(
+            is_conjugation_symmetric(as_structure(*local_monodromy(m, spec.n)))
+            for m, _ in spec.singularities)
         for _, check in report.all_checks():
             applies = symmetric or check.name != "charpoly_local_formula"
             assert check.status == ("pass" if applies else "not_applicable"), \
@@ -379,13 +392,68 @@ def test_symmetric_sum_of_asymmetric_germs_is_not_applicable():
         ExplicitJordan(JordanStructure({UnitRoot(k, 3): {1: 1}}))
         for k in (1, 2))
     spec = ProblemSpec(2, 4, ((third, 1), (two_thirds, 1)), EnumerateBeta())
-    assert spec.local_sum.is_conjugation_symmetric()
+    assert is_conjugation_symmetric(as_structure(*spec.local_sum))
     assert not spec.locally_symmetric
     report = assemble(spec)
     assert report.entries
     statuses = {check.status for _, check in report.all_checks()
                 if check.name == "charpoly_local_formula"}
     assert statuses == {"not_applicable"}
+
+
+def _explicit(table: dict) -> ExplicitJordan:
+    return ExplicitJordan(JordanStructure(table))
+
+
+@st.composite
+def _germ_lists(draw):
+    """(n, extra, (model, count) pairs): Brieskorn-Pham germs, nodes at
+    odd and even n, and explicit germs whose roots, at levels 1 to 12,
+    meet those of other germs; d is extra above the least d that admits
+    the total Milnor number."""
+    n = draw(st.sampled_from((2, 3)))
+    roots = st.builds(lambda den, num: UnitRoot(num, den),
+                      st.sampled_from((1, 2, 3, 4, 6, 12)), st.integers(0, 11))
+    tables = st.dictionaries(st.integers(1, n), st.integers(1, 2),
+                             min_size=1, max_size=2)
+    model = st.one_of(
+        st.just(OrdinaryNode()),
+        st.lists(st.integers(2, 6), min_size=n, max_size=n).map(
+            lambda exps: BrieskornPham(tuple(exps))),
+        st.dictionaries(roots, tables, min_size=1, max_size=3).map(_explicit))
+    return n, draw(st.integers(0, 2)), draw(
+        st.lists(st.tuples(model, st.integers(1, 4)), max_size=5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_germ_lists())
+# 1/2 from a node at n = 3 and 3/6 from an explicit germ at level 6
+@example(case=(3, 1, [(OrdinaryNode(), 2),
+                      (_explicit({UnitRoot(3, 6): {1: 1}}), 1),
+                      (_explicit({UnitRoot(1, 6): {2: 1}}), 1)]))
+# a symmetric sum of asymmetric germs, at d = 4, where a vector exists
+@example(case=(2, 1, [(_explicit({UnitRoot(1, 3): {1: 1}}), 2),
+                      (_explicit({UnitRoot(2, 3): {1: 1}}), 2)]))
+def test_local_sum_is_the_direct_sum_of_the_copies(case):
+    n, extra, pairs = case
+    total_mu = sum(count * milnor_number(m) for m, count in pairs)
+    d = 2
+    while total_mu > (d - 1) ** (n + 1):
+        d += 1
+    d += extra
+    spec = ProblemSpec(n, d, tuple(pairs), EnumerateBeta())
+    germs = {m: as_structure(*local_monodromy(m, n)) for m, _ in pairs}
+    assert as_structure(*spec.local_sum) == JordanStructure(
+        (root, {size: number})
+        for m, count in pairs for _ in range(count)
+        for root, size, number in iter_blocks(germs[m]))
+    assert spec.locally_symmetric == all(
+        map(is_conjugation_symmetric, germs.values()))
+    if not spec.locally_symmetric:
+        report = assemble(spec, enumerate_cap=2)
+        statuses = {check.status for _, check in report.all_checks()
+                    if check.name == "charpoly_local_formula"}
+        assert statuses == ({"not_applicable"} if report.entries else set())
 
 
 # sha256 of the --json reports as computed before the assembler read T

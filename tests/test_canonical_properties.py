@@ -51,7 +51,7 @@ from moninf.jordan import JordanStructure  # noqa: E402
 from moninf.localsing import ExplicitJordan, OrdinaryNode  # noqa: E402
 
 from _product import (  # noqa: E402
-    Product, closed, display, forms, of_jordan, product, times)
+    Product, as_structure, closed, display, forms, of_jordan, product, times)
 
 ROOTS = st.builds(lambda den, num: UnitRoot(num % den, den),
                   st.integers(1, 24), st.integers(0, 23))
@@ -167,12 +167,12 @@ def test_both_routes_give_the_products(germs, d):
     if report.entries:
         assert _forms(report.charpoly) == \
             forms(of_jordan(report.entries[0].jordan))
-    zeta, t = zeta_of_top_form(spec), spec.local_sum
+    zeta, t = zeta_of_top_form(spec), as_structure(*spec.local_sum)
     reference = times(_zeta_product(2, d, spec.total_mu), product(
         (alpha, t.multiplicity(y))
         for y in t.spectrum() for alpha in mth_roots(y, d - 1)))
     if all(e > 0 for e in reference.values()):
-        formula = charpoly_local_formula(zeta, t, d)
+        formula = charpoly_local_formula(zeta, spec.local_sum, d)
         assert _forms(formula) == forms(reference)
         if not report.entries:
             assert _forms(report.charpoly) == forms(reference)

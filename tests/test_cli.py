@@ -137,6 +137,24 @@ def test_compute_input_errors(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["compute"], ["compute", "--json"], ["compute", "--enumerate-cap", "3"],
+    ["bounds"], ["zeta"]])
+def test_brieskorn_germ_with_the_wrong_exponent_count_exits_1(
+        tmp_path, capsys, command):
+    # three exponents in n = 2 local coordinates: every subcommand rejects
+    # the germ, zeta too, though its report reads only n, d and mu
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "n": 2, "d": 6,
+        "singularities": [{"type": "brieskorn", "exponents": [2, 3, 4]}],
+        "beta": {"mode": "enumerate"}}))
+    assert main([command[0], str(bad), *command[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: Brieskorn-Pham model has 3 exponents, expected 2\n"
+
+
 def test_compute_inadmissible_beta(tmp_path, capsys):
     bad = tmp_path / "bad_beta.json"
     bad.write_text(json.dumps({

@@ -9,7 +9,10 @@ import pytest
 
 from moninf.cli import _json_chunks
 from moninf.cyclo import ONE, MINUS_ONE, UnitRoot
+from moninf.infinity import EnumerateBeta, ProblemSpec
 from moninf.jordan import JordanStructure
+from moninf.localsing import ExplicitJordan
+from _product import is_conjugation_symmetric, iter_blocks
 
 
 def _from_blocks(pairs):
@@ -51,7 +54,7 @@ def test_construction_canonicalizes():
     assert j.sizes_at(ONE) == [2, 2]
     assert j.sizes_at(MINUS_ONE) == [3, 1]
     assert j.total_dim == 8
-    assert max(size for _, size, _ in j.iter_blocks()) == 3
+    assert max(size for _, size, _ in iter_blocks(j)) == 3
 
 
 def test_construction_rejects_bad_blocks():
@@ -66,13 +69,13 @@ def test_construction_rejects_bad_blocks():
 
 
 def test_constructor_merges_repeated_roots():
-    # ProblemSpec.local_sum builds the direct sum of the local monodromies
-    # this way: one (root, {size: count}) pair per block, roots repeated
+    # the tests' reference direct sum of local monodromies is built this
+    # way: one (root, {size: count}) pair per block, roots repeated
     a = _from_blocks([(ONE, 2), (MINUS_ONE, 1)])
     b = _from_blocks([(ONE, 2), (ONE, 5)])
     s = JordanStructure(
         (root, {size: count}) for t in (a, b)
-        for root, size, count in t.iter_blocks())
+        for root, size, count in iter_blocks(t))
     assert s.sizes_at(ONE) == [5, 2, 2]
     assert s.sizes_at(MINUS_ONE) == [1]
     assert s.total_dim == a.total_dim + b.total_dim
@@ -107,14 +110,19 @@ def test_conjugation_symmetry():
     sym = _from_blocks([
         (UnitRoot(1, 5), 2), (UnitRoot(4, 5), 2), (ONE, 1),
     ])
-    assert sym.is_conjugation_symmetric()
+    assert is_conjugation_symmetric(sym)
     asym_spectrum = _from_blocks([(UnitRoot(1, 5), 2)])
-    assert not asym_spectrum.is_conjugation_symmetric()
+    assert not is_conjugation_symmetric(asym_spectrum)
     asym_blocks = _from_blocks([
         (UnitRoot(1, 5), 2), (UnitRoot(4, 5), 1), (UnitRoot(4, 5), 1),
     ])
-    assert not asym_blocks.is_conjugation_symmetric()
-    assert JordanStructure().is_conjugation_symmetric()
+    assert not is_conjugation_symmetric(asym_blocks)
+    assert is_conjugation_symmetric(JordanStructure())
+    # ProblemSpec judges each germ the same way, on its integer tables
+    for j in (sym, asym_spectrum, asym_blocks):
+        spec = ProblemSpec(2, 4, ((ExplicitJordan(j), 2),), EnumerateBeta())
+        assert spec.locally_symmetric == is_conjugation_symmetric(j)
+    assert ProblemSpec(2, 4, (), EnumerateBeta()).locally_symmetric
 
 
 def test_json_round_trip_and_order():

@@ -9,9 +9,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from moninf.cli import _JOIN_SLICE, _json_chunks  # noqa: E402
+from moninf.cli import _json_chunks  # noqa: E402
 from moninf.cyclo import UnitRoot  # noqa: E402
-from moninf.jordan import Rows, Runs  # noqa: E402
+from moninf.jordan import SLICE, Rows, Runs  # noqa: E402
 
 # keys and strings that exercise every escape json.dumps makes
 KEYS = st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\té \U0001f600')
@@ -23,12 +23,12 @@ SCALARS = st.none() | st.booleans() | INTS | KEYS
 LONG_INT_LISTS = st.builds(
     lambda pattern, length: (pattern * length)[:length],
     st.lists(INTS, min_size=1, max_size=4),
-    st.sampled_from([_JOIN_SLICE - 1, _JOIN_SLICE, _JOIN_SLICE + 1,
-                     2 * _JOIN_SLICE + 1]))
+    st.sampled_from([SLICE - 1, SLICE, SLICE + 1,
+                     2 * SLICE + 1]))
 LEAF_LISTS = st.lists(INTS) | st.lists(INTS | st.booleans()) | LONG_INT_LISTS
 # runs of one count each, around and past the slice, several in one list
 RUN_COUNTS = st.integers(0, 3) | st.sampled_from(
-    [1, _JOIN_SLICE - 1, _JOIN_SLICE, _JOIN_SLICE + 1, 2 * _JOIN_SLICE + 1])
+    [1, SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 1])
 RUNS = st.lists(st.tuples(INTS, RUN_COUNTS), max_size=4).map(Runs)
 # Jordan table rows as the assembler streams them: rows share Runs objects
 ROOTS = st.builds(lambda den, num: UnitRoot(num, den),
@@ -73,7 +73,7 @@ def test_chunks_join_to_json_dumps(doc):
     assert same
     # json.dumps escapes every newline inside a string, so a piece's
     # newlines count the list items it holds
-    assert max(chunk.count("\n") for chunk in chunks) <= _JOIN_SLICE
+    assert max(chunk.count("\n") for chunk in chunks) <= SLICE
 
 
 def test_runs_are_lists_to_the_writer_only():
@@ -90,10 +90,10 @@ def test_runs_are_lists_to_the_writer_only():
 
 
 def test_long_int_lists_are_written_in_bounded_chunks():
-    doc = {"blocks": [1] * (10 * _JOIN_SLICE), "empty": [[], {}, [{}]]}
+    doc = {"blocks": [1] * (10 * SLICE), "empty": [[], {}, [{}]]}
     chunks = list(_json_chunks(doc))
     assert "".join(chunks) == json.dumps(doc, indent=2, sort_keys=True)
-    assert max(map(len, chunks)) <= _JOIN_SLICE * len(",\n    1")
+    assert max(map(len, chunks)) <= SLICE * len(",\n    1")
 
 
 @pytest.mark.parametrize("doc", [

@@ -20,6 +20,7 @@ from moninf.localsing import (
     parse_singularity,
     parse_singularity_counts,
 )
+from _product import as_structure, is_conjugation_symmetric, iter_blocks
 
 
 def _brute_force_bp_spectrum(exps: tuple[int, ...]) -> dict[UnitRoot, int]:
@@ -49,7 +50,7 @@ def _convolved_bp_spectrum(exps: tuple[int, ...]) -> dict[UnitRoot, int]:
 @settings(max_examples=30, deadline=None)
 @given(exps=st.lists(st.integers(2, 30), min_size=1, max_size=4))
 def test_brieskorn_counts_equal_the_convolution(exps):
-    t = local_monodromy(BrieskornPham(tuple(exps)), len(exps))
+    t = as_structure(*local_monodromy(BrieskornPham(tuple(exps)), len(exps)))
     assert t == JordanStructure({root: {1: c} for root, c
                                  in _convolved_bp_spectrum(tuple(exps)).items()})
 
@@ -57,16 +58,17 @@ def test_brieskorn_counts_equal_the_convolution(exps):
 def test_cusp_spectrum():
     cusp = BrieskornPham((2, 3))
     assert milnor_number(cusp) == 2
-    t = local_monodromy(cusp, 2)
+    assert local_monodromy(cusp, 2) == (6, {1: {1: 1}, 5: {1: 1}})
+    t = as_structure(*local_monodromy(cusp, 2))
     assert t == JordanStructure({UnitRoot(1, 6): {1: 1}, UnitRoot(5, 6): {1: 1}})
-    assert all(size == 1 for _, size, _ in t.iter_blocks())
+    assert all(size == 1 for _, size, _ in iter_blocks(t))
 
 
 def test_small_brieskorn_spectra():
-    t33 = local_monodromy(BrieskornPham((3, 3)), 2)
+    t33 = as_structure(*local_monodromy(BrieskornPham((3, 3)), 2))
     assert t33 == JordanStructure({ONE: {1: 2}, UnitRoot(1, 3): {1: 1},
                                    UnitRoot(2, 3): {1: 1}})
-    t235 = local_monodromy(BrieskornPham((2, 3, 5)), 3)
+    t235 = as_structure(*local_monodromy(BrieskornPham((2, 3, 5)), 3))
     expected = JordanStructure({UnitRoot(k, 30): {1: 1}
                                 for k in (1, 7, 11, 13, 17, 19, 23, 29)})
     assert t235 == expected
@@ -78,12 +80,12 @@ def test_brieskorn_spectrum_against_brute_force():
     for _ in range(30):
         n = rng.randrange(1, 4)
         exps = tuple(rng.randrange(2, 6) for _ in range(n))
-        t = local_monodromy(BrieskornPham(exps), n)
+        t = as_structure(*local_monodromy(BrieskornPham(exps), n))
         brute = _brute_force_bp_spectrum(exps)
         assert t == JordanStructure({r: {1: c} for r, c in brute.items()})
         assert t.total_dim == milnor_number(BrieskornPham(exps))
-        assert all(size == 1 for _, size, _ in t.iter_blocks())
-        assert t.is_conjugation_symmetric()
+        assert all(size == 1 for _, size, _ in iter_blocks(t))
+        assert is_conjugation_symmetric(t)
 
 
 def test_brieskorn_validation():
@@ -98,9 +100,12 @@ def test_brieskorn_validation():
 def test_node_monodromy_depends_on_parity():
     node = OrdinaryNode()
     assert milnor_number(node) == 1
-    assert local_monodromy(node, 2) == JordanStructure({ONE: {1: 1}})
-    assert local_monodromy(node, 3) == JordanStructure({MINUS_ONE: {1: 1}})
-    assert local_monodromy(node, 4) == JordanStructure({ONE: {1: 1}})
+    assert local_monodromy(node, 2) == (1, {0: {1: 1}})
+    assert local_monodromy(node, 3) == (2, {1: {1: 1}})
+    assert as_structure(*local_monodromy(node, 2)) == JordanStructure({ONE: {1: 1}})
+    assert as_structure(*local_monodromy(node, 3)) == \
+        JordanStructure({MINUS_ONE: {1: 1}})
+    assert as_structure(*local_monodromy(node, 4)) == JordanStructure({ONE: {1: 1}})
     # a node is the all-twos Brieskorn-Pham model
     for n in range(1, 6):
         assert local_monodromy(node, n) == local_monodromy(
@@ -111,8 +116,10 @@ def test_explicit_model_passthrough():
     j = JordanStructure({ONE: {2: 1}, UnitRoot(1, 3): {1: 1}})
     model = ExplicitJordan(j)
     assert milnor_number(model) == 3
-    assert local_monodromy(model, 2) is j
-    assert local_monodromy(model, 7) is j
+    # the tables are read off j, whatever n
+    assert local_monodromy(model, 2) == local_monodromy(model, 7) == \
+        (3, {0: {2: 1}, 1: {1: 1}})
+    assert as_structure(*local_monodromy(model, 2)) == j
     with pytest.raises(ValueError):
         ExplicitJordan(JordanStructure())
 
