@@ -7,9 +7,10 @@ beta_s are given, derived from node positions, or enumerated.
 
 The counting rules read the local monodromies T_i only through their
 direct sum T and the total Milnor number, which fixes chi.
-:class:`ProblemSpec` keeps the (model, count) pairs in input order and
-derives T, the total and chi once, with one local monodromy per distinct
-germ, as the integer tables of :data:`localsing.Tables` at a level L.
+:class:`ProblemSpec` is the validated document: the (model, count) pairs
+in input order, the total and chi.  Each assembler builds T once by
+:func:`local_sum`, from one local monodromy per distinct germ, as the
+integer tables of :data:`localsing.Tables` at a level L; zeta never does.
 The assembled Jordan structure has two layers:
 
 * at alpha = e^(2*pi*i*s/d), the slot of the d-th root s/d, with chi_s
@@ -60,6 +61,7 @@ from .cyclo import mth_roots  # noqa: F401 -- perfbench/spans.py wraps this name
 from .defect import ProjectivePointSet, nodal_beta
 from .jordan import SLICE, JordanStructure, Rows, Runs
 from .localsing import (
+    BrieskornPham,
     OrdinaryNode,
     SingularityModel,
     Tables,
@@ -138,37 +140,21 @@ class ProblemSpec:
     # (model, count) pairs in input order; repeated models are not merged
     singularities: tuple[tuple[SingularityModel, int], ...]
     beta: BetaSpec
-    # T: the direct sum of the local monodromies, as Tables at the lcm level
-    local_sum: Tables = field(init=False, repr=False, compare=False)
     # the sum of count * mu over the pairs, and the d invariants chi_s
     total_mu: int = field(init=False, repr=False, compare=False)
     chi: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # whether every distinct germ's tables at r and -r mod L agree
-    locally_symmetric: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pairs = tuple(self.singularities)
         object.__setattr__(self, "singularities", pairs)
         total_mu = _check_size(self.n, self.d, pairs)
-        local = {model: local_monodromy(model, self.n)
-                 for model in dict.fromkeys(model for model, _ in pairs)}
-        level = lcm(*(level for level, _ in local.values()))
-        acc: dict[int, dict[int, int]] = {}
-        for model, count in pairs:
-            at_level, tables = local[model]
-            for r, table in tables.items():
-                at = acc.setdefault(r * (level // at_level), {})
-                for size, number in table.items():
-                    at[size] = at.get(size, 0) + count * number
-        # each merged table is popped as its sorted copy is made
-        object.__setattr__(self, "local_sum", (level, {
-            r: dict(sorted(acc.pop(r).items(), reverse=True)) for r in sorted(acc)}))
+        for model, _ in pairs:
+            if isinstance(model, BrieskornPham) and len(model.exponents) != self.n:
+                raise InstanceError(f"Brieskorn-Pham model has {len(model.exponents)} "
+                                    f"exponents, expected {self.n}")
         object.__setattr__(self, "total_mu", total_mu)
         object.__setattr__(self, "chi",
                            tuple(chi_vector(self.n, self.d, total_mu)))
-        object.__setattr__(self, "locally_symmetric", all(
-            tables.get(-r % level) == table
-            for level, tables in local.values() for r, table in tables.items()))
         beta = self.beta
         if isinstance(beta, GivenBeta):
             values = tuple(beta.values)
@@ -186,7 +172,7 @@ class ProblemSpec:
                         f"beta[{self.d - s}] = {values[self.d - s]} "
                         "(beta[s] must equal beta[d-s])")
         elif isinstance(beta, FromNodes):
-            if any(not isinstance(m, OrdinaryNode) for m in local):
+            if any(not isinstance(m, OrdinaryNode) for m, _ in pairs):
                 raise InstanceError("FromNodes with non-node singularity")
             if beta.points.dim != self.n:
                 raise InstanceError(
@@ -357,6 +343,26 @@ def chi_vector(n: int, d: int, total_mu: int) -> list[int]:
     return [chi_0] + [chi_0 + sign] * (d - 1)
 
 
+def local_sum(spec: ProblemSpec) -> tuple[Tables, bool]:
+    """T, the direct sum of the local monodromies, as Tables at the lcm of
+    the germs' levels from one local monodromy per distinct germ, and
+    whether each germ's tables at r and -r mod L agree."""
+    local = {model: local_monodromy(model, spec.n)
+             for model in dict.fromkeys(model for model, _ in spec.singularities)}
+    level = lcm(*(level for level, _ in local.values()))
+    acc: dict[int, dict[int, int]] = {}
+    for model, count in spec.singularities:
+        at_level, tables = local[model]
+        for r, table in tables.items():
+            at = acc.setdefault(r * (level // at_level), {})
+            for size, number in table.items():
+                at[size] = at.get(size, 0) + count * number
+    # each merged table is popped as its sorted copy is made
+    t = level, {r: dict(sorted(acc.pop(r).items(), reverse=True)) for r in sorted(acc)}
+    return t, all(tables.get(-r % at_level) == table for at_level, tables
+                  in local.values() for r, table in tables.items())
+
+
 def _slot_tables(t: Tables, d: int) -> dict[int, Mapping[int, int]]:
     """T's size -> count table at each d-th root s/d where it has one, by
     s, read off T once: r/L with L | r*d is the slot s = r*d/L."""
@@ -373,9 +379,7 @@ def beta_bounds(spec: ProblemSpec) -> list[tuple[int, int]]:
     upper = #_1(T)_alpha, from the size-2 count.  Slots of one class share
     one tuple.
     """
-    assembler = _Assembler(spec)
-    return list(map([rule[3] for rule in assembler.rules].__getitem__,
-                    assembler.ids))
+    return _Assembler(spec).bounds()
 
 
 def _dim(table: Mapping[int, int]) -> int:
@@ -390,6 +394,7 @@ _TABLE, _DIM, _BLOCKS, _LINE, _WITHIN = map(itemgetter, range(5))
 class _Assembler(dict):
     """The assembled operator as a function of beta.
 
+    It keeps T, its symmetry flag (local_sum) and its tables by slot.
     The base is streamed from conj(T), the roots -r/L in residue order
     with T's tables at r, on each read, and what the checks need of it
     is read off T's tables once.  ids[s] is the class of slot s, one per
@@ -401,8 +406,9 @@ class _Assembler(dict):
 
     def __init__(self, spec: ProblemSpec) -> None:
         super().__init__()
-        d, t, chi = spec.d, spec.local_sum, spec.chi
-        slots = _slot_tables(t, d)
+        self.t, self.symmetric = local_sum(spec)
+        (level, tables), d, chi = self.t, spec.d, spec.chi
+        slots = self.slots = _slot_tables(self.t, d)
         keys = {((), chi[-1]): 0}
         self.d, self.ids = d, [0] * d
         for s in {*compress(range(d), map(ne, chi, repeat(chi[-1]))), *slots}:
@@ -415,7 +421,6 @@ class _Assembler(dict):
             free_1, ones = chi_s - sum(c for _, c in items), dict(items).get(1, 0)
             self.rules.append(({size + 1: c for size, c in items if size >= 2},
                                free_1, ones, (max(0, (1 - free_1) // 2), ones)))
-        level, tables = t
         # conj(T) has T's table at r at -r mod L
         self.conj = [(reduced_root(k, level), tables[-k % level])
                      for k in sorted(-r % level for r in tables)]
@@ -443,6 +448,9 @@ class _Assembler(dict):
                     lower <= value <= upper)
         self[key] = cell
         return cell
+
+    def bounds(self) -> list[tuple[int, int]]:  # see beta_bounds
+        return list(map([rule[3] for rule in self.rules].__getitem__, self.ids))
 
     def at(self, beta: Sequence[int]) -> list[tuple]:
         """The cell of each slot at beta, by one map; raises at the first
@@ -514,12 +522,12 @@ def _blocks_text(table: Mapping[int, int]) -> str:
     return ", ".join([f"{count} x size {size}" for size, count in table.items()])
 
 
-def _formula_at_roots(zeta: CharPoly, t: Tables, d: int) -> list[int]:
+def _formula_at_roots(zeta: CharPoly, slots: Mapping, d: int) -> list[int]:
     """The exponents of zeta * det(x^(d-1) - T) at s/d, s = 0..d-1: zeta's
-    plus T's multiplicity at conj(s/d) = (d - s)/d.  The exponents off the
-    d-th roots are positive; raise when one of these is negative."""
+    plus T's multiplicity at conj(s/d) = (d - s)/d, read off T's slots.  The
+    exponents off the d-th roots are positive; raise when one is negative."""
     exps = list(zeta.at)
-    for s, table in _slot_tables(t, d).items():
+    for s, table in slots.items():
         exps[-s] += _dim(table)
     bad = ", ".join(str(reduced_root(s, d))
                     for s in compress(range(d), map(gt, repeat(0), exps)))
@@ -530,14 +538,15 @@ def _formula_at_roots(zeta: CharPoly, t: Tables, d: int) -> list[int]:
     return exps
 
 
-def charpoly_local_formula(zeta: CharPoly, t: Tables, d: int) -> CharPoly:
+def charpoly_local_formula(zeta: CharPoly, t: Tables, d: int,
+                           at: list[int] | None = None) -> CharPoly:
     """Characteristic polynomial of the assembled operator, from local data:
-    zeta * det(x^(d-1) * Id - T), zeta being :func:`zeta_of_top_form`.
-    Raises when an exponent is negative: no actual hypersurface has such
-    local data."""
+    zeta * det(x^(d-1) * Id - T), zeta being :func:`zeta_of_top_form`, with
+    the exponents at the d-th roots taken from at when given.  Raises when
+    one is negative: no actual hypersurface has such local data."""
     return CharPoly([(reduced_root(r, t[0]), _dim(table))
                      for r, table in t[1].items()], d - 1,
-                    _formula_at_roots(zeta, t, d))
+                    at or _formula_at_roots(zeta, _slot_tables(t, d), d))
 
 
 def zeta_of_top_form(spec: ProblemSpec) -> CharPoly:
@@ -606,8 +615,7 @@ def _resolve_beta(spec: ProblemSpec, assembler: _Assembler,
     d, ids = spec.d, assembler.ids
     # beta[s] = beta[d - s], so slot s takes the range that both classes admit
     mirror = ids[:1] + ids[:0:-1]
-    lows, ups = zip(*(rule[3] for rule in assembler.rules))
-    lo, up = list(map(lows.__getitem__, ids)), list(map(ups.__getitem__, ids))
+    lo, up = map(list, zip(*assembler.bounds()))
     for s in compress(range(d), map(ne, ids, mirror)):
         lo[s], up[s] = max(lo[s], lo[-s]), min(up[s], up[-s])
     if any(map(gt, lo, up)):
@@ -628,16 +636,14 @@ def assemble(spec: ProblemSpec, *,
     """Compute the Jordan structure(s) of the monodromy at infinity."""
     if enumerate_cap < 1:
         raise InstanceError(f"enumerate cap must be >= 1, got {enumerate_cap}")
-    n, d, t = spec.n, spec.d, spec.local_sum
     assembler = _Assembler(spec)
+    n, d, t = spec.n, spec.d, assembler.t
     mode, vectors, truncated = _resolve_beta(spec, assembler, enumerate_cap)
     zeta = zeta_of_top_form(spec)
-    formula_at: list[int] | None = None
-    formula_error = ""
     try:
-        formula_at = _formula_at_roots(zeta, t, d)
+        formula_at, formula_error = _formula_at_roots(zeta, assembler.slots, d), ""
     except InstanceError as exc:
-        formula_error = str(exc)
+        formula_at, formula_error = None, str(exc)
     expected_dim = (d - 1) ** (n + 1) - spec.total_mu
     # the block size limits and, unless a vector's multiplicities differ,
     # the product formula give every vector the same check; the limits read
@@ -646,11 +652,11 @@ def assemble(spec: ProblemSpec, *,
     over = [(y, table) for y, table in assembler.conj if next(iter(table)) > n]
     pieces = [(x, table) for x, table in lifts(over, d - 1) if d % x.den]
     pieces += [(reduced_root(s, d), assembler.rules[assembler.ids[s]][0])
-               for s in _slot_tables(t, d)]
+               for s in assembler.slots]
     limits = check_block_size_limits(sorted(
         [piece for piece in pieces if next(iter(piece[1]), 0) > n],
         key=itemgetter(0)), n, d)
-    if not spec.locally_symmetric:
+    if not assembler.symmetric:
         formula = CheckResult(
             "charpoly_local_formula", "not_applicable",
             "local spectra are not conjugation-symmetric, so the local product "
@@ -674,7 +680,7 @@ def assemble(spec: ProblemSpec, *,
             f"(d-1)^(n+1) - total mu = {expected_dim}"), limits]
         outside = [] if all(map(_WITHIN, cells)) else [
             f"beta[{s}] = {value} outside {lo}..{up}"
-            for s, (value, (lo, up)) in enumerate(zip(beta, beta_bounds(spec)))
+            for s, (value, (lo, up)) in enumerate(zip(beta, assembler.bounds()))
             if not lo <= value <= up]
         checks.append(CheckResult(
             "beta_within_bounds", "fail" if outside else "pass",
@@ -682,7 +688,7 @@ def assemble(spec: ProblemSpec, *,
         checks.append(formula if formula.status != "pass" or
                       dims == formula_at else CheckResult(
             "charpoly_local_formula", "fail",
-            f"product formula gives {charpoly_local_formula(zeta, t, d)}, "
+            f"product formula gives {charpoly_local_formula(zeta, t, d, formula_at)}, "
             f"assembled operator has {assembler.structure(beta).char_poly()}"))
         entries.append(BetaEntry(beta, tuple(checks), assembler))
     if vectors:
@@ -691,7 +697,7 @@ def assemble(spec: ProblemSpec, *,
             list(map(_DIM, assembler.at(vectors[0]))))
     else:
         charpoly = None if formula_at is None else \
-            charpoly_local_formula(zeta, t, d)
+            charpoly_local_formula(zeta, t, d, formula_at)
     return Report(
         n=n,
         d=d,

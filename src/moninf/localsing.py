@@ -15,6 +15,7 @@ models are supported:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd, lcm
@@ -73,19 +74,17 @@ def milnor_number(model: SingularityModel) -> int:
 
 
 def local_monodromy(model: SingularityModel, n: int) -> Tables:
-    """The local monodromy in n local coordinates as :data:`Tables`, with
-    L the lcm of the eigenvalues' orders, the residues r ascending and the
-    sizes decreasing.  The tables may be the model's own: read them only."""
-    if n < 1:
-        raise ValueError(f"number of local coordinates must be >= 1, got {n}")
+    """The local monodromy as :data:`Tables` (L the lcm of the orders,
+    residues ascending, sizes decreasing); only a node reads n, the number
+    of local coordinates.  The tables may be the model's own: read them only."""
     if isinstance(model, BrieskornPham):
-        if len(model.exponents) != n:
-            raise ValueError(
-                f"Brieskorn-Pham model has {len(model.exponents)} exponents, "
-                f"expected {n}")
         # the count of each eigenvalue j/L, L = lcm(a_j): adding k/a for
         # k = 1..a-1 sums the coset of the order-a subgroup, less the entry
         big = lcm(*model.exponents)
+        if big > sys.maxsize:
+            raise ValueError(
+                f"Brieskorn-Pham exponents {list(model.exponents)} have level "
+                f"L = {big}, above the limit {sys.maxsize} on L")
         counts = [1] + [0] * (big - 1)
         for a in model.exponents:
             step = big // a

@@ -26,6 +26,7 @@ from moninf.infinity import (
     charpoly_local_formula,
     check_block_size_limits,
     check_zeta_two_forms,
+    local_sum,
     zeta_of_top_form,
 )
 from moninf.jordan import JordanStructure
@@ -140,7 +141,7 @@ def test_criterion_2_degree_identity_on_200_specs():
 def test_criterion_3_charpoly_formula_on_200_specs():
     for spec, report in _random_reports():
         formula = charpoly_local_formula(
-            zeta_of_top_form(spec), spec.local_sum, spec.d)
+            zeta_of_top_form(spec), local_sum(spec)[0], spec.d)
         for entry in report.entries:
             poly = of_jordan(entry.jordan)
             assert display(poly) == str(formula), (spec.n, spec.d)

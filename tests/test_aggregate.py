@@ -35,6 +35,7 @@ from moninf.infinity import (
     beta_bounds,
     charpoly_local_formula,
     chi_vector,
+    local_sum,
     zeta_of_top_form,
 )
 from moninf.jordan import JordanStructure
@@ -181,14 +182,14 @@ def test_assemble_matches_per_copy_rules(given):
         spec = _random_spec(rng, given)
         chi, bounds, structure, charpoly = _reference(spec)
         assert beta_bounds(spec) == bounds
-        zeta = zeta_of_top_form(spec)
+        zeta, t = zeta_of_top_form(spec), local_sum(spec)[0]
         if all(e > 0 for e in charpoly.values()):
-            formula = charpoly_local_formula(zeta, spec.local_sum, spec.d)
+            formula = charpoly_local_formula(zeta, t, spec.d)
             assert str(formula) == display(charpoly)
             assert formula.to_json() == to_json(charpoly)
         else:
             with pytest.raises(InstanceError, match="non-polynomial"):
-                charpoly_local_formula(zeta, spec.local_sum, spec.d)
+                charpoly_local_formula(zeta, t, spec.d)
         if given and structure(spec.beta.values) is None:
             with pytest.raises(InstanceError, match="negative block count"):
                 assemble(spec)
@@ -228,6 +229,17 @@ def test_shuffled_singularities_give_the_same_report():
         assert docs[0] == docs[1]
 
 
+MIXED_GERMS = {"n": 2, "d": 9, "singularities": [
+    {"type": "node", "count": 5},
+    {"type": "brieskorn", "exponents": [2, 3], "count": 4},
+    {"type": "node", "count": 2},
+    {"type": "brieskorn", "exponents": [3, 2]},
+    {"type": "explicit", "count": 3,
+     "jordan": [{"eigenvalue": "1/4", "blocks": [2]},
+                {"eigenvalue": "3/4", "blocks": [2]}]}],
+    "beta": {"mode": "enumerate"}}
+
+
 def test_local_monodromy_runs_once_per_distinct_germ(monkeypatch, tmp_path,
                                                       capsys):
     seen = []
@@ -237,21 +249,31 @@ def test_local_monodromy_runs_once_per_distinct_germ(monkeypatch, tmp_path,
         return local_monodromy(model, n)
 
     monkeypatch.setattr(moninf.infinity, "local_monodromy", counting)
-    doc = {"n": 2, "d": 9,
-           "singularities": [
-               {"type": "node", "count": 5},
-               {"type": "brieskorn", "exponents": [2, 3], "count": 4},
-               {"type": "node", "count": 2},
-               {"type": "brieskorn", "exponents": [3, 2]},
-               {"type": "explicit", "count": 3,
-                "jordan": [{"eigenvalue": "1/4", "blocks": [2]},
-                           {"eigenvalue": "3/4", "blocks": [2]}]}],
-           "beta": {"mode": "enumerate"}}
     path = tmp_path / "mixed.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(MIXED_GERMS))
     assert main(["compute", str(path), "--json", "--enumerate-cap", "4"]) == 0
     assert len(json.loads(capsys.readouterr().out)["mu"]) == 15
     assert len(seen) == len(set(seen)) == 4
+
+
+@pytest.mark.parametrize("command, calls", [
+    (["zeta"], 0), (["zeta", "--json"], 0),
+    (["bounds"], 4), (["bounds", "--json"], 4)])
+def test_zeta_builds_no_local_monodromy_and_bounds_one_per_germ(
+        monkeypatch, tmp_path, capsys, command, calls):
+    # four distinct germs: zeta reads only n, d and mu, bounds reads T
+    seen = []
+
+    def counting(model, n):
+        seen.append(model)
+        return local_monodromy(model, n)
+
+    monkeypatch.setattr(moninf.infinity, "local_monodromy", counting)
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(MIXED_GERMS))
+    assert main([command[0], str(path), *command[1:]]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(seen) == len(set(seen)) == calls
 
 
 def _forbid_cyclic_power(monkeypatch) -> list:
@@ -392,8 +414,9 @@ def test_symmetric_sum_of_asymmetric_germs_is_not_applicable():
         ExplicitJordan(JordanStructure({UnitRoot(k, 3): {1: 1}}))
         for k in (1, 2))
     spec = ProblemSpec(2, 4, ((third, 1), (two_thirds, 1)), EnumerateBeta())
-    assert is_conjugation_symmetric(as_structure(*spec.local_sum))
-    assert not spec.locally_symmetric
+    t, symmetric = local_sum(spec)
+    assert is_conjugation_symmetric(as_structure(*t))
+    assert not symmetric
     report = assemble(spec)
     assert report.entries
     statuses = {check.status for _, check in report.all_checks()
@@ -443,13 +466,13 @@ def test_local_sum_is_the_direct_sum_of_the_copies(case):
     d += extra
     spec = ProblemSpec(n, d, tuple(pairs), EnumerateBeta())
     germs = {m: as_structure(*local_monodromy(m, n)) for m, _ in pairs}
-    assert as_structure(*spec.local_sum) == JordanStructure(
+    t, symmetric = local_sum(spec)
+    assert as_structure(*t) == JordanStructure(
         (root, {size: number})
         for m, count in pairs for _ in range(count)
         for root, size, number in iter_blocks(germs[m]))
-    assert spec.locally_symmetric == all(
-        map(is_conjugation_symmetric, germs.values()))
-    if not spec.locally_symmetric:
+    assert symmetric == all(map(is_conjugation_symmetric, germs.values()))
+    if not symmetric:
         report = assemble(spec, enumerate_cap=2)
         statuses = {check.status for _, check in report.all_checks()
                     if check.name == "charpoly_local_formula"}

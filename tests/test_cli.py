@@ -603,6 +603,25 @@ def test_bounds_and_zeta_read_the_count_not_the_copies(monkeypatch, tmp_path,
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [
+    ["compute"], ["compute", "--json"], ["bounds"], ["bounds", "--json"]])
+def test_brieskorn_level_above_the_index_size_exits_1(tmp_path, capsys,
+                                                       command):
+    # L = lcm(3037000501, 3037000503) = 9223372049148252003 > 2^63 - 1:
+    # no list of L counts can be made, and the message names L
+    path = tmp_path / "big_level.json"
+    path.write_text(json.dumps({
+        "n": 2, "d": 3 * 10**6,
+        "singularities": [{"type": "brieskorn",
+                           "exponents": [3037000501, 3037000503]}],
+        "beta": {"mode": "enumerate"}}))
+    assert main([command[0], str(path), *command[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"L = {3037000501 * 3037000503}" in err
+
+
 @pytest.mark.parametrize("flags, unused", [([], "to_json"),
                                            (["--json"], "text_chunks")])
 def test_compute_renders_only_the_requested_format(monkeypatch, capsys,

@@ -22,6 +22,7 @@ from moninf.infinity import (
     check_block_size_limits,
     check_zeta_two_forms,
     chi_vector,
+    local_sum,
     parse_problem,
     zeta_of_top_form,
 )
@@ -41,7 +42,7 @@ CUSP = BrieskornPham((2, 3))
 
 def _formula(spec: ProblemSpec):
     """The charpoly formula zeta * det(x^(d-1) - T) of spec."""
-    return charpoly_local_formula(zeta_of_top_form(spec), spec.local_sum,
+    return charpoly_local_formula(zeta_of_top_form(spec), local_sum(spec)[0],
                                   spec.d)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from moninf.cli import _json_chunks
 from moninf.cyclo import ONE, MINUS_ONE, UnitRoot
-from moninf.infinity import EnumerateBeta, ProblemSpec
+from moninf.infinity import EnumerateBeta, ProblemSpec, local_sum
 from moninf.jordan import JordanStructure
 from moninf.localsing import ExplicitJordan
 from _product import is_conjugation_symmetric, iter_blocks
@@ -118,11 +118,11 @@ def test_conjugation_symmetry():
     ])
     assert not is_conjugation_symmetric(asym_blocks)
     assert is_conjugation_symmetric(JordanStructure())
-    # ProblemSpec judges each germ the same way, on its integer tables
+    # local_sum judges each germ the same way, on its integer tables
     for j in (sym, asym_spectrum, asym_blocks):
         spec = ProblemSpec(2, 4, ((ExplicitJordan(j), 2),), EnumerateBeta())
-        assert spec.locally_symmetric == is_conjugation_symmetric(j)
-    assert ProblemSpec(2, 4, (), EnumerateBeta()).locally_symmetric
+        assert local_sum(spec)[1] == is_conjugation_symmetric(j)
+    assert local_sum(ProblemSpec(2, 4, (), EnumerateBeta()))[1]
 
 
 def test_json_round_trip_and_order():

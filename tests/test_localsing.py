@@ -93,8 +93,11 @@ def test_brieskorn_validation():
         BrieskornPham(())
     with pytest.raises(ValueError):
         BrieskornPham((2, 1))
-    with pytest.raises(ValueError):
-        local_monodromy(BrieskornPham((2, 3)), 3)
+    # the exponent count is checked against n by the document (ProblemSpec)
+    assert local_monodromy(BrieskornPham((2, 3)), 3) == \
+        local_monodromy(BrieskornPham((2, 3)), 2)
+    with pytest.raises(ValueError, match="level L = 9223372049148252003"):
+        local_monodromy(BrieskornPham((3037000501, 3037000503)), 2)
 
 
 def test_node_monodromy_depends_on_parity():
