@@ -113,13 +113,13 @@ def _json_chunks(value: object, indent: str = "\n") -> Iterator[str]:
         # one piece per row; the text of each distinct list of at most
         # SLICE / 2 sizes is rendered once, a longer one every time
         cell, texts, lead = inner + "  ", {}, "[" + inner
-        for root, blocks in value.make():
+        for p, q, blocks in value.make():
             text = texts.get(blocks.pairs)
             if text is None:
                 text = "".join(_json_chunks(blocks, cell)) if sum(
                     count for _, count in blocks.pairs) <= SLICE // 2 else ""
                 texts[blocks.pairs] = text
-            tail = f',{cell}"eigenvalue": "{root}"{inner}}}'
+            tail = f',{cell}"eigenvalue": "{p}/{q}"{inner}}}'
             if text:
                 yield f'{lead}{{{cell}"blocks": {text}{tail}'
             else:

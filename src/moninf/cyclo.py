@@ -5,12 +5,12 @@ i.e. as an element of Q/Z stored with 0 <= p < q and gcd(p, q) = 1.  The
 multiplicative order of the root is the denominator q.
 
 A :class:`CharPoly` is a product of linear factors (x - alpha) over roots
-of unity in closed form: lifts of (eigenvalue, dimension) pairs to the
-m-th roots, and exponents of any sign at the (m+1)-th roots.  It is
-never expanded over its roots; its display regroups full Galois orbits
-into cyclotomic factors Phi_q.  A Jordan structure's characteristic
-polynomial is one with m = 1; a report's and the zeta function of the
-top form are ones with m = d - 1.
+of unity in closed form: :func:`lifts` of (r, dimension) pairs, r/L the
+eigenvalue at a level L, to the m-th roots, and exponents of any sign at
+the (m+1)-th roots.  It is never expanded over its roots; its display
+regroups full Galois orbits into cyclotomic factors Phi_q.  A Jordan
+structure's characteristic polynomial is one with m = 1; a report's and
+the zeta function of the top form are ones with m = d - 1.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ import re
 from dataclasses import dataclass
 from functools import total_ordering
 from math import gcd
-from typing import Iterator
+from typing import Iterable, Iterator, TypeVar
+
+V = TypeVar("V")
 
 _ROOT_RE = re.compile(r"^\s*(-?\d+)\s*/\s*(\d+)\s*$")
 
@@ -74,18 +76,27 @@ ONE = UnitRoot(0, 1)
 MINUS_ONE = UnitRoot(1, 2)
 
 
+def lifts(level: int, pairs: Iterable[tuple[int, V]], m: int
+          ) -> Iterator[tuple[int, int, V]]:
+    """(p, q, value) for each m-th root p/q, in lowest terms, of each r/level
+    of pairs, which holds (r, value) with r ascending below level.  The
+    j-th m-th root of r/level, (r + j*level)/(m*level), lies in
+    [j/m, (j+1)/m), so the stream is in root order with j in the outer
+    loop and r in the inner one; without pairs j takes no value."""
+    if m < 1:
+        raise ValueError(f"root index must be >= 1, got {m}")
+    pairs, big = list(pairs), m * level
+    return ((a // g, big // g, value) for j in range(0, big if pairs else 0, level)
+            for r, value in pairs for a in [r + j] for g in [gcd(a, big)])
+
+
 def mth_roots(xi: UnitRoot, m: int) -> list[UnitRoot]:
     """All m-th roots of xi, sorted by increasing angle.
-
-    The m solutions of alpha**m == xi are (xi.num + j*xi.den) / (m*xi.den)
-    for j = 0, ..., m-1.
 
     >>> [str(a) for a in mth_roots(UnitRoot(5, 6), 5)]
     ['1/6', '11/30', '17/30', '23/30', '29/30']
     """
-    if m < 1:
-        raise ValueError(f"root index must be >= 1, got {m}")
-    return [reduced_root(xi.num + j * xi.den, m * xi.den) for j in range(m)]
+    return [reduced_root(p, q) for p, q, _ in lifts(xi.den, [(xi.num, 0)], m)]
 
 
 def totient(q: int) -> int:
@@ -106,30 +117,22 @@ def totient(q: int) -> int:
 
 
 class CharPoly:
-    """The product of (x - alpha)^k over the lifts alpha of each (y, k) of
-    pairs to the m-th roots off the d-th roots, d = m + 1, every k
-    positive, and of (x - s/d)^(at[s]) over s, at[s] of any sign.  At
-    m = 1 each root is its own lift and d = 2: pairs hold a Jordan
-    structure's multiplicities, and at those at 1 and -1.
+    """The product of (x - alpha)^k over the lifts alpha of each r/level of
+    (r, k) in pairs, r ascending below level, to the m-th roots off the
+    d-th roots, d = m + 1, every k positive, and of (x - s/d)^(at[s]) over
+    s, at[s] of any sign.  At m = 1 each root is its own lift and d = 2:
+    pairs hold a Jordan structure's multiplicities, and at those at 1, -1.
 
-    >>> print(CharPoly([(UnitRoot(1, 3), 1)], 1, [2, 0]))
+    >>> print(CharPoly(3, [(1, 1)], 1, [2, 0]))
     (x - 1)^2 * (x - zeta(1/3))
     """
 
-    __slots__ = ("pairs", "m", "at", "_shown")
+    __slots__ = ("level", "pairs", "m", "at", "_shown")
 
-    def __init__(self, pairs: list[tuple[UnitRoot, int]], m: int,
+    def __init__(self, level: int, pairs: list[tuple[int, int]], m: int,
                  at: list[int]) -> None:
-        self.pairs, self.m, self.at = pairs, m, at
+        self.level, self.pairs, self.m, self.at = level, pairs, m, at
         self._shown = ""  # the display, made on the first str()
-
-    def _lifts(self, y: UnitRoot) -> Iterator[tuple[int, int]]:
-        """(q, p) for each lift p/q of y off the d-th roots, reduced."""
-        big, d = self.m * y.den, self.m + 1
-        for a in range(y.num, big, y.den):
-            g = gcd(a, big)
-            if d % (big // g):
-                yield big // g, a // g
 
     def _slots(self) -> Iterator[tuple[int, int, int]]:
         """(q, p, exponent) for each d-th root p/q that is a factor."""
@@ -154,9 +157,10 @@ class CharPoly:
         slots: dict[int, list[tuple[int, int]]] = {}
         for q, p, k in self._slots():
             slots.setdefault(q, []).append((p, k))
-        orbits: dict[int, list[tuple[UnitRoot, int]]] = {}
-        for y, k in self.pairs:
-            orbits.setdefault(y.den, []).append((y, k))
+        level, d = self.level, self.m + 1
+        orbits: dict[int, list[tuple[int, int]]] = {}
+        for r, k in self.pairs:
+            orbits.setdefault(level // gcd(r, level), []).append((r, k))
         phis: dict[int, int] = {}
         loose: list[tuple[int, int, int]] = []  # (q, p, exponent)
         for q, orbit in slots.items():
@@ -167,11 +171,14 @@ class CharPoly:
                 phis[q] = low
             loose += [(q, p, k - low) for p, k in orbit if k != low]
         for e, orbit in orbits.items():
-            low = min(k for _, k in orbit) if len(orbit) == totient(e) else 0
+            # phi(e) >= sqrt(e/2): a shorter orbit is not full, e not factored
+            low = min(k for _, k in orbit) if 2 * len(orbit) ** 2 >= e and \
+                len(orbit) == totient(e) else 0
             if low:
-                phis.update((q, low) for q, _ in self._lifts(orbit[0][0]))
-            loose += [(q, p, k - low) for y, k in orbit if k > low
-                      for q, p in self._lifts(y)]
+                phis.update((q, low) for _, q, _ in
+                            lifts(level, orbit[:1], self.m) if d % q)
+            rest = [(r, k - low) for r, k in orbit if k > low]
+            loose += [(q, p, k) for p, q, k in lifts(level, rest, self.m) if d % q]
         factors = [({1: "(x - 1)", 2: "(x + 1)"}.get(q, f"Phi_{q}"), k)
                    for q, k in sorted(phis.items())]
         factors += [(f"(x - zeta({p}/{q}))", k) for q, p, k in sorted(loose)]
@@ -183,6 +190,6 @@ class CharPoly:
         """{"num/den": exponent} over every root, the slots first; the
         --json writer sorts the keys."""
         out = {f"{p}/{q}": k for q, p, k in self._slots()}
-        for y, k in self.pairs:
-            out.update((f"{p}/{q}", k) for q, p in self._lifts(y))
+        out.update((f"{p}/{q}", k) for p, q, k in lifts(
+            self.level, self.pairs, self.m) if (self.m + 1) % q)
         return out

@@ -10,7 +10,7 @@ direct sum T and the total Milnor number, which fixes chi.
 :class:`ProblemSpec` is the validated document: the (model, count) pairs
 in input order, the total and chi.  Each assembler builds T once by
 :func:`local_sum`, from one local monodromy per distinct germ, as the
-integer tables of :data:`localsing.Tables` at a level L; zeta never does.
+integer tables of :data:`jordan.Tables` at a level L; zeta never does.
 The assembled Jordan structure has two layers:
 
 * at alpha = e^(2*pi*i*s/d), the slot of the d-th root s/d, with chi_s
@@ -20,19 +20,21 @@ The assembled Jordan structure has two layers:
       size l+1:  #_l(T)_alpha             (l >= 2)
   and a negative count raises an error naming the violated bound.  The
   slots are indexed by s: T's table at r/L with L | r*d is read off T
-  once as slot s = r*d/L, and a root is made only to be printed;
+  once as slot s = r*d/L;
 * off the d-th roots, the base: T's blocks at alpha^(1-d) at alpha, that
   is the lift of conj(T), T's table at r put at -r mod L, to the
-  (d-1)-th roots, streamed in root order by :func:`cyclic.lifts`.  It
+  (d-1)-th roots, streamed in root order by :func:`cyclo.lifts`.  It
   lands on a d-th root alpha only from T's blocks at alpha, which the
   slot replaces.  The lift of T itself gives the charpoly formula's
   det(x^(d-1) - T); neither power is built.
 
-The report's characteristic polynomial, of the first vector or of the
-formula, is a :class:`cyclo.CharPoly`: the (eigenvalue, dimension)
-pairs of conj(T) or T, m = d - 1 and the exponents at the d-th roots,
-displayed by full Galois orbits read off T.  The zeta function of the
-top form is a CharPoly without pairs.
+Each eigenvalue stays a residue, r at L or s at d, until it is written as
+p/q from the gcd: a UnitRoot is made only for a structure, an error or a
+block above the size limits.  The report's characteristic polynomial, of
+the first vector or of the formula, is a :class:`cyclo.CharPoly`: the
+(residue, dimension) pairs of conj(T) or T at L, m = d - 1 and the
+exponents at the d-th roots, displayed by full Galois orbits read off T.
+The zeta function of the top form is a CharPoly without pairs.
 
 A slot's blocks depend only on its class, chi_s and T's table there, and
 on beta_s, so they are built once per (class, beta_s) and each vector's
@@ -51,20 +53,19 @@ import itertools
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import compress, groupby, repeat
-from math import lcm
+from math import gcd, lcm
 from operator import add, gt, itemgetter, lt, ne
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .cyclic import lifted_runs, lifts
-from .cyclo import CharPoly, UnitRoot, reduced_root
+from .cyclic import lifted_runs
+from .cyclo import CharPoly, UnitRoot, lifts, reduced_root
 from .cyclo import mth_roots  # noqa: F401 -- perfbench/spans.py wraps this name
 from .defect import ProjectivePointSet, nodal_beta
-from .jordan import SLICE, JordanStructure, Rows, Runs
+from .jordan import SLICE, JordanStructure, Rows, Runs, Tables
 from .localsing import (
     BrieskornPham,
     OrdinaryNode,
     SingularityModel,
-    Tables,
     local_monodromy,
     milnor_number,
     parse_singularity_counts,
@@ -387,7 +388,7 @@ def _dim(table: Mapping[int, int]) -> int:
 
 
 # a cell, a slot at one beta_s: its size -> count table (empty without blocks),
-# dimension, block count, line (a format of its root), beta_s within bounds
+# dimension, block count, line (a format of its p and q), beta_s within bounds
 _TABLE, _DIM, _BLOCKS, _LINE, _WITHIN = map(itemgetter, range(5))
 
 
@@ -395,7 +396,7 @@ class _Assembler(dict):
     """The assembled operator as a function of beta.
 
     It keeps T, its symmetry flag (local_sum) and its tables by slot.
-    The base is streamed from conj(T), the roots -r/L in residue order
+    The base is streamed from conj(T), the residues -r mod L in order
     with T's tables at r, on each read, and what the checks need of it
     is read off T's tables once.  ids[s] is the class of slot s, one per
     (chi_s, T's table there); chi_s is chi_{d-1} at every s but 0
@@ -422,7 +423,7 @@ class _Assembler(dict):
             self.rules.append(({size + 1: c for size, c in items if size >= 2},
                                free_1, ones, (max(0, (1 - free_1) // 2), ones)))
         # conj(T) has T's table at r at -r mod L
-        self.conj = [(reduced_root(k, level), tables[-k % level])
+        self.conj = [(k, tables[-k % level])
                      for k in sorted(-r % level for r in tables)]
         # r/L lifts to d - 1 roots, one of them a slot when (r/L)^d = 1
         copies = [(d - 1 - (r * d % level == 0), table)
@@ -444,7 +445,7 @@ class _Assembler(dict):
             if count_1:
                 table[1] = count_1
             cell = (table, _dim(table), sum(table.values()),
-                    f"  eigenvalue {{}}: {_blocks_text(table)}\n" if table else "",
+                    f"  eigenvalue {{}}/{{}}: {_blocks_text(table)}\n" if table else "",
                     lower <= value <= upper)
         self[key] = cell
         return cell
@@ -469,20 +470,22 @@ class _Assembler(dict):
             f"{reduced_root(s, self.d)}; beta[{s}] = {value} is "
             f"{side} bound {bound} (admissible range {lower}..{upper})")
 
-    def rows(self, beta: Sequence[int]) -> Iterator[tuple[UnitRoot, Runs]]:
-        """(root, Runs of its sizes) in root order at beta, the lifts of one
-        eigenvalue of conj(T) sharing its Runs."""
-        runs = lifted_runs([(y, Runs(table.items())) for y, table in self.conj],
-                           self.d - 1)
+    def rows(self, beta: Sequence[int]) -> Iterator[tuple[int, int, Runs]]:
+        """(p, q, Runs of its sizes) for each eigenvalue p/q in root order
+        at beta, the lifts of one eigenvalue of conj(T) sharing its Runs."""
+        d = self.d
+        runs = lifted_runs(self.t[0], [(k, Runs(table.items()))
+                                       for k, table in self.conj], d - 1)
         for s, table in enumerate(map(_TABLE, self.at(beta))):
             yield from next(runs)
             if table:
-                yield reduced_root(s, self.d), Runs(table.items())
+                g = gcd(s, d)
+                yield s // g, d // g, Runs(table.items())
         yield from next(runs)
 
     def structure(self, beta: Sequence[int]) -> JordanStructure:
-        return JordanStructure((root, dict(blocks.pairs))
-                               for root, blocks in self.rows(beta))
+        return JordanStructure((reduced_root(p, q), dict(blocks.pairs))
+                               for p, q, blocks in self.rows(beta))
 
     def block_count(self, beta: Sequence[int]) -> int:
         return self.base_blocks + sum(map(_BLOCKS, self.at(beta)))
@@ -495,13 +498,14 @@ class _Assembler(dict):
         made for the first vector and patched where a later beta differs."""
         d, spans, cut = self.d, self.spans, self.cut
 
-        def line(s: int) -> str:  # "" without blocks; the root only if named
-            return _LINE(self[self.ids[s], beta[s]]).format(reduced_root(s, d))
+        def line(s: int) -> str:  # "" without blocks
+            g = gcd(s, d)
+            return _LINE(self[self.ids[s], beta[s]]).format(s // g, d // g)
         if not spans:
-            runs = ("".join([f"  eigenvalue {alpha}: {text}\n"
-                             for alpha, text in run])
-                    for run in lifted_runs([(y, _blocks_text(table))
-                                            for y, table in self.conj], d - 1))
+            runs = ("".join([f"  eigenvalue {p}/{q}: {text}\n"
+                             for p, q, text in run])
+                    for run in lifted_runs(self.t[0], [
+                        (k, _blocks_text(table)) for k, table in self.conj], d - 1))
             lines = [""] + list(map(line, range(d)))
             cut += map(len, lines)
             spans += map(add, lines, runs)
@@ -544,9 +548,8 @@ def charpoly_local_formula(zeta: CharPoly, t: Tables, d: int,
     zeta * det(x^(d-1) * Id - T), zeta being :func:`zeta_of_top_form`, with
     the exponents at the d-th roots taken from at when given.  Raises when
     one is negative: no actual hypersurface has such local data."""
-    return CharPoly([(reduced_root(r, t[0]), _dim(table))
-                     for r, table in t[1].items()], d - 1,
-                    at or _formula_at_roots(zeta, _slot_tables(t, d), d))
+    return CharPoly(t[0], [(r, _dim(table)) for r, table in t[1].items()],
+                    d - 1, at or _formula_at_roots(zeta, _slot_tables(t, d), d))
 
 
 def zeta_of_top_form(spec: ProblemSpec) -> CharPoly:
@@ -558,7 +561,7 @@ def zeta_of_top_form(spec: ProblemSpec) -> CharPoly:
     """
     n, d = spec.n, spec.d
     exponent = _top_form_exponent(n, d) - spec.total_mu
-    return CharPoly([], d - 1, [exponent - (-1) ** n] + [exponent] * (d - 1))
+    return CharPoly(1, [], d - 1, [exponent - (-1) ** n] + [exponent] * (d - 1))
 
 
 def check_zeta_two_forms(zeta: CharPoly, chi: Sequence[int]) -> CheckResult:
@@ -572,7 +575,7 @@ def check_zeta_two_forms(zeta: CharPoly, chi: Sequence[int]) -> CheckResult:
     return CheckResult(
         "zeta_two_forms", "fail",
         f"the (x^d - 1) form gives {zeta}, "
-        f"the product over chi gives {CharPoly([], len(chi) - 1, list(chi))}")
+        f"the product over chi gives {CharPoly(1, [], len(chi) - 1, list(chi))}")
 
 
 def check_block_size_limits(pieces: Iterable[tuple[UnitRoot, Mapping[int, int]]],
@@ -649,13 +652,13 @@ def assemble(spec: ProblemSpec, *,
     # the product formula give every vector the same check; the limits read
     # the pieces with a block above size n (>= 2) in root order: the lifts
     # of such tables of conj(T) that miss the slots, and the slots' sizes
-    over = [(y, table) for y, table in assembler.conj if next(iter(table)) > n]
-    pieces = [(x, table) for x, table in lifts(over, d - 1) if d % x.den]
-    pieces += [(reduced_root(s, d), assembler.rules[assembler.ids[s]][0])
-               for s in assembler.slots]
-    limits = check_block_size_limits(sorted(
-        [piece for piece in pieces if next(iter(piece[1]), 0) > n],
-        key=itemgetter(0)), n, d)
+    over = [(k, table) for k, table in assembler.conj if next(iter(table)) > n]
+    pieces = [(reduced_root(p, q), table)
+              for p, q, table in lifts(t[0], over, d - 1) if d % q]
+    shifted = {s: assembler.rules[assembler.ids[s]][0] for s in assembler.slots}
+    pieces += [(reduced_root(s, d), table) for s, table in shifted.items()
+               if next(iter(table), 0) > n]
+    limits = check_block_size_limits(sorted(pieces, key=itemgetter(0)), n, d)
     if not assembler.symmetric:
         formula = CheckResult(
             "charpoly_local_formula", "not_applicable",
@@ -693,7 +696,7 @@ def assemble(spec: ProblemSpec, *,
         entries.append(BetaEntry(beta, tuple(checks), assembler))
     if vectors:
         charpoly = CharPoly(
-            [(y, _dim(table)) for y, table in assembler.conj], d - 1,
+            t[0], [(k, _dim(table)) for k, table in assembler.conj], d - 1,
             list(map(_DIM, assembler.at(vectors[0]))))
     else:
         charpoly = None if formula_at is None else \

@@ -8,12 +8,16 @@ by increasing angle, block sizes decreasing.
 
 from __future__ import annotations
 
+from math import lcm
 from operator import eq, itemgetter
 from typing import Callable, ItemsView, Iterable, Iterator, Mapping
 
 from .cyclo import MINUS_ONE, ONE, CharPoly, UnitRoot
 
 SLICE = 4096  # items per piece of output text: bounds the longest piece
+
+Tables = tuple[int, dict[int, dict[int, int]]]
+"""(L, {r: {size: count}}): the block table at each eigenvalue r/L."""
 
 
 class Runs:
@@ -71,12 +75,12 @@ class Runs:
 
 class Rows:
     """A JordanStructure.to_json list, made only while the --json writer
-    writes it: make() yields (eigenvalue, Runs of its sizes) in root
-    order, anew on each call."""
+    writes it: make() yields (p, q, Runs of its sizes) for each eigenvalue
+    p/q, in lowest terms and root order, anew on each call."""
 
     __slots__ = ("make",)
 
-    def __init__(self, make: Callable[[], Iterable[tuple[UnitRoot, Runs]]]
+    def __init__(self, make: Callable[[], Iterable[tuple[int, int, Runs]]]
                  ) -> None:
         self.make = make
 
@@ -129,6 +133,13 @@ class JordanStructure:
         The tables are the structure's own, not copies: read them only."""
         return self._blocks.items()
 
+    def tables(self) -> Tables:
+        """The structure as Tables: L the lcm of the orders, residues
+        ascending, the tables the structure's own: read them only."""
+        level = lcm(*(root.den for root in self._blocks))
+        return level, {root.num * (level // root.den): table
+                       for root, table in self._blocks.items()}
+
     @property
     def total_dim(self) -> int:
         return sum(size * count for _, sizes in self._blocks.items()
@@ -136,7 +147,8 @@ class JordanStructure:
 
     def char_poly(self) -> CharPoly:
         """Characteristic polynomial, as the CharPoly with m = 1."""
-        return CharPoly([(root, self.multiplicity(root)) for root in self._blocks],
+        level, tables = self.tables()
+        return CharPoly(level, list(zip(tables, map(self.multiplicity, self._blocks))),
                         1, [self.multiplicity(ONE), self.multiplicity(MINUS_ONE)])
 
     def __eq__(self, other: object) -> bool:

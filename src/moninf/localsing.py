@@ -21,7 +21,7 @@ from itertools import compress
 from math import gcd, lcm
 from typing import Union
 
-from .jordan import JordanStructure
+from .jordan import JordanStructure, Tables
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,6 @@ class ExplicitJordan:
 
 
 SingularityModel = Union[BrieskornPham, OrdinaryNode, ExplicitJordan]
-
-Tables = tuple[int, dict[int, dict[int, int]]]
-"""(L, {r: {size: count}}): the block table at each eigenvalue r/L."""
-
 
 def milnor_number(model: SingularityModel) -> int:
     if isinstance(model, BrieskornPham):
@@ -95,9 +91,7 @@ def local_monodromy(model: SingularityModel, n: int) -> Tables:
     if isinstance(model, OrdinaryNode):
         return (1, {0: {1: 1}}) if n % 2 == 0 else (2, {1: {1: 1}})
     if isinstance(model, ExplicitJordan):
-        level = lcm(*(x.den for x in model.structure.spectrum()))
-        return level, {x.num * (level // x.den): table
-                       for x, table in model.structure.items()}
+        return model.structure.tables()
     raise TypeError(f"unknown singularity model {model!r}")
 
 

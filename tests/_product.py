@@ -7,22 +7,24 @@ angle, as the package kept it before the closed form `CharPoly`:
 `CharPoly` must give the same display and, up to key order, the same
 dict for the same product.
 
-The local monodromies are integer tables (`localsing.Tables`);
+The local monodromies are integer tables (`jordan.Tables`);
 `as_structure` checks that form and reads it back as the Jordan
-structure it stands for, and `conjugate`, `iter_blocks` and
-`is_conjugation_symmetric` are the helpers on roots and structures that
-the package kept before.
+structure it stands for; `residues` writes (root, value) pairs in the
+residue form that `CharPoly` and `cyclo.lifts` read; and `conjugate`,
+`iter_blocks` and `is_conjugation_symmetric` are the helpers on roots
+and structures that the package kept before.
 """
 
 from __future__ import annotations
 
 from math import lcm
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TypeVar
 
 from moninf.cyclo import UnitRoot, mth_roots, totient
 from moninf.jordan import JordanStructure
 
 Product = dict[UnitRoot, int]
+V = TypeVar("V")
 
 
 def product(factors: Iterable[tuple[UnitRoot, int]]) -> Product:
@@ -53,6 +55,15 @@ def closed(d: int, pairs, at) -> Product:
         factors += [(alpha, k) for alpha in mth_roots(y, d - 1)
                     if d % alpha.den]
     return product(factors)
+
+
+def residues(pairs: list[tuple[UnitRoot, V]]) -> tuple[int, list[tuple[int, V]]]:
+    """(L, [(r, value)]): pairs (root, value) by increasing angle as the
+    residues r at the lcm L of their orders that `CharPoly` and
+    `cyclo.lifts` read, r/L the root."""
+    level = lcm(*(root.den for root, _ in pairs))
+    return level, [(root.num * (level // root.den), value)
+                   for root, value in pairs]
 
 
 def conjugate(root: UnitRoot) -> UnitRoot:

@@ -22,10 +22,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import moninf.cli
 import moninf.cyclic
+import moninf.cyclo
 import moninf.infinity
 from moninf.cli import _json_chunks, main
-from moninf.cyclic import lifts
-from moninf.cyclo import ONE, CharPoly, UnitRoot, mth_roots
+from moninf.cyclo import ONE, CharPoly, UnitRoot, lifts, mth_roots
 from moninf.infinity import (
     EnumerateBeta,
     GivenBeta,
@@ -286,11 +286,12 @@ def _forbid_cyclic_power(monkeypatch) -> list:
         monkeypatch.setattr(module, "cyclic_power", forbidden)
     streams = []
 
-    def counting(pairs, m):
+    def counting(level, pairs, m):
         streams.append(m)
-        return lifts(pairs, m)
+        return lifts(level, pairs, m)
 
-    monkeypatch.setattr(moninf.cyclic, "lifts", counting)
+    for module in (moninf.cyclo, moninf.cyclic, moninf.infinity):
+        monkeypatch.setattr(module, "lifts", counting)
     return streams
 
 
@@ -374,15 +375,42 @@ def test_text_renders_each_eigenvalue_line_once(monkeypatch):
     report = assemble(moninf.infinity.parse_problem(MULTI_VECTOR_INSTANCE))
     first = assemble(moninf.infinity.parse_problem(MULTI_VECTOR_INSTANCE),
                      enumerate_cap=1)
-    calls = _count_calls(monkeypatch, UnitRoot, "__str__")
+    # a rendered line is a slot's line, formatted from its cell's line, or
+    # a lift of the base runs
+    rendered = _count_calls(monkeypatch, moninf.infinity, "_LINE")
+    runs_of = moninf.infinity.lifted_runs
+
+    def counting_runs(*args):
+        for run in runs_of(*args):
+            rendered.extend(run)
+            yield run
+
+    monkeypatch.setattr(moninf.infinity, "lifted_runs", counting_runs)
     counts = []
     for got in (first, report):
-        calls.clear()
+        rendered.clear()
         text = "".join(got.text_chunks())
-        counts.append(len(calls))
+        counts.append(len(rendered))
     assert len(report.entries) == 9
     assert text.count("  eigenvalue ") > 9 * 3000
     assert counts[1] - counts[0] == 8
+
+
+@pytest.mark.parametrize("name", ["six_cusp_sextic.json",
+                                  "six_cusp_sextic_enumerate.json"])
+def test_reports_make_no_root_within_the_block_size_limits(name, monkeypatch):
+    # eigenvalues stay residues from T to the printed line: with every block
+    # within the limits, neither the assembly nor either report makes a root
+    spec = moninf.infinity.parse_problem(
+        json.loads((INSTANCES / name).read_text()))
+    made = [_count_calls(monkeypatch, UnitRoot, "__post_init__")] + [
+        _count_calls(monkeypatch, module, "reduced_root")
+        for module in (moninf.cyclo, moninf.cyclic, moninf.infinity)]
+    report = assemble(spec)
+    text = "".join(report.text_chunks())
+    doc = json.loads("".join(_json_chunks(report.to_json())))
+    assert "  eigenvalue 1/6: " in text and doc["jordan"]
+    assert made == [[], [], [], []]
 
 
 @pytest.mark.parametrize("given", [True, False])
@@ -399,8 +427,8 @@ def test_assembled_structures_are_canonical(given):
         except InstanceError:
             continue
         for entry in report.entries:
-            streamed = [(root, list(blocks))
-                        for root, blocks in entry.assembler.rows(entry.beta)]
+            streamed = [(UnitRoot(p, q), list(blocks))
+                        for p, q, blocks in entry.assembler.rows(entry.beta)]
             assert streamed == [(root, entry.jordan.sizes_at(root))
                                 for root in entry.jordan.spectrum()]
         if report.entries:

@@ -1,11 +1,14 @@
 """Property tests for what is built in canonical order without sorting.
 
 `cyclo.reduced_root` makes a root without the validating constructor's
-checks; it must give exactly what the validating constructor gives.  `cyclic.lifts` streams the
-lifted pairs in root order, which the assembler relies on; they must
-come as the validating constructor of the cyclic power stores them.
-Order is included: dict equality ignores order, so the items are also
-compared as lists.
+checks; it must give exactly what the validating constructor gives.
+`cyclo.lifts` streams the lifted pairs of integer residues in root order,
+which the assembler relies on: each lift (p, q) must be the validated
+root of (r + j*L)/(m*L), in lowest terms, and they must come as the
+validating constructor of the cyclic power stores them.  `cyclic.lifted_runs`
+cuts that stream at the (m+1)-th roots and leaves out the lifts landing
+on them.  Order is included: dict equality ignores order, so the items
+are also compared as lists.
 
 `cyclo.CharPoly` is a characteristic polynomial in closed form from
 (eigenvalue, dimension) pairs, m = d - 1 and the exponents at the d-th
@@ -29,12 +32,13 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
 
-from moninf.cyclic import cyclic_power, lifts  # noqa: E402
+from moninf.cyclic import cyclic_power, lifted_runs  # noqa: E402
 from moninf.cyclo import (  # noqa: E402
     MINUS_ONE,
     ONE,
     CharPoly,
     UnitRoot,
+    lifts,
     mth_roots,
     reduced_root,
 )
@@ -52,7 +56,8 @@ from moninf.jordan import JordanStructure  # noqa: E402
 from moninf.localsing import ExplicitJordan, OrdinaryNode  # noqa: E402
 
 from _product import (  # noqa: E402
-    Product, as_structure, closed, display, forms, of_jordan, product, times)
+    Product, as_structure, closed, display, forms, of_jordan, product,
+    residues, times)
 
 ROOTS = st.builds(lambda den, num: UnitRoot(num % den, den),
                   st.integers(1, 24), st.integers(0, 23))
@@ -63,12 +68,56 @@ TABLES = st.dictionaries(st.integers(1, 6), st.integers(1, 5),
 @given(raw=st.dictionaries(ROOTS, TABLES, max_size=12), m=st.integers(1, 6))
 def test_canonical_structure_equals_the_validated_one(raw, m):
     t = JordanStructure(raw)
-    streamed = [(root, list(table.items())) for root, table in lifts(t.items(), m)]
+    level, tables = t.tables()
+    streamed = [(UnitRoot(p, q), list(table.items()))
+                for p, q, table in lifts(level, tables.items(), m)]
     power = cyclic_power(t, m)
     assert streamed == [(root, list(table.items())) for root, table in power.items()]
     angles = [Fraction(root.num, root.den) for root, _ in streamed]
     assert angles == sorted(set(angles))
     assert len(streamed) == m * len(t.spectrum())
+
+
+RESIDUES = st.integers(1, 60).flatmap(lambda level: st.tuples(
+    st.just(level), st.sets(st.integers(0, level - 1), max_size=8).map(sorted)))
+
+
+@given(residues=RESIDUES, m=st.integers(1, 8))
+def test_lifts_are_the_validated_roots(residues, m):
+    level, rs = residues
+    got = list(lifts(level, [(r, -r) for r in rs], m))
+    want = [(UnitRoot(r + j * level, m * level), -r)
+            for j in range(m) for r in rs]
+    assert [((p, q), value) for p, q, value in got] == \
+        [((root.num, root.den), value) for root, value in want]
+    angles = [Fraction(p, q) for p, q, _ in got]
+    assert angles == sorted(set(angles))
+    with pytest.raises(ValueError, match="root index must be >= 1"):
+        lifts(level, [], 0)
+
+
+@given(residues=RESIDUES, m=st.integers(1, 8))
+def test_lifted_runs_interleave_with_the_roots_of_unity(residues, m):
+    # the m + 2 runs with the (m+1)-th roots between them are the lifts in
+    # root order, less exactly those that land on the (m+1)-th roots
+    level, rs = residues
+    pairs, d = [(r, -r) for r in rs], m + 1
+    runs = list(lifted_runs(level, pairs, m))
+    assert len(runs) == m + 2
+    merged = runs[0] + [row for s in range(d)
+                        for row in [(s, d, None)] + runs[s + 1]]
+    angles = [Fraction(p, q) for p, q, _ in merged]
+    assert angles == sorted(set(angles))
+    assert [row for run in runs for row in run] == \
+        [row for row in lifts(level, pairs, m) if d % row[1]]
+
+
+@given(raw=st.dictionaries(ROOTS, TABLES, max_size=12))
+def test_tables_round_trip_through_the_structure(raw):
+    t = JordanStructure(raw)
+    level, tables = t.tables()
+    assert as_structure(level, tables) == t
+    assert list(tables.values()) == [table for _, table in t.items()]
 
 
 @given(den=st.integers(1, 10**6), num=st.integers(0, 10**6))
@@ -116,12 +165,13 @@ def _forms(poly) -> tuple[str, dict[str, int]]:
 @given(case=_pairs_and_slots())
 def test_closed_charpoly_is_the_product(case):
     d, pairs, at = case
-    assert _forms(CharPoly(pairs, d - 1, at)) == forms(closed(d, pairs, at))
+    assert _forms(CharPoly(*residues(pairs), d - 1, at)) == \
+        forms(closed(d, pairs, at))
 
 
 def test_empty_closed_charpoly_is_one():
     for d in (2, 3, 12):
-        assert _forms(CharPoly([], d - 1, [0] * d)) == ("1", {})
+        assert _forms(CharPoly(1, [], d - 1, [0] * d)) == ("1", {})
 
 
 @st.composite

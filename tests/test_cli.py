@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import moninf.cyclic
+import moninf.cyclo
 import moninf.infinity
 from moninf.cli import main
 from moninf.infinity import (
@@ -23,7 +25,8 @@ from moninf.infinity import (
 )
 from moninf.jordan import JordanStructure, Runs
 from moninf.localsing import milnor_number
-from test_exactness import LARGE_REPORT_INSTANCE, MULTI_VECTOR_INSTANCE
+from test_exactness import (
+    LARGE_REPORT_INSTANCE, MID_INSTANCE, MULTI_VECTOR_INSTANCE)
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
@@ -396,14 +399,6 @@ def test_each_display_is_rendered_once(tmp_path, monkeypatch):
     assert isinstance(chi, Runs) and chi.pairs == ((8, 1), (9, 5))
 
 
-# ROADMAP's Mid instance: about 2.1 * 10^8 Jordan blocks at about 90000
-# lifted roots of conj(T) and 600 slots; a 3.5 MB text report
-MID_INSTANCE = {
-    "n": 2, "d": 600,
-    "singularities": [{"type": "brieskorn", "exponents": [150, 150]}],
-    "beta": {"mode": "given", "values": [0] * 600}}
-
-
 def test_mid_text_report_holds_no_lifted_charpoly(tmp_path):
     # the char poly is read off T in closed form; holding it as one factor
     # per lifted root took the tracemalloc peak to 30.4 MB (11.6 MB
@@ -419,6 +414,31 @@ def test_mid_text_report_holds_no_lifted_charpoly(tmp_path):
         tracemalloc.stop()
     assert target.stat().st_size > 3_000_000
     assert peak < 20_000_000
+
+
+@pytest.mark.parametrize("order", [10**18 + 3, 10**40 + 3])
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_an_orbit_of_large_order_is_not_factored(order, flags, tmp_path,
+                                                 monkeypatch, capsys):
+    # eigenvalues 1/e and its inverse: an orbit of two roots is not full
+    # for e > 8, since phi(e) >= sqrt(e/2), so totient(e) is never asked
+    # for; trial division would take years
+    totient = moninf.cyclo.totient
+
+    def small_only(q):
+        assert q < 10**6, f"totient({q}) by trial division"
+        return totient(q)
+
+    monkeypatch.setattr(moninf.cyclo, "totient", small_only)
+    instance = tmp_path / "order.json"
+    instance.write_text(json.dumps({
+        "n": 2, "d": 4, "singularities": [{"type": "explicit", "jordan": [
+            {"eigenvalue": f"1/{order}", "blocks": [1]},
+            {"eigenvalue": f"{order - 1}/{order}", "blocks": [1]}]}],
+        "beta": {"mode": "enumerate"}}))
+    assert main(["compute", str(instance), *flags]) == 0
+    out = capsys.readouterr().out
+    assert f"(x - zeta(1/{3 * order}))" in out
 
 
 def test_refused_json_report_lifts_nothing(tmp_path, monkeypatch, capsys):
@@ -437,7 +457,17 @@ def test_refused_json_report_lifts_nothing(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(moninf.infinity.CharPoly, "to_json", forbidden)
     monkeypatch.setattr(moninf.infinity.CharPoly, "__str__", shown_without_pairs)
-    monkeypatch.setattr("moninf.cyclic.lifts", forbidden)
+    lifts = moninf.cyclo.lifts
+
+    def lifting_nothing(*args):
+        for _ in lifts(*args):
+            forbidden()
+        return iter(())
+
+    # the lifts are read by CharPoly, by the base runs and by the block
+    # size limits, which may lift an empty list
+    for module in (moninf.cyclo, moninf.cyclic, moninf.infinity):
+        monkeypatch.setattr(module, "lifts", lifting_nothing)
     instance = tmp_path / "mid.json"
     instance.write_text(json.dumps(MID_INSTANCE))
     assert main(["compute", str(instance), "--json"]) == 1
@@ -501,7 +531,7 @@ def test_compute_exit_2_on_check_failure(monkeypatch, capsys):
 
 def test_compute_exit_2_when_zeta_forms_disagree(monkeypatch, capsys):
     monkeypatch.setattr("moninf.infinity.zeta_of_top_form",
-                        lambda spec: CharPoly([], spec.d - 1, [0] * spec.d))
+                        lambda spec: CharPoly(1, [], spec.d - 1, [0] * spec.d))
     assert main(["compute", SEXTIC]) == 2
     out = capsys.readouterr().out
     assert "[fail] zeta_two_forms: the (x^d - 1) form gives 1, the product " \

@@ -554,6 +554,54 @@ def test_mixed_factor_reports_are_unchanged(d, flags, digest, tmp_path,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# ROADMAP's Mid instance: about 2.1 * 10^8 Jordan blocks at about 90000
+# lifted roots of conj(T) and 600 slots; a 3.5 MB text report
+MID_INSTANCE = {
+    "n": 2, "d": 600,
+    "singularities": [{"type": "brieskorn", "exponents": [150, 150]}],
+    "beta": {"mode": "given", "values": [0] * 600}}
+
+
+def test_mid_text_report_is_unchanged(tmp_path, capsys):
+    instance = tmp_path / "mid.json"
+    instance.write_text(json.dumps(MID_INSTANCE))
+    assert main(["compute", str(instance)]) == 0
+    out = capsys.readouterr().out
+    assert len(out) == 3474793
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "a2bf7bf498822d084bab34d89f43be00080e0cc99eecf5b55000e7418d0160d1"
+
+
+# n = 2, d = 6: one germ at level L = 12 with size-2 blocks at the 6th
+# roots 1/6 and 5/6 (size 3 in the operator) and at 1/4 and 3/4 off them;
+# the lift of conj(T) at 5/6 lands on the slot 1/6, and 1/4 lifts to the
+# 20th roots.  The enumeration gives two vectors
+LEVEL_12_INSTANCE = {
+    "n": 2, "d": 6,
+    "singularities": [{"type": "explicit", "jordan": [
+        {"eigenvalue": "1/6", "blocks": [2, 1]},
+        {"eigenvalue": "1/4", "blocks": [2]},
+        {"eigenvalue": "3/4", "blocks": [2]},
+        {"eigenvalue": "5/6", "blocks": [2, 1]}]}],
+    "beta": {"mode": "enumerate"}}
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["compute"],
+     "c592e613ce9fb837f46ff2079a98851483ea2f67a1baab2f4035e5957a4c8c1b"),
+    (["compute", "--json"],
+     "4319110cd0b91e1b48c08fb4de11f2b33c35af8f139920b0d592be186fb51d3a"),
+    (["bounds", "--json"],
+     "846d6b1d7a0da0519729f93a8afdfb57071f0f31f0d77af7c60ee8411b255802"),
+])
+def test_level_12_germ_reports_are_unchanged(argv, digest, tmp_path, capsys):
+    instance = tmp_path / "level12.json"
+    instance.write_text(json.dumps(LEVEL_12_INSTANCE))
+    assert main([argv[0], str(instance), *argv[1:]]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_failed_zeta_check_report_is_unchanged(monkeypatch, capsys):
     # chi off the zeta function at 1, 1/3 and 1/2: the check compares
     # exponents, and on failure prints both forms as before

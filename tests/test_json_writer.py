@@ -30,11 +30,13 @@ LEAF_LISTS = st.lists(INTS) | st.lists(INTS | st.booleans()) | LONG_INT_LISTS
 RUN_COUNTS = st.integers(0, 3) | st.sampled_from(
     [1, SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 1])
 RUNS = st.lists(st.tuples(INTS, RUN_COUNTS), max_size=4).map(Runs)
-# Jordan table rows as the assembler streams them: rows share Runs objects
+# Jordan table rows as the assembler streams them, each eigenvalue p/q in
+# lowest terms: rows share Runs objects
 ROOTS = st.builds(lambda den, num: UnitRoot(num, den),
                   st.integers(1, 12), st.integers(0, 11))
 ROWS = st.builds(
-    lambda picks, tables: Rows(lambda: [(root, tables[k]) for root, k in picks]),
+    lambda picks, tables: Rows(lambda: [(root.num, root.den, tables[k])
+                                        for root, k in picks]),
     st.lists(st.tuples(ROOTS, st.integers(0, 2)), max_size=6),
     st.lists(RUNS, min_size=3, max_size=3))
 
@@ -54,8 +56,8 @@ def _expanded(doc):
     if isinstance(doc, Runs):
         return list(doc)
     if isinstance(doc, Rows):
-        return [{"eigenvalue": str(root), "blocks": list(blocks)}
-                for root, blocks in doc.make()]
+        return [{"eigenvalue": str(UnitRoot(p, q)), "blocks": list(blocks)}
+                for p, q, blocks in doc.make()]
     if isinstance(doc, dict):
         return {key: _expanded(value) for key, value in doc.items()}
     if isinstance(doc, (list, tuple)):
