@@ -42,8 +42,8 @@ from .oracle import SpectrumNotCovered, spectrum_level, verify_cyclic_agreement
 # The oracle's limits, each checked for the whole sweep before its first
 # comparison.  A strongly connected matrix of r rows costs about r^3: 256
 # rows at field level 360 (a Jordan block of 128 at m = 2 sheared into one
-# block) take about 2.7 s of CPU and 118 MB of peak RSS (2-CPU VM, Python
-# 3.11).  A Jordan lift costs per m x m block: unsheared, that one 0.1 s.
+# block) take 4-5.5 s of CPU and 118 MB of peak RSS (2-CPU VM, Python
+# 3.11).  A Jordan lift costs per m x m block: unsheared, that one 0.015 s.
 DEFAULT_LEVEL_CAP = 360
 MAX_ORACLE_ROWS = 256
 MAX_EXHAUSTIVE_COMPARISONS = 10000

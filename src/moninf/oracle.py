@@ -48,16 +48,16 @@ fails, a(alpha) is the least a_P(alpha) over enough prime ideals P (see
 _exact_multiplicities), and the sum of the a(alpha) over all blocks
 raises SpectrumNotCovered before any rank.  (6) Since 1 <= n_1 <= a(alpha),
 a(alpha) = 1 is one block of size 1, again with no rank.  Where
-a(alpha) > 1 in K, n_1 is at most the nullity mod p of the image of K
-over F_p, shifted by the image of alpha; where that is 1, so is n_1: one
-block, of size a(alpha).  With one such alpha in a component, that
-nullity is one elimination.  With more, one elimination bounds them all:
-if v, Kv, ..., K^(dim-1)v have rank dim K over F_p, the image of K is
-nonderogatory and every shifted nullity mod p is at most 1.  Where that
-rank falls short, each alpha takes its own nullity mod p.  Where a
-nullity mod p exceeds 1, the nullities of the exact powers run until
-they reach a(alpha), each from the ranks mod enough prime ideals (see
-_rank).
+a(alpha) > 1 in K, n_1 = 1, one block of size a(alpha), if an order of
+K's indices puts K in unreduced lower Hessenberg form, read off the
+sparsity pattern with no arithmetic (see _hessenberg): stored entries
+are nonzero, so for every alpha K - alpha has a triangular minor of size
+dim K - 1 with a nonzero diagonal.  Where no such order exists, n_1 is
+at most the nullity mod p of the image of K over F_p, shifted by the
+image of alpha, one elimination per alpha; where that is 1, so is n_1.
+Where a nullity mod p exceeds 1, the nullities of the exact powers run
+until they reach a(alpha), each from the ranks mod enough prime ideals
+(see _rank).
 """
 
 from __future__ import annotations
@@ -478,22 +478,22 @@ def _nullity_mod_p(image: list[list[int]], alpha: int, prime: int) -> int:
     return len(shifted) - len(eliminate(shifted, prime)[0])
 
 
-def _krylov_rank(rows: list[dict[int, tuple[int, ...]]],
-                 image: list[list[int]], prime: int) -> int:
-    """The rank over F_p of v, Kv, ..., K^(dim-1)v, from the image of K
-    over F_p and v_i = 3^i mod p.  If it is dim, the image is
-    nonderogatory: K - alpha has nullity at most 1 mod p for every alpha.
-    (e_0 would not do: on a cyclic component it spans only m dimensions.)"""
-    entries = [[(j, image_row[j]) for j in row]
-               for row, image_row in zip(rows, image)]
-    # a row that is a lone 1 copies an entry of the vector
-    plan = [r[0][0] if len(r) == 1 and r[0][1] == 1 else r for r in entries]
-    vectors = [[pow(3, i, prime) for i in range(len(rows))]]
-    while len(vectors) < len(rows):
-        v = vectors[-1]
-        vectors.append([v[r] if type(r) is int else
-                        sum([x * v[j] for j, x in r]) % prime for r in plan])
-    return len(eliminate(vectors, prime)[0])
+def _hessenberg(rows: list[dict[int, tuple[int, ...]]]) -> bool:
+    """Whether some order v_1 .. v_n of the indices puts K in unreduced
+    lower Hessenberg form: every entry (v_a, v_b) has b <= a + 1 and every
+    (v_a, v_(a+1)) is an entry.  Then rows v_1 .. v_(n-1) and columns
+    v_2 .. v_n of K - alpha are triangular with a nonzero diagonal for
+    every alpha, so no nullity of K - alpha exceeds 1.  v_(a+1) is the one
+    column of row v_a outside v_1 .. v_a: the order is a walk, tried from
+    each start."""
+    for start in range(len(rows)):
+        seen, v = {start}, start
+        while len(ahead := [j for j in rows[v] if j not in seen]) == 1:
+            v = ahead[0]
+            seen.add(v)
+        if len(seen) == len(rows):
+            return True
+    return False
 
 
 def _exact_nullities(rows: list[dict[int, tuple[int, ...]]], level: int,
@@ -638,15 +638,14 @@ def jordan_type(m: CycloMatrix, candidates: Iterable[UnitRoot]) -> JordanStructu
                      pow(omega, level_needed // m.level, prime))
     blocks: list[tuple[UnitRoot, dict[int, int]]] = []
     for rows, mults in components:
-        # 1 <= n_1 <= a(alpha), and n_1 is at most the nullity mod p:
-        # one Krylov rank bounds it for every alpha, one nullity for one
-        repeated = sum(mult > 1 for mult in mults.values())
-        image = _image(rows, len(rows), to_p) if repeated else []
-        nonderogatory = repeated > 1 and _krylov_rank(
-            rows, image, prime) == len(rows)
+        # 1 <= n_1 <= a(alpha): a Hessenberg order makes n_1 = 1 for every
+        # alpha, else n_1 is at most the nullity mod p
+        unsure = any(mult > 1 for mult in mults.values()) \
+            and not _hessenberg(rows)
+        image = _image(rows, len(rows), to_p) if unsure else []
         for alpha, mult in mults.items():
             nullities = list(range(mult + 1))
-            if mult > 1 and not nonderogatory and _nullity_mod_p(
+            if mult > 1 and unsure and _nullity_mod_p(
                     image, images[alpha], prime) > 1:
                 nullities = _exact_nullities(rows, m.level, alpha, mult)
             null = nullities + nullities[-1:]

@@ -334,13 +334,27 @@ def test_prime_for_level_gives_a_primitive_root_of_unity():
 
 
 def test_two_blocks_mod_p_are_one_block_over_q(monkeypatch):
-    # K - 1 = [[0, p], [0, 0]] is zero mod p, but not over Q
+    # K - 1 = [[0, p], [0, 0]] is zero mod p, but not over Q; the entry p
+    # is an unreduced Hessenberg order's superdiagonal, so no rank runs
     p = _prime_for_level(1)[0]
     exact = _spy(monkeypatch, "_exact_nullities")
+    eliminations = _spy(monkeypatch, "eliminate")
     m = CycloMatrix(1, [{0: (1,), 1: (p,)}, {1: (1,)}], 2)
     assert jordan_type(m, [ONE]) == JordanStructure({ONE: {2: 1}})
-    # the certificate held (a(1) = 2); n^p_1 = 2 sent it to the exact chain,
-    # which stopped as soon as the nullity reached 2
+    assert exact == eliminations == []
+    # with entries c at (0, 1) and (0, 2) and -1 at (2, 2), no Hessenberg
+    # order exists, and 1 takes its nullity mod p.  At c = 1 it is 1: one
+    # block, with no chain.  At c = p the certificate held (a(1) = 2);
+    # n^p_1 = 2 sent 1 to the exact chain, which stopped as soon as the
+    # nullity reached 2
+    nullities = _spy(monkeypatch, "_nullity_mod_p")
+    for c in (1, p):
+        m = CycloMatrix(1, [{0: (1,), 1: (c,), 2: (c,)}, {1: (1,)},
+                            {2: (-1,)}], 3)
+        assert not oracle._hessenberg(m.rows)
+        assert jordan_type(m, [ONE, MINUS_ONE]) == JordanStructure(
+            {ONE: {2: 1}, MINUS_ONE: {1: 1}})
+    assert [result for _, _, result in nullities] == [1, 2]
     assert [(args[2:], kwargs, result) for args, kwargs, result in exact] \
         == [((ONE, 2), {}, [0, 1, 2])]
 
@@ -410,9 +424,12 @@ def test_a_candidate_of_multiplicity_0_costs_no_elimination(monkeypatch):
     j = JordanStructure({ONE: {2: 2, 3: 1}})
     m = build_jordan_matrix(j, 1)
     eliminations = _spy(monkeypatch, "eliminate")
+    hessenberg = _spy(monkeypatch, "_hessenberg")
     assert jordan_type(m, [ONE, MINUS_ONE, UnitRoot(1, 3)]) == j
-    # one per component, each a single Jordan block at 1
-    assert len(eliminations) == len(oracle._components(m.rows)) == 3
+    # each component, a single Jordan block at 1, is its own Hessenberg order
+    assert eliminations == []
+    assert [result for _, _, result in hessenberg] == [True] * 3
+    assert len(oracle._components(m.rows)) == 3
 
 
 def test_simple_candidates_cost_no_elimination(monkeypatch):
@@ -889,17 +906,18 @@ def test_split_block_triangular_matrices_agree_with_their_sheared_conjugates(
 
 
 def test_random_oracle_runs_no_nullity_mod_p(monkeypatch, capsys):
-    # every component with two or more repeated eigenvalues is certified
-    # nonderogatory by one Krylov rank, and no component has just one
-    krylov = _spy(monkeypatch, "_krylov_rank")
+    # every component with a repeated eigenvalue is certified
+    # nonderogatory by an unreduced Hessenberg order, so jordan_type
+    # eliminates nothing
+    hessenberg = _spy(monkeypatch, "_hessenberg")
+    eliminations = _spy(monkeypatch, "eliminate")
     nullities = _spy(monkeypatch, "_nullity_mod_p")
     for argv in (["oracle", "--seed", "23", "--trials", "100", "--json"],
                  ["oracle", "--json"]):
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["counterexamples"] == []
-    assert nullities == []
-    assert krylov and all(result == len(args[0])
-                          for args, _, result in krylov)
+    assert eliminations == nullities == []
+    assert hessenberg and all(result for _, _, result in hessenberg)
 
 
 def test_a_derogatory_component_takes_the_nullity_of_each_eigenvalue(
@@ -907,22 +925,92 @@ def test_a_derogatory_component_takes_the_nullity_of_each_eigenvalue(
     # two coupled blocks of size 2 at 1 (rows 0-3) and the same at -1
     # (rows 4-7), as in the test above; the entry (0, 4) joins the two
     # into one component, and since it sits above the diagonal between
-    # disjoint spectra it leaves the Jordan type alone.  K has minimal
-    # polynomial (x - 1)^2 (x + 1)^2, so no Krylov space exceeds 4 < 8
+    # disjoint spectra it leaves the Jordan type alone.  K is derogatory,
+    # so no order of its indices is an unreduced Hessenberg one
     one, minus = (1,), (-1,)
     m = CycloMatrix(1, [{0: one, 1: one, 3: (2,), 4: one}, {1: one},
                         {2: one, 3: one}, {3: one},
                         {4: minus, 5: one, 7: (2,)}, {5: minus},
                         {6: minus, 7: one}, {7: minus}], 8)
     assert len(oracle._components(m.rows)) == 1
-    krylov = _spy(monkeypatch, "_krylov_rank")
+    hessenberg = _spy(monkeypatch, "_hessenberg")
     nullities = _spy(monkeypatch, "_nullity_mod_p")
     expected = JordanStructure({ONE: {2: 2}, MINUS_ONE: {2: 2}})
     assert jordan_type(m, [ONE, MINUS_ONE]) == expected
-    assert [result for _, _, result in krylov] == [4]
+    assert [result for _, _, result in hessenberg] == [False]
     assert [result for _, _, result in nullities] == [2, 2]
     # the same structure as its block-diagonal realization, which is
-    # four components, each with one eigenvalue and so no Krylov rank
+    # four components, each one Jordan block and so its own Hessenberg order
     assert jordan_type(build_jordan_matrix(expected, 2),
                        [ONE, MINUS_ONE]) == expected
-    assert len(krylov) == 1
+    assert [result for _, _, result in hessenberg] == [False] + [True] * 4
+    assert len(nullities) == 2
+
+
+@st.composite
+def _patterns(draw) -> tuple[list[list[int]], bool]:
+    """A square integer matrix of dimension 1 .. 6, conjugated by a
+    permutation, and whether it was drawn unreduced lower Hessenberg.
+    The diagonal is 1 or -1 and other entries are mostly 0, so that
+    K - 1 and K + 1 often have rank below n - 1."""
+    n = draw(st.integers(1, 6), label="n")
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2])
+    grid = [[draw(st.sampled_from([1, -1]) if a == b else entries)
+             for b in range(n)] for a in range(n)]
+    band = draw(st.booleans(), label="band")
+    if band:
+        for a, row in enumerate(grid):
+            row[a + 2:] = [0] * (n - a - 2)
+            if a + 1 < n and not row[a + 1]:
+                row[a + 1] = 1
+    return _permuted(grid, draw(st.permutations(range(n)))), band
+
+
+def _permuted(grid: list[list[int]], where: list[int]) -> list[list[int]]:
+    """P grid P^-1, row and column a of grid moved to where[a]."""
+    out = [[0] * len(grid) for _ in grid]
+    for a, row in enumerate(grid):
+        for b, x in enumerate(row):
+            out[where[a]][where[b]] = x
+    return out
+
+
+def _level_1_rows(grid: list[list[int]]) -> list[dict[int, tuple[int, ...]]]:
+    return CycloMatrix(1, [{j: (x,) for j, x in enumerate(row)}
+                           for row in grid], len(grid)).rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(pattern=_patterns())
+def test_a_hessenberg_order_bounds_every_nullity_by_1(pattern):
+    grid, band = pattern
+    holds = oracle._hessenberg(_level_1_rows(grid))
+    assert holds or not band
+    for a in (1, -1):
+        shifted = _level_1_rows([[x - a * (i == j) for j, x in enumerate(row)]
+                                 for i, row in enumerate(grid)])
+        assert _int_rank(shifted, len(grid), _field(1)) >= len(grid) - 1 \
+            or not holds
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), pattern=_patterns())
+def test_a_hessenberg_order_survives_a_permutation_similarity(data, pattern):
+    grid, _ = pattern
+    where = data.draw(st.permutations(range(len(grid))), label="permutation")
+    assert oracle._hessenberg(_level_1_rows(_permuted(grid, where))) \
+        == oracle._hessenberg(_level_1_rows(grid))
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocks=st.lists(st.tuples(st.sampled_from(mth_roots(ONE, 6)),
+                                 st.integers(1, 3)), min_size=1, max_size=2),
+       order=st.integers(1, 4))
+def test_every_component_of_a_jordan_lift_has_a_hessenberg_order(blocks,
+                                                                   order):
+    m = build_cyclic_matrix(build_jordan_matrix(_from_blocks(blocks), 6),
+                            order)
+    for index in oracle._components(m.rows):
+        local = {g: i for i, g in enumerate(index)}
+        assert oracle._hessenberg([{local[j]: vec for j, vec in m.rows[g].items()}
+                                   for g in index])
